@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test verify bench bench-report serve-bench cluster-smoke strategy-smoke figures quick-figures report report-render claims clean
+.PHONY: install native test verify bench serve-bench cluster-smoke strategy-smoke figures quick-figures report report-render claims clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -27,15 +27,6 @@ verify:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Machine-readable before/after kernel timings (BENCH_PR2.json),
-# streaming throughput/memory figures (BENCH_PR3.json), the fused
-# sweep / cache / shared-memory report (BENCH_PR4.json), the cluster
-# scaling/overhead report (BENCH_PR9.json), and the adaptive
-# strategies report (BENCH_PR10.json).
-# BENCH_ARGS=--quick shrinks problem sizes for CI.
-bench-report:
-	PYTHONPATH=src $(PYTHON) tools/bench_report.py $(BENCH_ARGS)
-
 # End-to-end cluster fault drill: three loopback `repro worker`
 # subprocesses, the quick report DAG over them, one worker SIGKILLed
 # mid-run — must re-dispatch and stay byte-identical to serial.
@@ -49,8 +40,8 @@ strategy-smoke:
 	PYTHONPATH=src $(PYTHON) tools/strategy_smoke.py
 
 # Serve load harness: concurrent-stream throughput/latency plus the
-# chaos-kill/drain/restart churn phase (BENCH_PR6.json).  The committed
-# report is full-size (500 streams); BENCH_ARGS=--quick for CI.
+# chaos-kill/drain/restart churn phase, written under
+# benchmarks/results/.  BENCH_ARGS=--quick for CI.
 serve-bench:
 	PYTHONPATH=src $(PYTHON) tools/load_serve.py $(BENCH_ARGS)
 

@@ -2,8 +2,9 @@
 
 Each pair times a vectorized kernel next to the ``_reference_*`` oracle
 it replaced, so ``pytest benchmarks/ --benchmark-only`` shows the
-before/after trajectory alongside the component benches.  The same
-pairs feed ``tools/bench_report.py`` / ``BENCH_PR2.json``.
+before/after trajectory alongside the component benches.  End-to-end
+and per-layer numbers come from the benchmark in ``benchmarks/e2e``
+(see ``benchmarks/e2e/README.md``).
 """
 
 import numpy as np

@@ -8,25 +8,19 @@ the (seed, Γ) grid.  This subsystem eliminates that redundancy:
   (generator config, ``SeedSequence`` entropy, fault-model params);
 * :class:`ArtifactCache` serves artifacts from an in-process LRU tier
   and an optional crash-safe on-disk tier (``.npz`` + JSON sidecar,
-  atomic rename, size-capped eviction);
-* :class:`SharedArtifactMap` broadcasts cached read-only arrays to
-  process-pool workers through one ``multiprocessing.shared_memory``
-  segment instead of pickling per shard.
+  atomic rename, size-capped eviction).
 
-The fused trial scheduler in :mod:`repro.runtime.fusion` drives all
-three; see docs/CACHING.md for key derivation, tier semantics, and the
-shared-memory lifecycle.
+The DAG scheduler (:mod:`repro.dag`) stores every node's output here;
+see docs/CACHING.md for key derivation and tier semantics.
 """
 
 from repro.cache.fingerprint import canonicalize, fingerprint, seed_fingerprint
-from repro.cache.sharedmem import SharedArtifactMap
 from repro.cache.store import ArtifactCache, CachedArtifact, CacheStats
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
     "CachedArtifact",
-    "SharedArtifactMap",
     "canonicalize",
     "fingerprint",
     "seed_fingerprint",

@@ -3,12 +3,10 @@
 :class:`ArtifactCache` maps a content fingerprint (see
 :mod:`repro.cache.fingerprint`) to a :class:`CachedArtifact` — a bundle
 of read-only numpy arrays plus a small JSON-able metadata dict (the
-captured RNG state, for example).  Lookups fall through three tiers:
+captured RNG state, for example).  Lookups fall through two tiers:
 
-1. an optional read-only **overlay** (the shared-memory broadcast a
-   parent process hands to pool workers);
-2. the in-process **LRU tier**, byte-capped, promoted on every hit;
-3. the optional **disk tier**: one ``<key>.npz`` payload plus a
+1. the in-process **LRU tier**, byte-capped, promoted on every hit;
+2. the optional **disk tier**: one ``<key>.npz`` payload plus a
    ``<key>.json`` sidecar per entry, byte-capped with oldest-first
    eviction.
 
@@ -92,7 +90,6 @@ class CacheStats:
     Attributes:
         hits: lookups served from any tier.
         misses: lookups that found nothing.
-        overlay_hits: hits served by the shared-memory overlay.
         memory_hits: hits served by the in-process LRU tier.
         disk_hits: hits served by the on-disk tier.
         puts: entries stored.
@@ -108,7 +105,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    overlay_hits: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
     puts: int = 0
@@ -137,8 +133,9 @@ def infer_node_kind(names: list[str], meta: Mapping) -> str:
     """The DAG node kind of an artifact, from its sidecar fields.
 
     Prefers the explicit ``node_kind`` stamp; falls back to the array
-    names that the pre-DAG fused pipeline used for its two artifact
-    shapes, and ``"other"`` for anything unrecognised.
+    names of the two unstamped artifact shapes older stores hold
+    (``pristine`` and ``corrupted``), and ``"other"`` for anything
+    unrecognised.
     """
     kind = meta.get("node_kind")
     if isinstance(kind, str) and kind:
@@ -156,7 +153,7 @@ class ArtifactCache:
     Args:
         max_memory_bytes: byte cap for the in-process tier; least
             recently used entries are evicted past it.  0 disables the
-            memory tier (every hit then comes from overlay or disk).
+            memory tier (every hit then comes from disk).
         directory: on-disk tier location; None disables the disk tier.
         max_disk_bytes: byte cap for the disk tier; oldest entries are
             evicted past it.
@@ -182,11 +179,9 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedArtifact] = OrderedDict()
         self._memory_bytes = 0
-        self._overlay: Mapping[str, CachedArtifact] | None = None
         self._counts = {
             "hits": 0,
             "misses": 0,
-            "overlay_hits": 0,
             "memory_hits": 0,
             "disk_hits": 0,
             "puts": 0,
@@ -194,16 +189,6 @@ class ArtifactCache:
             "disk_evictions": 0,
             "bytes_saved": 0,
         }
-
-    # -- overlay (shared-memory broadcast) --------------------------------
-
-    def attach_overlay(self, overlay: Mapping[str, CachedArtifact] | None) -> None:
-        """Install a read-only first-lookup tier (or None to detach).
-
-        Pool workers attach the parent's shared-memory broadcast here;
-        entries it serves are zero-copy views into the shared segment.
-        """
-        self._overlay = overlay
 
     # -- lookups ----------------------------------------------------------
 
@@ -213,11 +198,6 @@ class ArtifactCache:
             return self._get_locked(key)
 
     def _get_locked(self, key: str) -> CachedArtifact | None:
-        if self._overlay is not None:
-            artifact = self._overlay.get(key)
-            if artifact is not None:
-                self._hit("overlay_hits", artifact)
-                return artifact
         artifact = self._memory.get(key)
         if artifact is not None:
             self._memory.move_to_end(key)
@@ -235,7 +215,7 @@ class ArtifactCache:
         """Whether *key* is present and verifiably intact, without loading.
 
         The DAG scheduler's recovery survey calls this once per node at
-        startup: overlay and memory entries count as present, and a disk
+        startup: a memory entry counts as present, and a disk
         entry counts only when its sidecar parses, matches this key, and
         the payload's SHA-256 verifies — a torn payload/sidecar pair or
         a crash-corrupted payload reads as absent (and is deleted), so a
@@ -245,21 +225,9 @@ class ArtifactCache:
         campaign telemetry or churn the LRU order.
         """
         with self._lock:
-            if self._overlay is not None and key in self._overlay:
-                return True
             if key in self._memory:
                 return True
             return self._disk_verify(key)
-
-    def peek(self, key: str) -> CachedArtifact | None:
-        """Memory-tier lookup with no counter updates or LRU promotion.
-
-        Used when *assembling* a shared-memory broadcast: the parent
-        inspects which entries are warm without recording synthetic
-        hits that would distort the campaign's hit-rate telemetry.
-        """
-        with self._lock:
-            return self._memory.get(key)
 
     def get_or_create(
         self, key: str, factory: Callable[[], CachedArtifact]
@@ -302,10 +270,10 @@ class ArtifactCache:
         Returns ``{kind: {"entries": n, "bytes": payload+sidecar bytes}}``
         sorted by descending byte count.  The kind comes from the
         ``node_kind`` the DAG scheduler stamps into each artifact's
-        sidecar metadata at publication; entries written by the fused
-        (pre-DAG) path carry no stamp and are inferred from their array
-        names (``pristine`` → dataset, ``corrupted`` → fault), with
-        everything else grouped under ``"other"``.  Unreadable sidecars
+        sidecar metadata at publication; older entries that carry no
+        stamp are inferred from their array names (``pristine`` →
+        dataset, ``corrupted`` → fault), with everything else grouped
+        under ``"other"``.  Unreadable sidecars
         are skipped, not deleted — this is a reporting pass, not a
         verification pass.
         """
@@ -334,20 +302,6 @@ class ArtifactCache:
         """A snapshot of the raw event counters (no occupancy fields)."""
         with self._lock:
             return dict(self._counts)
-
-    def merge_counters(self, delta: Mapping[str, int]) -> None:
-        """Fold a worker process's counter *delta* into this cache.
-
-        Pool workers run against forked/attached copies of the cache
-        whose counters the parent never sees; the runtime ships each
-        shard's counter delta back and merges it here so campaign
-        telemetry reflects worker-side hits too.  Unknown keys are
-        ignored (forward compatibility).
-        """
-        with self._lock:
-            for name, value in delta.items():
-                if name in self._counts:
-                    self._counts[name] += int(value)
 
     def clear(self) -> None:
         """Drop every entry from the memory and disk tiers."""

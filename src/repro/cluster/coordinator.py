@@ -152,9 +152,6 @@ class ClusterBackend(Executor):
             worker raises instead of running degraded on the rest.
     """
 
-    crosses_process_boundary = True
-    ships_artifacts = True
-
     def __init__(
         self,
         workers: str | Sequence,
@@ -444,12 +441,7 @@ class ClusterBackend(Executor):
         index = int(header["shard_index"])
         if index in yielded:
             return None  # duplicate after re-dispatch; first wins
-        out = shipping.loads(blobs[0])
-        meta = None
-        if isinstance(out, tuple):
-            values, meta = out
-        else:
-            values = out
+        values = shipping.loads(blobs[0])
         stats = header.get("stats") or {}
         link.stats.shards += 1
         link.stats.elapsed_s += float(header.get("elapsed_s", 0.0))
@@ -461,7 +453,6 @@ class ClusterBackend(Executor):
             index=index,
             values=list(values),
             elapsed_s=float(header.get("elapsed_s", 0.0)),
-            meta=meta,
         )
 
     def _reap_dead(self, pending: list[Shard]) -> list[Shard]:

@@ -36,7 +36,7 @@ implements the two directions as drop-in strategies behind
   to the ``fixed`` path and is byte-identical by construction.
 
 Both strategies return the same :class:`NGSTResult` as the fixed path,
-so they flow through fusion, caching, DAG reports, and every runtime
+so they flow through caching, DAG reports, and every runtime
 backend unchanged.  The online Λ autotuner — the third adaptive mode —
 lives in :mod:`repro.stream.autotune_stage` because it is stateful
 across stacks.

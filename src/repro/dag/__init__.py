@@ -1,8 +1,8 @@
 """Filesystem-recoverable campaign orchestration as a task DAG.
 
-This subsystem generalizes the plan-fusion pass into a real task
-graph: every dataset, fault realization, arm score, aggregate, and
-figure table is a :class:`TaskNode` with a declared, content-addressed
+Every campaign sweep runs as a task graph: every dataset, fault
+realization, arm score, aggregate, and figure table is a
+:class:`TaskNode` with a declared, content-addressed
 output artifact, a :class:`TaskGraph` wires them with cycle detection
 and derived-key chaining, and a :class:`DagScheduler` walks the graph
 in ready-set waves on the :class:`~repro.runtime.Executor` seam.
@@ -25,6 +25,8 @@ from repro.dag.build import (
     aggregate_values,
     json_artifact,
     json_payload,
+    pristine_key,
+    realization_key,
 )
 from repro.dag.graph import TaskGraph
 from repro.dag.node import NODE_KINDS, TaskContext, TaskNode
@@ -43,4 +45,6 @@ __all__ = [
     "aggregate_values",
     "json_artifact",
     "json_payload",
+    "pristine_key",
+    "realization_key",
 ]

@@ -1,20 +1,18 @@
 """Graph builders: campaign sweeps as dataset→fault→score→aggregate DAGs.
 
-These helpers turn the declarative fusion vocabulary
+These helpers turn the declarative sweep specs
 (:class:`~repro.runtime.DatasetSpec` / :class:`~repro.runtime.FaultSpec`
 / :class:`~repro.runtime.Arm`) into :class:`~repro.dag.TaskNode`
 subgraphs that replay the canonical trial protocol *exactly*:
 
 * the dataset node builds from ``default_rng(trial_seed)`` and stores
-  the post-generation RNG state, under the **same**
-  ``pristine``/``realization`` content keys the fused
-  :class:`~repro.runtime.ArtifactPipeline` uses — DAG and fused runs
-  share one artifact namespace, so either can warm the other;
-* the fault node restores that captured state before drawing the
-  injector seed, keeping hits and misses on identical streams;
+  the post-generation RNG state under its :func:`pristine_key`;
+* the fault node, stored under its :func:`realization_key`, restores
+  that captured state before drawing the injector seed, keeping store
+  hits and misses on identical streams;
 * score nodes are pure arm evaluations; the aggregate node stacks
   per-trial values per arm, from which means come out bit-identical
-  to the fused/unfused paths.
+  to running each arm as its own trial loop.
 
 Trial seeds come from ``SeedSequence(seed).spawn(n_trials)`` — the
 same spawn tree as :class:`~repro.runtime.TrialPlan` — so a graph run
@@ -28,12 +26,29 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cache.fingerprint import fingerprint
 from repro.cache.store import CachedArtifact
 from repro.dag.graph import TaskGraph
 from repro.dag.node import TaskContext, TaskNode
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector, derive_injector_seed
-from repro.runtime.fusion import Arm, ArtifactPipeline, DatasetSpec, FaultSpec
+from repro.runtime.specs import Arm, DatasetSpec, FaultSpec
+
+
+def pristine_key(dataset: DatasetSpec, seed: np.random.SeedSequence) -> str:
+    """Content key of one trial's pristine dataset.
+
+    Independent of the fault parameters, so every Γ of a grid shares
+    the trial's dataset artifact.
+    """
+    return fingerprint("pristine", dataset.key_parts, seed)
+
+
+def realization_key(
+    dataset: DatasetSpec, fault: FaultSpec, seed: np.random.SeedSequence
+) -> str:
+    """Content key of one trial's corrupted fault realization."""
+    return fingerprint("realization", dataset.key_parts, fault.key_parts, seed)
 
 
 def _dataset_run(dataset: DatasetSpec):
@@ -61,42 +76,43 @@ def _fault_run(fault: FaultSpec, dataset_node: str):
 
 def add_pipeline_nodes(
     graph: TaskGraph,
-    pipeline: ArtifactPipeline,
+    dataset: DatasetSpec,
+    fault: FaultSpec | None,
     trial_seed: np.random.SeedSequence,
 ) -> tuple[str, str]:
     """Add one trial's dataset (and fault) nodes; idempotent.
 
     Returns ``(dataset_node, corrupted_node)`` — the same name twice
-    when the pipeline has no fault spec (arms then score the pristine
-    array, matching :meth:`ArtifactPipeline.produce`).  Node names are
-    prefixes of the artifact content keys, so two figures sharing a
-    (config, seed) trial share one node via :meth:`TaskGraph.ensure`.
+    when *fault* is None (arms then score the pristine array).  Node
+    names are prefixes of the artifact content keys, so two figures
+    sharing a (config, seed) trial share one node via
+    :meth:`TaskGraph.ensure`.
     """
-    pristine_key = pipeline.pristine_key(trial_seed)
-    dataset_node = f"dataset/{pristine_key[:12]}"
+    dataset_key = pristine_key(dataset, trial_seed)
+    dataset_node = f"dataset/{dataset_key[:12]}"
     graph.ensure(
         TaskNode(
             name=dataset_node,
             kind="dataset",
-            run=_dataset_run(pipeline.dataset),
-            key_parts=("pristine", pipeline.dataset.key_parts),
+            run=_dataset_run(dataset),
+            key_parts=("pristine", dataset.key_parts),
             seed=trial_seed,
-            explicit_key=pristine_key,
+            explicit_key=dataset_key,
         )
     )
-    if pipeline.fault is None:
+    if fault is None:
         return dataset_node, dataset_node
-    realization_key = pipeline.realization_key(trial_seed)
-    fault_node = f"fault/{realization_key[:12]}"
+    fault_key = realization_key(dataset, fault, trial_seed)
+    fault_node = f"fault/{fault_key[:12]}"
     graph.ensure(
         TaskNode(
             name=fault_node,
             kind="fault",
-            run=_fault_run(pipeline.fault, dataset_node),
+            run=_fault_run(fault, dataset_node),
             inputs=(dataset_node,),
-            key_parts=("realization", pipeline.fault.key_parts),
+            key_parts=("realization", fault.key_parts),
             seed=trial_seed,
-            explicit_key=realization_key,
+            explicit_key=fault_key,
         )
     )
     return dataset_node, fault_node
@@ -146,10 +162,9 @@ def add_arm_sweep(
 ) -> str:
     """Add a full averaged-arm sweep subgraph; returns its aggregate node.
 
-    One dataset + fault node pair per trial (shared across arms — the
-    explicit point of the DAG, as of fusion before it), one pure score
-    node per (trial, arm), and one aggregate node stacking each arm's
-    per-trial values.  *fault* may be a :class:`FaultSpec`, a bare
+    One dataset + fault node pair per trial, shared across arms, one
+    pure score node per (trial, arm), and one aggregate node stacking
+    each arm's per-trial values.  *fault* may be a :class:`FaultSpec`, a bare
     fault model exposing ``cache_key_parts()``, or None for pristine
     evaluation.
     """
@@ -163,12 +178,11 @@ def add_arm_sweep(
         )
     if fault is not None and not isinstance(fault, FaultSpec):
         fault = FaultSpec.of(fault)
-    pipeline = ArtifactPipeline(dataset=dataset, fault=fault)
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
     score_nodes: dict[str, list[str]] = {name: [] for name in names}
     for trial, trial_seed in enumerate(trial_seeds):
         dataset_node, corrupted_node = add_pipeline_nodes(
-            graph, pipeline, trial_seed
+            graph, dataset, fault, trial_seed
         )
         inputs = (
             (dataset_node,)

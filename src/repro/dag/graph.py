@@ -5,11 +5,12 @@ whose ``inputs`` reference other nodes by name.  It owns the two
 derived structures everything else builds on:
 
 * **output keys** — each node's content address in the artifact store.
-  Dataset/fault nodes carry explicit keys (shared with the fused
-  pipeline); every other node's key is derived by hashing its kind,
-  key parts, and seed together with its dependencies' output keys, so
-  changing any upstream spec transparently re-addresses (and therefore
-  invalidates) the whole downstream subtree.
+  Dataset/fault nodes carry explicit keys (:func:`repro.dag.pristine_key`
+  and :func:`repro.dag.realization_key`); every other node's key is
+  derived by hashing its kind, key parts, and seed together with its
+  dependencies' output keys, so changing any upstream spec
+  transparently re-addresses (and therefore invalidates) the whole
+  downstream subtree.
 * **topological order** — Kahn's algorithm over the declared edges,
   stable in insertion order; a cycle raises
   :class:`~repro.exceptions.ConfigurationError` naming the offending

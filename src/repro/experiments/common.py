@@ -186,8 +186,7 @@ def averaged_arms(
     therefore the means — are bit-identical to the per-arm
     :func:`averaged` calls, because the dataset/fault nodes replay the
     canonical trial protocol exactly (same ``SeedSequence`` children,
-    same captured-RNG-state handoff, same artifact content keys as the
-    fused pipeline).
+    same captured-RNG-state handoff).
 
     Args:
         arms: the arms to evaluate; names key the returned dict.

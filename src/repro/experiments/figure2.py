@@ -10,9 +10,8 @@ The whole figure is one task graph (:func:`graph`): per trial, the
 pristine walk and each Γ₀ point's fault realization are nodes whose
 output artifacts every arm's score node shares, aggregates reduce each
 grid point, and a figure node assembles the final table.  Values are
-bit-identical to the historical per-arm loops, the artifacts carry the
-same content keys as the fused pipeline, and a killed run resumes from
-the artifact store (see :mod:`repro.dag`).
+bit-identical to the historical per-arm loops, and a killed run resumes
+from the artifact store (see :mod:`repro.dag`).
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ class Campaign:
         it on the runtime's backend: generation and injection run
         **once per trial** and every arm scores the same
         corrupted/pristine pair, so each summary is bit-identical to
-        the corresponding unfused :meth:`run` — at roughly
+        the corresponding per-arm :meth:`run` — at roughly
         ``1/len(arms)`` the production cost, less again when the
         runtime carries a warm artifact cache.
 

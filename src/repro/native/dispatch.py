@@ -18,7 +18,7 @@ through :func:`call`, which picks the tier per invocation:
 The three tiers of one kernel are bit-identical by contract
 (``tests/core/test_kernel_equivalence.py``), so tier selection is a
 pure performance decision and every entry point — campaigns, streams,
-the serve layer, cache fusion — inherits it without code changes.
+the serve layer, DAG sweeps — inherits it without code changes.
 """
 
 from __future__ import annotations

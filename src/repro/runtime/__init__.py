@@ -13,13 +13,11 @@ interrupted campaign resumes where it stopped, and a
 Results are bit-identical across backends, shard sizes, and
 interrupt/resume cycles.
 
-Multi-arm sweeps additionally go through the **plan-fusion pass**
-(:mod:`repro.runtime.fusion`): arm plans sharing a (dataset,
-fault-realization) fingerprint fuse into one schedule whose artifacts
-are produced once per trial, served through a content-addressed
-:class:`~repro.cache.ArtifactCache`, and broadcast zero-copy to pool
-workers over shared memory — still bit-identical to the per-arm
-unfused plans.
+Multi-arm sweeps are described with the specs in
+:mod:`repro.runtime.specs` (:class:`Arm`, :class:`DatasetSpec`,
+:class:`FaultSpec`) and run as task graphs
+(:func:`repro.dag.add_arm_sweep`) that produce each trial's artifacts
+once — still bit-identical to the per-arm plans.
 """
 
 from repro.runtime.backend import (
@@ -34,18 +32,9 @@ from repro.runtime.backend import (
 )
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import TrialRuntime
-from repro.runtime.fusion import (
-    Arm,
-    ArmRequest,
-    ArtifactPipeline,
-    DatasetSpec,
-    FaultSpec,
-    FusedGroup,
-    fuse,
-)
 from repro.runtime.plan import Shard, TrialPlan, default_shard_size
+from repro.runtime.specs import Arm, DatasetSpec, FaultSpec
 from repro.runtime.telemetry import (
-    CacheSnapshot,
     DagCompleted,
     DagStarted,
     NodeCompleted,
@@ -58,17 +47,13 @@ from repro.runtime.telemetry import (
 
 __all__ = [
     "Arm",
-    "ArmRequest",
-    "ArtifactPipeline",
     "BACKEND_CHOICES",
-    "CacheSnapshot",
     "CheckpointStore",
     "DagCompleted",
     "DagStarted",
     "DatasetSpec",
     "Executor",
     "FaultSpec",
-    "FusedGroup",
     "NodeCompleted",
     "ProcessPoolBackend",
     "ProgressPrinter",
@@ -84,6 +69,5 @@ __all__ = [
     "TrialRuntime",
     "default_shard_size",
     "default_start_method",
-    "fuse",
     "resolve_backend",
 ]

@@ -38,9 +38,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.plan import Shard
 
 #: A shard function: runs every trial in a shard, returns their values
-#: in trial order — either a bare list, or a ``(values, meta)`` tuple
-#: when the shard has side data (e.g. worker cache counters) to ship
-#: back alongside the values.
+#: in trial order.
 ShardFn = Callable[[Shard], list]
 
 
@@ -53,14 +51,11 @@ class ShardResult:
         values: per-trial results in trial order.
         elapsed_s: wall-clock seconds spent running the shard (measured
             inside the worker, so it excludes queueing).
-        meta: optional worker-side side data (e.g. cache counter
-            deltas); never checkpointed.
     """
 
     index: int
     values: list
     elapsed_s: float
-    meta: dict | None = None
 
 
 class Executor(ABC):
@@ -68,18 +63,9 @@ class Executor(ABC):
 
     Attributes:
         jobs: worker count (1 for serial backends).
-        crosses_process_boundary: True when shards may run in other
-            processes, so artifacts shared with workers must travel
-            through inherited or shared memory, not object references.
-        ships_artifacts: True when the backend moves artifacts to its
-            workers itself (content-addressed pulls over its own
-            transport), so callers must not pre-broadcast payloads
-            through shared memory — keys alone suffice.
     """
 
     jobs: int = 1
-    crosses_process_boundary: bool = False
-    ships_artifacts: bool = False
 
     @abstractmethod
     def run_shards(
@@ -98,17 +84,9 @@ class Executor(ABC):
 
 def _timed_shard(shard_fn: ShardFn, shard: Shard) -> ShardResult:
     start = time.perf_counter()
-    out = shard_fn(shard)
-    meta = None
-    if isinstance(out, tuple):  # (values, meta) — see ShardFn docs
-        values, meta = out
-    else:
-        values = out
+    values = list(shard_fn(shard))
     return ShardResult(
-        index=shard.index,
-        values=list(values),
-        elapsed_s=time.perf_counter() - start,
-        meta=meta,
+        index=shard.index, values=values, elapsed_s=time.perf_counter() - start
     )
 
 
@@ -144,8 +122,6 @@ class ThreadPoolBackend(Executor):
     Args:
         jobs: number of worker threads (>= 1).
     """
-
-    crosses_process_boundary = False
 
     def __init__(self, jobs: int) -> None:
         if jobs < 1:
@@ -294,8 +270,6 @@ class ProcessPoolBackend(Executor):
             with a once-per-process :class:`RuntimeWarning` naming the
             pickle failure reason.
     """
-
-    crosses_process_boundary = True
 
     def __init__(self, jobs: int, start_method: str | None = None) -> None:
         if jobs < 1:

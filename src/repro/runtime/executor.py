@@ -13,20 +13,16 @@ shard index and every trial's ``Generator`` is built from the same
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.cache.sharedmem import SharedArtifactMap
 from repro.cache.store import ArtifactCache
 from repro.runtime.backend import Executor, SerialBackend
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.fusion import FusedGroup
 from repro.runtime.plan import Shard, TrialPlan
 from repro.runtime.telemetry import (
-    CacheSnapshot,
     RunCompleted,
     RunStarted,
     ShardCompleted,
@@ -65,67 +61,6 @@ class _TrialShardFn:
         ]
 
 
-class _FusedShardFn:
-    """Shard function for a fused group: produce once, evaluate all arms.
-
-    Each trial's value is the *list* of its per-arm values in arm
-    order.  When an *overlay* (the parent's shared-memory broadcast)
-    is given, it is attached to the cache on entry, so pool workers
-    serve warm artifacts zero-copy instead of reproducing them.  When
-    the shard ran in a different process than the one that built this
-    object, the worker's cache-counter delta rides back as shard meta
-    so the parent's telemetry counts worker-side hits.
-
-    :meth:`for_cluster` strips the cache and overlay (neither survives
-    a TCP boundary); on a cluster worker the shard instead produces
-    through the worker's own local artifact cache when one is active
-    (:func:`repro.cluster.store.current_store`), so repeated trials on
-    a warm worker still reuse pristine datasets and fault realizations.
-    """
-
-    def __init__(
-        self,
-        group: FusedGroup,
-        cache: ArtifactCache | None,
-        overlay: SharedArtifactMap | None,
-    ) -> None:
-        self.group = group
-        self.cache = cache
-        self.overlay = overlay
-        self.parent_pid = os.getpid()
-
-    def for_cluster(self) -> "_FusedShardFn":
-        return _FusedShardFn(self.group, None, None)
-
-    def _active_cache(self) -> ArtifactCache | None:
-        if self.cache is not None:
-            return self.cache
-        from repro.cluster.store import current_store
-
-        store = current_store()
-        return store.cache if store is not None else None
-
-    def __call__(self, shard: Shard) -> object:
-        cache = self._active_cache()
-        if cache is not None and self.overlay is not None:
-            cache.attach_overlay(self.overlay)
-        before = cache.counters() if cache is not None else None
-        values = []
-        for seed in shard.seeds:
-            pristine, corrupted = self.group.pipeline.produce(seed, cache)
-            values.append(
-                [
-                    _jsonable(arm.evaluate(corrupted, pristine))
-                    for arm in self.group.arms
-                ]
-            )
-        if cache is not None and os.getpid() != self.parent_pid:
-            after = cache.counters()
-            delta = {name: after[name] - before[name] for name in after}
-            return values, {"cache_counters": delta}
-        return values
-
-
 class TrialRuntime:
     """Runs seeded trial campaigns through a pluggable backend.
 
@@ -136,9 +71,9 @@ class TrialRuntime:
         telemetry: optional :class:`Telemetry` hub to emit progress on.
         shard_size: trials per shard; defaults per-plan to
             :func:`repro.runtime.plan.default_shard_size`.
-        cache: optional :class:`~repro.cache.ArtifactCache` serving
-            pristine datasets and fault realizations to fused runs
-            (see :meth:`run_fused`); unfused :meth:`run` ignores it.
+        cache: optional :class:`~repro.cache.ArtifactCache` that
+            :meth:`repro.dag.DagScheduler.for_runtime` stores task-graph
+            artifacts in; :meth:`run` itself ignores it.
     """
 
     def __init__(
@@ -178,125 +113,13 @@ class TrialRuntime:
         plan = TrialPlan(n_trials, seed, self.shard_size)
         return self._execute(plan, _TrialShardFn(trial_fn), key)
 
-    def run_fused(
-        self,
-        group: FusedGroup,
-        key: str | None = None,
-    ) -> dict[str, list]:
-        """Run a fused multi-arm group; arm name → values in trial order.
-
-        Generation and injection run **once per trial** through the
-        runtime's artifact cache (when configured); every arm of
-        *group* evaluates against the same read-only arrays.  The
-        per-arm value lists are bit-identical to running each arm as
-        its own unfused :meth:`run` plan, because artifact production
-        replays the canonical trial RNG protocol exactly (see
-        :meth:`repro.runtime.fusion.ArtifactPipeline.produce`).
-
-        When the backend spans processes and the cache holds warm
-        entries for the group's trials, those artifacts are broadcast
-        to the workers through one shared-memory segment (zero-copy)
-        instead of being re-produced or pickled per shard; the segment
-        is always unlinked before this method returns, even on error
-        or worker death.
-
-        Args:
-            group: the fused schedule (see :func:`repro.runtime.fusion.fuse`).
-            key: checkpoint identity; autogenerated like :meth:`run`.
-        """
-        if key is None:
-            key = f"run-{next(self._auto_keys):04d}"
-        plan = TrialPlan(
-            group.n_trials, group.seed, self.shard_size, variant=group.plan_variant
-        )
-        broadcast = None
-        overlay = None
-        broadcast_bytes = 0
-        bind = getattr(self.backend, "bind_artifact_source", None)
-        if callable(bind) and self.cache is not None:
-            bind(self.cache)
-        if (
-            self.cache is not None
-            and self.backend.crosses_process_boundary
-            and not getattr(self.backend, "ships_artifacts", False)
-            and self.backend.jobs > 1
-        ):
-            warm = self._warm_entries(group, plan)
-            if warm:
-                broadcast = SharedArtifactMap.broadcast(warm)
-                overlay = broadcast.worker_view()
-                broadcast_bytes = broadcast.nbytes
-        def merge_worker_counters(result) -> None:
-            if self.cache is not None and result.meta:
-                delta = result.meta.get("cache_counters")
-                if delta:
-                    self.cache.merge_counters(delta)
-
-        try:
-            shard_fn = _FusedShardFn(group, self.cache, overlay)
-            values = self._execute(
-                plan, shard_fn, key, result_hook=merge_worker_counters
-            )
-        finally:
-            if self.cache is not None:
-                self.cache.attach_overlay(None)
-            if overlay is not None:
-                # Release any views materialised in-process (the jobs=1
-                # serial fallback runs shards in the parent) so closing
-                # the segment below never sees exported pointers.
-                overlay.shutdown()
-            if broadcast is not None:
-                broadcast.shutdown()
-        if self.cache is not None:
-            stats = self.cache.stats()
-            self._emit(
-                CacheSnapshot(
-                    key=key,
-                    hits=stats.hits,
-                    misses=stats.misses,
-                    hit_rate=stats.hit_rate,
-                    bytes_saved=stats.bytes_saved,
-                    overlay_hits=stats.overlay_hits,
-                    memory_hits=stats.memory_hits,
-                    disk_hits=stats.disk_hits,
-                    memory_bytes=stats.memory_bytes,
-                    broadcast_bytes=broadcast_bytes,
-                )
-            )
-        return {
-            arm.name: [trial_values[i] for trial_values in values]
-            for i, arm in enumerate(group.arms)
-        }
-
-    def _warm_entries(self, group: FusedGroup, plan: TrialPlan) -> dict:
-        """Cache entries already warm for *plan*'s trials (no stat churn)."""
-        assert self.cache is not None
-        warm = {}
-        for shard in plan.shards:
-            for seed in shard.seeds:
-                keys = [group.pipeline.pristine_key(seed)]
-                if group.pipeline.fault is not None:
-                    keys.append(group.pipeline.realization_key(seed))
-                for cache_key in keys:
-                    entry = self.cache.peek(cache_key)
-                    if entry is not None:
-                        warm[cache_key] = entry
-        return warm
-
     def _execute(
         self,
         plan: TrialPlan,
         shard_fn: Callable[[Shard], object],
         key: str,
-        result_hook: Callable[..., None] | None = None,
     ) -> list:
-        """Plan → (checkpoint filter) → backend → assembled trial values.
-
-        *result_hook*, when given, sees every freshly run
-        :class:`~repro.runtime.backend.ShardResult` (not restored ones)
-        before its values are recorded — the channel worker-side meta
-        travels through.
-        """
+        """Plan → (checkpoint filter) → backend → assembled trial values."""
         restored: dict[int, list] = {}
         if self.checkpoint is not None:
             restored = {
@@ -333,8 +156,6 @@ class TrialRuntime:
 
         results: dict[int, list] = dict(restored)
         for result in self.backend.run_shards(shard_fn, pending):
-            if result_hook is not None:
-                result_hook(result)
             results[result.index] = result.values
             if self.checkpoint is not None:
                 self.checkpoint.record(

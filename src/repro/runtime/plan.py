@@ -67,11 +67,6 @@ class TrialPlan:
             ``SeedSequence(seed)`` exactly as a serial loop would.
         shard_size: trials per shard; defaults to
             :func:`default_shard_size`.
-        variant: optional tag folded into :attr:`fingerprint` when the
-            plan's per-trial *value layout* differs from the default
-            one-scalar-per-trial protocol (fused multi-arm plans tag
-            themselves here), so checkpoints recorded under one layout
-            are never resumed into another.
     """
 
     def __init__(
@@ -79,7 +74,6 @@ class TrialPlan:
         n_trials: int,
         seed: int = 0,
         shard_size: int | None = None,
-        variant: str = "",
     ) -> None:
         if n_trials < 1:
             raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -87,14 +81,9 @@ class TrialPlan:
             shard_size = default_shard_size(n_trials)
         if shard_size < 1:
             raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
-        if ";" in variant:
-            raise ConfigurationError(
-                f"plan variant must not contain ';', got {variant!r}"
-            )
         self.n_trials = n_trials
         self.seed = seed
         self.shard_size = shard_size
-        self.variant = variant
         children = np.random.SeedSequence(seed).spawn(n_trials)
         self.shards: tuple[Shard, ...] = tuple(
             Shard(
@@ -115,11 +104,10 @@ class TrialPlan:
         """Identity of this plan for checkpoint compatibility checks.
 
         Two runs may share checkpointed shards only when their
-        fingerprints match — same trial count, same root seed, same
-        shard boundaries, and same value-layout variant.
+        fingerprints match — same trial count, same root seed and same
+        shard boundaries.
         """
-        base = f"n={self.n_trials};seed={self.seed};shard={self.shard_size};v1"
-        return f"{base};variant={self.variant}" if self.variant else base
+        return f"n={self.n_trials};seed={self.seed};shard={self.shard_size};v1"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

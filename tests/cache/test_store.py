@@ -54,25 +54,16 @@ class TestMemoryTier:
         cache.put("b", _artifact(fill=2))
         assert cache.get("a") is not None  # refresh a; b is now LRU
         cache.put("c", _artifact(fill=3))
-        assert cache.peek("b") is None
-        assert cache.peek("a") is not None
-        assert cache.peek("c") is not None
+        assert not cache.contains("b")
+        assert cache.contains("a")
+        assert cache.contains("c")
         assert cache.stats().memory_evictions == 1
 
     def test_zero_memory_budget_disables_tier(self):
         cache = ArtifactCache(max_memory_bytes=0)
         cache.put("k", _artifact())
-        assert cache.peek("k") is None
+        assert not cache.contains("k")
         assert cache.get("k") is None
-
-    def test_peek_does_not_touch_counters(self):
-        cache = ArtifactCache()
-        cache.put("k", _artifact())
-        before = cache.stats()
-        cache.peek("k")
-        cache.peek("absent")
-        after = cache.stats()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_get_or_create_runs_factory_once(self):
         cache = ArtifactCache()
@@ -119,7 +110,7 @@ class TestDiskTier:
         ArtifactCache(directory=tmp_path).put("k", _artifact())
         fresh = ArtifactCache(directory=tmp_path)
         fresh.get("k")
-        assert fresh.peek("k") is not None  # memory tier now warm
+        assert fresh.stats().n_memory_entries == 1  # memory tier now warm
         fresh.get("k")
         assert fresh.stats().memory_hits == 1
 

@@ -1,5 +1,8 @@
 """Tests for the §9 integrated-preprocessing architecture."""
 
+import gc
+import time
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from repro.config import NGSTConfig
 from repro.exceptions import HeaderSanityError
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
-from repro.metrics.overhead import time_callable
 from repro.ngst.integrated import integrated_run, layered_run, make_transport
 from repro.ngst.ramp import RampModel
+
+#: Timed calls of each callable in :class:`TestOverheadClaim`.
+REPEATS = 25
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +60,44 @@ class TestEquivalence:
             integrated_run(destroyed, ramp, NGSTConfig(sensitivity=80))
 
 
+def best_of_interleaved(first, second, repeats):
+    """Best-of-*repeats* seconds of two callables, timed in alternation.
+
+    Each round times one call of each, so a slow spell on a shared host
+    lands on both callables instead of on one timing block.  The order
+    within a round alternates too, so neither callable always runs in
+    the other's wake.  One untimed warm-up call each precedes the rounds
+    and the cyclic garbage collector is paused while they run.
+    """
+    first()
+    second()
+    best = [float("inf"), float("inf")]
+    gc.collect()
+    gc.disable()
+    try:
+        for round_index in range(repeats):
+            order = (0, 1) if round_index % 2 == 0 else (1, 0)
+            for index in order:
+                fn = (first, second)[index]
+                start = time.perf_counter()
+                fn()
+                best[index] = min(best[index], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
 class TestOverheadClaim:
     def test_integrated_no_slower_at_full_sensitivity(self, transport_world):
         """At Λ > 0 the algorithm dominates; integration must not cost."""
         ramp, _, blob = transport_world
         config = NGSTConfig(sensitivity=80)
-        layered_t = time_callable(lambda: layered_run(blob, ramp, config), repeats=3)
-        integrated_t = time_callable(
-            lambda: integrated_run(blob, ramp, config), repeats=3
+        layered_s, integrated_s = best_of_interleaved(
+            lambda: layered_run(blob, ramp, config),
+            lambda: integrated_run(blob, ramp, config),
+            repeats=REPEATS,
         )
-        assert integrated_t.best_seconds < layered_t.best_seconds * 1.10
+        assert integrated_s < layered_s * 1.10
 
     def test_integrated_faster_at_header_only(self, transport_world):
         """§9: integration lowers the overhead — at Λ = 0 the separate
@@ -72,10 +105,11 @@ class TestOverheadClaim:
         and the integrated path skips it entirely."""
         ramp, _, blob = transport_world
         config = NGSTConfig(sensitivity=0)
-        layered_t = time_callable(lambda: layered_run(blob, ramp, config), repeats=9)
-        integrated_t = time_callable(
-            lambda: integrated_run(blob, ramp, config), repeats=9
+        layered_s, integrated_s = best_of_interleaved(
+            lambda: layered_run(blob, ramp, config),
+            lambda: integrated_run(blob, ramp, config),
+            repeats=REPEATS,
         )
-        # Best-of-9 with a small tolerance: the structural saving (~14%
-        # at this size) must show through scheduler noise.
-        assert integrated_t.best_seconds < layered_t.best_seconds * 1.02
+        # A small tolerance: the structural saving must show through
+        # scheduler noise.
+        assert integrated_s < layered_s * 1.02

@@ -109,17 +109,6 @@ class TestProcessPoolBackend:
         assert "ProcessPoolBackend" in ProcessPoolBackend(3).describe()
         assert "jobs=3" in ProcessPoolBackend(3).describe()
 
-    def test_crosses_process_boundary_flags(self):
-        assert ProcessPoolBackend(2).crosses_process_boundary is True
-        assert SerialBackend().crosses_process_boundary is False
-
-    def test_tuple_shard_return_carries_meta(self):
-        shard_fn = lambda shard: ([1.0] * shard.n_trials, {"tag": 7})  # noqa: E731
-        plan = TrialPlan(2, seed=0, shard_size=2)
-        (result,) = SerialBackend().run_shards(shard_fn, plan.shards)
-        assert result.values == [1.0, 1.0]
-        assert result.meta == {"tag": 7}
-
 
 class TestStartMethods:
     def test_default_start_method_is_available(self):
@@ -202,11 +191,6 @@ class TestThreadPoolBackend:
         finally:
             backend.shutdown()
         assert threaded == serial
-
-    def test_no_process_boundary(self):
-        # Shared-state callers (the serve layer's sessions, the artifact
-        # cache) rely on this flag: nothing is pickled or broadcast.
-        assert ThreadPoolBackend(2).crosses_process_boundary is False
 
     def test_submit_runs_ad_hoc_jobs_on_named_threads(self):
         import threading

@@ -48,6 +48,19 @@ class TestPublicSurface:
         assert issubclass(HeaderSanityError, FITSFormatError)
         assert issubclass(ConfigurationError, ValueError)
 
+    def test_sweep_specs_and_content_keys_are_exported(self):
+        """Arm sweeps are built from ``repro.runtime`` specs and stored
+        under ``repro.dag`` content keys."""
+        import repro.dag
+        import repro.runtime
+        from repro.runtime import specs
+
+        for name in ("Arm", "DatasetSpec", "FaultSpec"):
+            assert getattr(repro.runtime, name) is getattr(specs, name)
+            assert name in repro.runtime.__all__
+        for name in ("pristine_key", "realization_key"):
+            assert name in repro.dag.__all__
+
     def test_quickstart_snippet_from_readme(self):
         """The README quickstart must keep working verbatim-ish."""
         rng = np.random.default_rng(7)

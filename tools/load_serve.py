@@ -1,4 +1,4 @@
-"""Load-test harness for ``repro.serve`` — emits ``BENCH_PR6.json``.
+"""Load-test harness for ``repro.serve``: throughput and churn phases.
 
 Two phases against an in-process :class:`~repro.serve.ReproServer`:
 
@@ -22,8 +22,9 @@ Usage::
     PYTHONPATH=src python tools/load_serve.py --quick    # CI sizes
 
 ``--quick`` shrinks stream counts and lengths so the run finishes in
-seconds; the committed ``BENCH_PR6.json`` is generated at full size
-(>= 500 concurrent streams in the throughput phase).
+seconds; full size runs >= 500 concurrent streams in the throughput
+phase.  The JSON report goes to ``benchmarks/results/load_serve.json``
+unless ``--out`` names another path.
 """
 
 from __future__ import annotations
@@ -56,35 +57,8 @@ from repro.stream import (  # noqa: E402
     run_batch,
 )
 
-#: Schema of BENCH_PR6.json; tests/test_bench_report.py gates on it.
+#: Version of the JSON report's layout.
 SERVE_SCHEMA_VERSION = 1
-
-#: Required keys of the ``throughput`` section.
-THROUGHPUT_KEYS = (
-    "streams",
-    "frames_per_stream",
-    "total_frames",
-    "elapsed_s",
-    "frames_per_sec",
-    "p50_ms",
-    "p99_ms",
-    "mean_ms",
-    "messages",
-    "oracle_streams",
-    "bit_identical",
-)
-
-#: Required keys of the ``churn`` section.
-CHURN_KEYS = (
-    "streams",
-    "frames_per_stream",
-    "chaos_kills",
-    "reconnects",
-    "drains",
-    "restarts",
-    "bit_identical",
-    "psi_exact",
-)
 
 
 def _raise_fd_limit() -> None:
@@ -298,7 +272,7 @@ async def _churn_phase(quick: bool) -> dict:
 
 
 def build_serve_report(quick: bool, streams: "int | None" = None) -> dict:
-    """Run both phases and assemble the BENCH_PR6 payload."""
+    """Run both phases and assemble the JSON report."""
     _raise_fd_limit()
     throughput = asyncio.run(_throughput_phase(quick, streams))
     churn = asyncio.run(_churn_phase(quick))
@@ -329,11 +303,12 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=REPO_ROOT / "BENCH_PR6.json",
-        help="report path (default: repo-root BENCH_PR6.json)",
+        default=REPO_ROOT / "benchmarks" / "results" / "load_serve.json",
+        help="report path (default: benchmarks/results/load_serve.json)",
     )
     args = parser.parse_args(argv)
     report = build_serve_report(args.quick, args.streams)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     t = report["throughput"]
     print(
