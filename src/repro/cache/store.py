@@ -10,6 +10,13 @@ captured RNG state, for example).  Lookups fall through two tiers:
    ``<key>.json`` sidecar per entry, byte-capped with oldest-first
    eviction.
 
+The disk tier keeps an in-process index of entry sizes and a running
+byte total, seeded by one directory survey at the instance's first disk
+write, so a put below the cap costs no directory scan.  Only a put that
+takes the total past ``max_disk_bytes`` surveys the directory again,
+rebuilding the index from on-disk state (entries written by other
+processes included) and evicting oldest-first by mtime.
+
 Disk writes are safe under concurrent writers: payload and sidecar are
 written to unique temp files and published with ``os.replace`` (atomic
 on POSIX), so readers never observe a partial file and the last writer
@@ -33,6 +40,7 @@ import json
 import os
 import threading
 import uuid
+import zipfile
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -179,6 +187,10 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedArtifact] = OrderedDict()
         self._memory_bytes = 0
+        # key → payload+sidecar bytes of this instance's view of the disk
+        # tier; None until the first disk write seeds it from a survey.
+        self._disk_index: dict[str, int] | None = None
+        self._disk_bytes = 0
         self._counts = {
             "hits": 0,
             "misses": 0,
@@ -311,6 +323,8 @@ class ArtifactCache:
     def _clear_locked(self) -> None:
         self._memory.clear()
         self._memory_bytes = 0
+        self._disk_index = {}
+        self._disk_bytes = 0
         if self.directory is not None and self.directory.is_dir():
             for path in self.directory.iterdir():
                 if path.suffix in (".npz", ".json") or ".tmp-" in path.name:
@@ -363,7 +377,7 @@ class ArtifactCache:
                 "meta": artifact.meta,
             },
             sort_keys=True,
-        )
+        ).encode()
         # Unique temp names keep concurrent writers of the same key from
         # trampling each other's half-written files; os.replace publishes
         # each file atomically, and because both writers derived identical
@@ -377,14 +391,20 @@ class ArtifactCache:
         )
         try:
             payload_tmp.write_bytes(payload)
-            sidecar_tmp.write_text(sidecar)
+            sidecar_tmp.write_bytes(sidecar)
             os.replace(payload_tmp, self._payload_path(key))
             os.replace(sidecar_tmp, self._sidecar_path(key))
         except OSError:
             payload_tmp.unlink(missing_ok=True)
             sidecar_tmp.unlink(missing_ok=True)
             raise
-        self._evict_disk()
+        if self._disk_index is None:
+            self._survey_disk()
+        size = len(payload) + len(sidecar)
+        self._disk_bytes += size - self._disk_index.get(key, 0)
+        self._disk_index[key] = size
+        if self._disk_bytes > self.max_disk_bytes:
+            self._evict_disk()
 
     def _disk_read(self, key: str) -> CachedArtifact | None:
         if self.directory is None:
@@ -408,7 +428,7 @@ class ArtifactCache:
         try:
             with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
                 arrays = {name: npz[name] for name in npz.files}
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             self._drop_disk_entry(key)
             return None
         if sorted(arrays) != sidecar.get("names"):
@@ -439,6 +459,8 @@ class ArtifactCache:
     def _drop_disk_entry(self, key: str) -> None:
         self._payload_path(key).unlink(missing_ok=True)
         self._sidecar_path(key).unlink(missing_ok=True)
+        if self._disk_index is not None:
+            self._disk_bytes -= self._disk_index.pop(key, 0)
 
     def _disk_entries(self) -> list[tuple[float, int, str]]:
         """(mtime, bytes, key) per committed disk entry, oldest first."""
@@ -461,13 +483,20 @@ class ArtifactCache:
         entries = self._disk_entries()
         return len(entries), sum(size for _, size, _ in entries)
 
-    def _evict_disk(self) -> None:
+    def _survey_disk(self) -> list[tuple[float, int, str]]:
+        """Rebuild the disk index from a directory survey; returns the
+        surveyed entries, oldest first."""
         entries = self._disk_entries()
-        total = sum(size for _, size, _ in entries)
-        # Oldest-first, but the newest entry (just written) always stays.
-        for _, size, key in entries[:-1]:
-            if total <= self.max_disk_bytes:
+        self._disk_index = {key: size for _, size, key in entries}
+        self._disk_bytes = sum(self._disk_index.values())
+        return entries
+
+    def _evict_disk(self) -> None:
+        # A fresh survey, not the index: other processes' entries and
+        # on-disk mtimes decide what goes.  Oldest-first, but the newest
+        # entry (just written) always stays.
+        for _, _, key in self._survey_disk()[:-1]:
+            if self._disk_bytes <= self.max_disk_bytes:
                 break
             self._drop_disk_entry(key)
-            total -= size
             self._counts["disk_evictions"] += 1

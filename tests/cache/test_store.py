@@ -1,6 +1,7 @@
 """Tests for :class:`repro.cache.ArtifactCache`: LRU tier, disk tier,
 atomic publication, corruption handling, and concurrent writers."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -167,6 +168,107 @@ class TestDiskTier:
         assert cache.get("a") is None
 
 
+def _entry_disk_bytes(tmp_path, key):
+    """Payload + sidecar bytes of one :func:`_artifact` stored under a
+    key of *key*'s length (the key is part of the sidecar)."""
+    probe = ArtifactCache(directory=tmp_path / "probe")
+    probe.put(key, _artifact())
+    return probe.stats().disk_bytes
+
+
+@pytest.fixture
+def surveys(monkeypatch):
+    """Counts directory surveys (``_disk_entries`` calls) on every cache."""
+    counter = {"n": 0}
+    survey = ArtifactCache._disk_entries
+
+    def counting(self):
+        counter["n"] += 1
+        return survey(self)
+
+    monkeypatch.setattr(ArtifactCache, "_disk_entries", counting)
+    return counter
+
+
+class TestDiskIndex:
+    """Puts below the cap cost no directory survey; the byte tally that
+    replaces the survey stays equal to what is on disk."""
+
+    def test_puts_under_cap_survey_at_most_once(self, tmp_path, surveys):
+        entry = _entry_disk_bytes(tmp_path, "k000")
+        store = tmp_path / "store"
+        cache = ArtifactCache(directory=store, max_disk_bytes=200 * entry)
+        surveys["n"] = 0
+        for i in range(200):
+            cache.put(f"k{i:03d}", _artifact(fill=i))
+        assert surveys["n"] <= 1
+        surveys["n"] = 0
+        cache.put("k200", _artifact(fill=200))  # crosses the cap
+        assert surveys["n"] == 1
+        assert cache.counters()["disk_evictions"] == 1
+        assert not (store / "k000.npz").exists()
+        assert cache._disk_bytes == cache.stats().disk_bytes == 200 * entry
+
+    def test_reopened_store_counts_existing_entries(self, tmp_path):
+        entry = _entry_disk_bytes(tmp_path, "a")
+        store = tmp_path / "store"
+        filler = ArtifactCache(directory=store)
+        for i, key in enumerate(("a", "b")):
+            filler.put(key, _artifact(fill=i))
+            os.utime(store / f"{key}.npz", (i + 1, i + 1))
+        reopened = ArtifactCache(directory=store, max_disk_bytes=2 * entry)
+        reopened.put("c", _artifact(fill=9))
+        assert reopened.counters()["disk_evictions"] == 1
+        assert not (store / "a.npz").exists()  # the filler's oldest
+        assert reopened.contains("b") and reopened.contains("c")
+
+    def test_rewriting_one_key_is_not_double_counted(self, tmp_path, surveys):
+        entry = _entry_disk_bytes(tmp_path, "k")
+        store = tmp_path / "store"
+        cache = ArtifactCache(directory=store, max_disk_bytes=2 * entry)
+        surveys["n"] = 0
+        for _ in range(100):
+            cache.put("k", _artifact())
+        assert surveys["n"] == 1  # the seeding survey only
+        assert cache.counters()["disk_evictions"] == 0
+        assert cache._disk_bytes == entry
+
+    def test_clear_enforces_cap_from_zero(self, tmp_path, surveys):
+        entry = _entry_disk_bytes(tmp_path, "a")
+        store = tmp_path / "store"
+        cache = ArtifactCache(directory=store, max_disk_bytes=2 * entry)
+        cache.put("a", _artifact(fill=1))
+        cache.put("b", _artifact(fill=2))
+        cache.clear()
+        surveys["n"] = 0
+        cache.put("c", _artifact(fill=3))
+        cache.put("d", _artifact(fill=4))
+        assert surveys["n"] == 0
+        os.utime(store / "c.npz", (1, 1))
+        cache.put("e", _artifact(fill=5))
+        assert surveys["n"] == 1
+        assert cache.counters()["disk_evictions"] == 1
+        assert not (store / "c.npz").exists()
+
+    @pytest.mark.parametrize("lookup", ["get", "contains"])
+    def test_verification_drop_leaves_the_tally(self, tmp_path, surveys, lookup):
+        entry = _entry_disk_bytes(tmp_path, "a")
+        store = tmp_path / "store"
+        cache = ArtifactCache(
+            max_memory_bytes=0, directory=store, max_disk_bytes=2 * entry
+        )
+        cache.put("a", _artifact(fill=1))
+        cache.put("b", _artifact(fill=2))
+        (store / "b.npz").write_bytes(b"\x00" * 16)
+        assert not getattr(cache, lookup)("b")
+        assert cache._disk_bytes == entry
+        surveys["n"] = 0
+        cache.put("c", _artifact(fill=3))  # back at the cap, not over it
+        assert surveys["n"] == 0
+        assert cache.counters()["disk_evictions"] == 0
+        assert cache.contains("a") and cache.contains("c")
+
+
 class TestCorruption:
     """Crash-mid-write and torn-pair scenarios must read as misses."""
 
@@ -214,6 +316,22 @@ class TestCorruption:
         doc["version"] = 999
         sidecar.write_text(json.dumps(doc))
         assert ArtifactCache(directory=tmp_path).get("k") is None
+
+    def test_hash_valid_non_zip_payload_is_dropped(self, tmp_path):
+        """A payload whose sidecar hash matches but which is not a zip
+        passes the survey yet must read as a miss, not raise."""
+        self._write_one(tmp_path)
+        blob = b"PK\x03\x04" + bytes(40)
+        (tmp_path / "k.npz").write_bytes(blob)
+        sidecar = tmp_path / "k.json"
+        doc = json.loads(sidecar.read_text())
+        doc["payload_sha256"] = hashlib.sha256(blob).hexdigest()
+        sidecar.write_text(json.dumps(doc))
+        cache = ArtifactCache(directory=tmp_path)
+        assert cache.contains("k")
+        assert cache.get("k") is None
+        assert not (tmp_path / "k.npz").exists()
+        assert not sidecar.exists()
 
     def test_interrupted_writer_leaves_readable_cache(self, tmp_path):
         """A killed writer's temp files never shadow the committed entry."""
