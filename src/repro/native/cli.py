@@ -6,7 +6,9 @@ the compiled extension loaded (and from where), whether a C compiler is
 on PATH, and the first-use build cache location.  ``--json`` emits the
 same facts machine-readably; ``--require TIER`` turns the report into a
 gate (exit 1 unless every kernel resolves to TIER) for CI jobs that
-must not silently fall back.
+must not silently fall back.  A kernel with no native implementation
+(``(no native impl)`` in the report) has nothing to fall back from, so
+``--require native`` passes over it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ def load_all_kernels() -> None:
     import repro.core.bitops  # noqa: F401
     import repro.core.voter  # noqa: F401
     import repro.faults.correlated  # noqa: F401
+    import repro.ngst.rice  # noqa: F401
 
 
 def status() -> dict:
@@ -65,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=dispatch.TIERS,
         help="exit 1 unless every kernel resolves to TIER (CI gate; "
         "kernels with per-call accepts predicates can still demote "
-        "individual calls)",
+        "individual calls, and native skips kernels with no native impl)",
     )
     args = parser.parse_args(argv)
 
@@ -93,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             name
             for name, entry in info["kernels"].items()
             if entry["tier"] != args.require
+            and (args.require != "native" or entry["has_native_impl"])
         ]
         if offenders:
             print(

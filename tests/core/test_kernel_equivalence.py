@@ -12,10 +12,15 @@ not approximately.
 
 from __future__ import annotations
 
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.baselines import majority, median, smoothing
 from repro.core import bitops, voter
@@ -24,6 +29,7 @@ from repro.faults.correlated import (
     correlated_flip_grid,
 )
 from repro.native import kernel_tier, native_available
+from repro.ngst import rice
 from repro.otis import scan
 
 UNSIGNED_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
@@ -424,3 +430,77 @@ def test_smoother_catalogue_tier_identity(rng, tier):
         got = _on_tier(tier, smooth, pixels)
         want = _on_tier("reference", smooth, pixels)
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Rice encoder: every tier writes the per-sample bit-writer's bytes
+# ---------------------------------------------------------------------------
+
+RICE_DTYPES = [np.uint8, np.uint16, np.uint32]
+
+
+def _first_block_k(blob: bytes, ndim: int) -> int:
+    """The 6-bit Rice parameter heading the first block of *blob*."""
+    return blob[6 + 4 * ndim] >> 2
+
+
+def _assert_rice_identity(tier, data):
+    got = _on_tier(tier, rice.rice_encode, data)
+    assert got == rice._reference_rice_encode(data), (tier, data.dtype, data.shape)
+    assert np.array_equal(rice.rice_decode(got), data)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@settings(max_examples=60, deadline=None)
+@given(
+    data=hnp.arrays(
+        dtype=st.sampled_from(RICE_DTYPES),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40),
+    )
+)
+def test_rice_encode_matches_reference_property(tier, data):
+    _assert_rice_identity(tier, data)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", RICE_DTYPES)
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 95, 2047, 2048, 2049, 64 * 32 * 3 + 17])
+def test_rice_encode_tier_identity_lengths(rng, tier, dtype, n):
+    # 64 * 32 samples is one NumPy-tier pass; the longer lengths span
+    # several passes and end on a partial block.
+    assert rice._BLOCKS_PER_PASS * rice.BLOCK_SIZE == 2048
+    full_range = _random_unsigned(rng, (n,), dtype)
+    walk = np.abs(np.cumsum(rng.integers(-40, 41, size=n))).astype(dtype)
+    for data in (full_range, walk):
+        _assert_rice_identity(tier, data)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", RICE_DTYPES)
+def test_rice_encode_tier_identity_escapes_and_extreme_k(tier, dtype):
+    top = int(np.iinfo(dtype).max)
+    nbits = np.dtype(dtype).itemsize * 8
+    # Flat data with isolated full-scale spikes: k = 0 blocks whose
+    # spike edges escape to the raw field.
+    spiky = np.zeros(3000, dtype=dtype)
+    spiky[[5, 700, 2047, 2048, 2999]] = top
+    spiky[[100, 1500]] = top // 2 + 5
+    # Alternating full-scale samples: the largest k any block takes.
+    alternating = np.array([0, top] * 40 + [1], dtype=dtype)
+    zeros = np.zeros(77, dtype=dtype)
+    for data, k in ((spiky, 0), (alternating, nbits), (zeros, 0)):
+        _assert_rice_identity(tier, data)
+        assert _first_block_k(rice.rice_encode(data), 1) == k
+
+
+def test_rice_encode_peak_memory_bounded():
+    frame = np.random.default_rng(7).integers(0, 2**32, size=(128, 128), dtype=np.uint32)
+    with kernel_tier("numpy"):
+        rice.rice_encode(frame)
+        tracemalloc.start()
+        try:
+            rice.rice_encode(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak

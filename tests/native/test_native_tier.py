@@ -217,8 +217,10 @@ def test_kernels_cli_json(capsys):
         "from_bit_planes",
         "majority_vote_window",
         "weighted_window_smooth",
+        "rice_encode",
     }
     assert expected <= set(info["kernels"])
+    assert info["kernels"]["rice_encode"]["has_native_impl"] is False
     for entry in info["kernels"].values():
         assert entry["tier"] in TIERS
 
@@ -228,6 +230,17 @@ def test_kernels_cli_require_gate(capsys):
     assert kernels_main(["--require", "numpy"]) == 0
     assert kernels_main(["--require", "native"]) == 1
     assert "--require native failed" in capsys.readouterr().err
+
+
+def test_kernels_cli_require_native_passes_over_numpy_only_kernels(capsys, monkeypatch):
+    # rice_encode has no native tier, so it resolves to numpy even when
+    # the extension loads; that is not a fallback the gate should flag.
+    monkeypatch.setattr(loader, "available", lambda: True)
+    assert kernels_main(["--require", "native"]) == 0
+    out = capsys.readouterr().out
+    [line] = [line for line in out.splitlines() if "rice_encode" in line]
+    assert line.endswith("->  numpy  (no native impl)")
+    assert kernels_main(["--require", "numpy"]) == 1
 
 
 def test_kernels_cli_routed_from_main(capsys):

@@ -1,8 +1,11 @@
 """Tests for the Rice entropy codec."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import CodecError, DataFormatError
@@ -29,7 +32,22 @@ class TestRoundtrip:
         assert np.array_equal(out, data)
 
     def test_random_uint32(self, rng):
-        data = rng.integers(0, 2**31, size=100, dtype=np.uint32)
+        data = rng.integers(0, 2**32, size=1000, dtype=np.uint32)
+        assert np.array_equal(rice_decode(rice_encode(data)), data)
+
+    def test_uint32_escape_above_2_to_31(self):
+        # The folded residual of this jump needs 33 bits; a 32-bit
+        # escape field used to decode position 10 as 5.
+        data = np.array([0] * 10 + [2**31 + 5] + [0] * 53, dtype=np.uint32)
+        assert np.array_equal(rice_decode(rice_encode(data)), data)
+
+    def test_uint32_full_scale_spikes(self):
+        # Isolated full-scale spikes in flat data escape; alternating
+        # full-scale samples take k = 32 instead.
+        data = np.zeros(200, dtype=np.uint32)
+        data[[10, 50, 51, 120]] = [2**32 - 1, 2**31, 2**32 - 1, 1]
+        assert np.array_equal(rice_decode(rice_encode(data)), data)
+        data = np.array([0, 2**32 - 1, 1, 2**32 - 2] * 9, dtype=np.uint32)
         assert np.array_equal(rice_decode(rice_encode(data)), data)
 
     def test_2d_shape_preserved(self, rng):
@@ -50,10 +68,10 @@ class TestRoundtrip:
         data = np.array([0, 65535, 0, 65535, 32768], dtype=np.uint16)
         assert np.array_equal(rice_decode(rice_encode(data)), data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         hnp.arrays(
-            dtype=np.uint16,
+            dtype=st.sampled_from([np.uint16, np.uint32]),
             shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
         )
     )
@@ -100,3 +118,18 @@ class TestErrorHandling:
         blob = rice_encode(np.arange(10, dtype=np.uint16))
         with pytest.raises(CodecError):
             rice_decode(blob[:5])
+
+    def test_sample_count_beyond_payload_rejected(self):
+        # 26 bytes claiming 4000x4000x4000 uint16 samples: rejected
+        # before the decoder allocates anything for them.
+        blob = b"RICE" + struct.pack(">BB3I", 1, 3, 4000, 4000, 4000) + bytes(8)
+        assert len(blob) == 26
+        with pytest.raises(CodecError, match="claims 64000000000 samples"):
+            rice_decode(blob)
+
+    def test_implausible_k_rejected(self):
+        # One uint16 sample: k = 63 (six 1-bits), then unary q = 1 ("10"),
+        # then enough zero bits for a 63-bit remainder.
+        blob = b"RICE" + struct.pack(">BBI", 1, 1, 1) + bytes([0b11111110]) + bytes(8)
+        with pytest.raises(CodecError, match="k=63"):
+            rice_decode(blob)
