@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test verify bench serve-bench cluster-smoke strategy-smoke figures quick-figures report report-render claims clean
+.PHONY: install native test verify bench serve-bench strategy-smoke figures quick-figures report report-render claims clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -27,15 +27,8 @@ verify:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# End-to-end cluster fault drill: three loopback `repro worker`
-# subprocesses, the quick report DAG over them, one worker SIGKILLed
-# mid-run — must re-dispatch and stay byte-identical to serial.
-cluster-smoke:
-	PYTHONPATH=src $(PYTHON) tools/cluster_smoke.py
-
-# Adaptive-strategy drill: fig2 with the adaptive + selective arms
-# serial vs a 2-worker LocalCluster (byte-compared), then the operator
-# `--strategy` flag path through the real CLI.
+# Adaptive-strategy drill: the operator `--strategy` flag path through
+# the real CLI (fig2 --quick with the adaptive arm).
 strategy-smoke:
 	PYTHONPATH=src $(PYTHON) tools/strategy_smoke.py
 

@@ -14,8 +14,6 @@ Usage::
     repro cache stats|clear [--cache-dir DIR]
     repro kernels [--json] [--require native]
     repro fig2 --threads 4                # thread-pool shards (native tier)
-    repro worker [--port P] [--cache-dir DIR]      # cluster worker
-    repro fig2 --backend cluster --workers host:port,host:port
 
 ``--quick`` shrinks repeats/grids so every experiment finishes in
 seconds; default parameters match the EXPERIMENTS.md record.
@@ -143,10 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.native.cli import main as kernels_main
 
         return kernels_main(argv[1:])
-    if argv and argv[0] == "worker":
-        from repro.cluster.cli import worker_main
-
-        return worker_main(argv[1:])
     if argv and argv[0] == "report":
         from repro.dag.cli import report_main
 
@@ -169,8 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         "'stream' (streaming pipeline; 'repro stream --help'), "
         "'serve' (streaming service; 'repro serve --help'), "
         "'cache' (artifact cache maintenance; 'repro cache --help'), "
-        "'kernels' (kernel-tier diagnostics; 'repro kernels --help'), or "
-        "'worker' (cluster worker; 'repro worker --help')",
+        "or 'kernels' (kernel-tier diagnostics; 'repro kernels --help')",
     )
     parser.add_argument(
         "--quick", action="store_true", help="reduced grids for a fast run"
@@ -199,15 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=BACKEND_CHOICES,
         default=None,
-        help="execution backend (default: inferred from --jobs/--threads/"
-        "--workers; results are bit-identical for every choice)",
-    )
-    parser.add_argument(
-        "--workers",
-        metavar="ADDRS",
-        default=None,
-        help="cluster worker addresses as host:port[,host:port…] "
-        "(start workers with 'repro worker'; implies --backend cluster)",
+        help="execution backend (default: inferred from --jobs/--threads; "
+        "results are bit-identical for every choice)",
     )
     parser.add_argument(
         "--resume",
@@ -246,14 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.threads < 0:
-        print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
-    if args.threads and args.jobs > 1:
-        print("--threads and --jobs are mutually exclusive", file=sys.stderr)
+    try:
+        backend = resolve_backend(args.backend, jobs=args.jobs, threads=args.threads)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
 
     if args.resume:
@@ -302,35 +284,21 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    try:
-        backend = resolve_backend(
-            args.backend, jobs=args.jobs, threads=args.threads,
-            workers=args.workers,
-        )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
     collected = []
-    try:
-        for experiment_id in experiment_ids:
-            kwargs = _QUICK_OVERRIDES.get(experiment_id, {}) if args.quick else {}
-            if args.strategy and experiment_id in _STRATEGY_EXPERIMENTS:
-                kwargs = {**kwargs, "strategies": tuple(dict.fromkeys(args.strategy))}
-            runtime = _build_runtime(args, experiment_id, backend)
-            try:
-                results = run_experiment(experiment_id, runtime=runtime, **kwargs)
-            except ReproError as exc:
-                print(f"{experiment_id} failed: {exc}", file=sys.stderr)
-                return 2
-            for result in results:
-                print(result.to_table())
-                print()
-                collected.append(result.to_dict())
-    finally:
-        close = getattr(backend, "close", None)
-        if callable(close):
-            close()
+    for experiment_id in experiment_ids:
+        kwargs = _QUICK_OVERRIDES.get(experiment_id, {}) if args.quick else {}
+        if args.strategy and experiment_id in _STRATEGY_EXPERIMENTS:
+            kwargs = {**kwargs, "strategies": tuple(dict.fromkeys(args.strategy))}
+        runtime = _build_runtime(args, experiment_id, backend)
+        try:
+            results = run_experiment(experiment_id, runtime=runtime, **kwargs)
+        except ReproError as exc:
+            print(f"{experiment_id} failed: {exc}", file=sys.stderr)
+            return 2
+        for result in results:
+            print(result.to_table())
+            print()
+            collected.append(result.to_dict())
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(collected, fh, indent=2)
@@ -346,9 +314,7 @@ def _build_runtime(
     A per-experiment checkpoint file keyed by the runtime's
     deterministic call sequence means a resumed run re-derives the same
     keys in the same order and the recorded shards line up.  The
-    *backend* is shared across experiments — a cluster backend keeps
-    its worker connections (and the workers their warm caches) for the
-    whole invocation.
+    *backend* is shared across experiments.
     """
     checkpoint = None
     if args.resume:

@@ -4,8 +4,7 @@
 ``--only`` subset — as **one DAG run**:
 
     repro report [--quick] [--only fig2,fig4] [--jobs N | --threads N]
-                 [--backend serial|thread|process|cluster]
-                 [--workers host:port,host:port]
+                 [--backend serial|thread|process]
                  [--resume] [--plan] [--progress]
                  [--cache-dir DIR] [--out REPORT.md] [--json PANELS.json]
     repro report --from-json PANELS.json --out REPORT.md   # render only
@@ -125,15 +124,8 @@ def report_main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=BACKEND_CHOICES,
         default=None,
-        help="execution backend (default: inferred from --jobs/--threads/"
-        "--workers; results are bit-identical for every choice)",
-    )
-    parser.add_argument(
-        "--workers",
-        metavar="ADDRS",
-        default=None,
-        help="cluster worker addresses as host:port[,host:port…] "
-        "(start workers with 'repro worker'; implies --backend cluster)",
+        help="execution backend (default: inferred from --jobs/--threads; "
+        "results are bit-identical for every choice)",
     )
     parser.add_argument(
         "--resume",
@@ -179,14 +171,10 @@ def report_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.threads < 0:
-        print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
-    if args.threads and args.jobs > 1:
-        print("--threads and --jobs are mutually exclusive", file=sys.stderr)
+    try:
+        backend = resolve_backend(args.backend, jobs=args.jobs, threads=args.threads)
+    except ReproError as exc:
+        print(f"report failed: {exc}", file=sys.stderr)
         return 2
 
     if args.from_json:
@@ -231,14 +219,6 @@ def report_main(argv: list[str] | None = None) -> int:
     if args.progress:
         telemetry = Telemetry()
         telemetry.subscribe(ProgressPrinter())
-    try:
-        backend = resolve_backend(
-            args.backend, jobs=args.jobs, threads=args.threads,
-            workers=args.workers,
-        )
-    except ReproError as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 2
     scheduler = DagScheduler(
         cache=ArtifactCache(directory=Path(args.cache_dir)),
         backend=backend,
@@ -251,23 +231,6 @@ def report_main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 2
-    finally:
-        stats = getattr(backend, "stats", None)
-        if callable(stats):
-            for label, worker in sorted(stats().items()):
-                w = worker.as_dict()
-                print(
-                    f"worker {label}: {w['shards']} shard(s), "
-                    f"{w['bytes_sent']}B out / {w['bytes_received']}B in, "
-                    f"{w['artifact_pulls']} pull(s) "
-                    f"({w['pulled_bytes']}B), cache hit rate "
-                    f"{w['cache_hit_rate']:.0%}, "
-                    f"{w['redispatches']} re-dispatch(es)",
-                    file=sys.stderr,
-                )
-        close = getattr(backend, "close", None)
-        if callable(close):
-            close()
 
     from repro.dag.build import json_payload
     from repro.experiments.common import ExperimentResult

@@ -14,10 +14,9 @@ uninterrupted run — there is no session file to lose or mismatch.
 Execution walks the graph in ready-set waves on the existing
 :class:`~repro.runtime.Executor` seam: every node whose dependencies
 are done is dispatched as a one-trial shard, so the serial, thread,
-and process-pool backends (and any future multi-host backend speaking
-the same interface) run graphs unchanged.  Workers return the output
-artifact's arrays and metadata; **publication happens only in the
-parent**, after the worker result is consumed, so a crash anywhere
+and process-pool backends run graphs unchanged.  Workers return the
+output artifact's arrays and metadata; **publication happens only in
+the parent**, after the worker result is consumed, so a crash anywhere
 between node start and publication simply re-runs the node — the
 atomic payload-then-sidecar publication in :mod:`repro.cache.store`
 guarantees a torn write reads as absent.
@@ -138,50 +137,30 @@ class _NodeShardFn:
     """A :data:`~repro.runtime.ShardFn` running one graph node per shard.
 
     *batch* maps shard index → (node, input keys, output key).  Inputs
-    travel as content addresses, not payloads: in-process backends (and
-    fork-inherited pool workers) resolve them through the scheduler's
-    own cache reference, while cluster workers — which receive this
-    object with the cache stripped via :meth:`for_cluster` — resolve
-    them through their :func:`~repro.cluster.store.current_store`
-    (local cache first, coordinator pull on miss) and publish their
-    computed output locally so later waves hit without a transfer.
-    Node exceptions come back as :class:`_NodeFailure` values so
-    sibling nodes in the same wave still publish before the run aborts.
+    travel as content addresses, not payloads: in-process backends and
+    fork-inherited pool workers resolve them through the scheduler's
+    own cache reference.  Node exceptions come back as
+    :class:`_NodeFailure` values so sibling nodes in the same wave
+    still publish before the run aborts.
     """
 
     def __init__(
         self,
         batch: dict[int, tuple[TaskNode, dict[str, str], str]],
-        cache: ArtifactCache | None = None,
+        cache: ArtifactCache,
     ) -> None:
         self.batch = batch
         self.cache = cache
 
-    def for_cluster(self) -> "_NodeShardFn":
-        """The shippable form: keys only, no cache reference (locks
-        don't pickle; workers bring their own store)."""
-        return _NodeShardFn(self.batch, cache=None)
-
     def _resolve(self, name: str, key: str) -> CachedArtifact:
-        if self.cache is not None:
-            artifact = self.cache.get(key)
-            if artifact is None:
-                raise DagError(
-                    f"artifact for node {name!r} (key {key[:12]}…) vanished "
-                    f"from the cache between publication and use; raise the "
-                    f"cache's memory/disk caps or give it a directory"
-                )
-            return artifact
-        from repro.cluster.store import current_store
-
-        store = current_store()
-        if store is None:
+        artifact = self.cache.get(key)
+        if artifact is None:
             raise DagError(
-                f"no artifact source in this process for node {name!r}: "
-                f"the shard function was shipped without its cache but no "
-                f"worker store is active"
+                f"artifact for node {name!r} (key {key[:12]}…) vanished "
+                f"from the cache between publication and use; raise the "
+                f"cache's memory/disk caps or give it a directory"
             )
-        return store.fetch(key)
+        return artifact
 
     def __call__(self, shard: Shard) -> list:
         node, input_keys, output_key = self.batch[shard.index]
@@ -206,14 +185,7 @@ class _NodeShardFn:
             ]
         meta = dict(artifact.meta)
         meta["node_kind"] = node.kind
-        arrays = dict(artifact.arrays)
-        if self.cache is None:
-            from repro.cluster.store import current_store
-
-            store = current_store()
-            if store is not None:
-                store.publish(output_key, CachedArtifact.build(arrays, meta))
-        return [(arrays, meta)]
+        return [(dict(artifact.arrays), meta)]
 
 
 class DagScheduler:
@@ -325,11 +297,6 @@ class DagScheduler:
         """
         start = time.perf_counter()
         graph.validate()
-        bind = getattr(self.backend, "bind_artifact_source", None)
-        if callable(bind):
-            # Multi-host backends serve worker artifact pulls from the
-            # scheduler's own cache; in-process backends have no hook.
-            bind(self.cache)
         resolved = self._resolve_targets(graph, targets)
         order = self._closure_order(graph, resolved)
         if recover:
@@ -375,7 +342,7 @@ class DagScheduler:
             ]
             failures: list[_NodeFailure] = []
             for result in self.backend.run_shards(
-                _NodeShardFn(batch, cache=self.cache), shards
+                _NodeShardFn(batch, self.cache), shards
             ):
                 node, _, key = batch[result.index]
                 payload = result.values[0]

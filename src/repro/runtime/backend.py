@@ -190,69 +190,62 @@ def default_start_method() -> str:
 
 
 #: Backend names accepted by every repro CLI's ``--backend`` flag.
-BACKEND_CHOICES = ("serial", "thread", "process", "cluster")
+BACKEND_CHOICES = ("serial", "thread", "process")
 
 
 def resolve_backend(
-    name: str | None = None,
-    jobs: int = 1,
-    threads: int = 0,
-    workers: str | None = None,
+    name: str | None = None, jobs: int = 1, threads: int = 0
 ) -> Executor:
     """Build an :class:`Executor` from the uniform CLI flags.
 
     Every repro CLI exposes the same surface — ``--backend
-    {serial,thread,process,cluster}`` plus the sizing flags ``--jobs``
-    (processes), ``--threads`` (threads), and ``--workers host:port,…``
-    (cluster) — and resolves it here, so flag semantics cannot drift
-    between entry points.
+    {serial,thread,process}`` plus the sizing flags ``--jobs``
+    (processes) and ``--threads`` (threads) — and resolves it here, so
+    flag semantics cannot drift between entry points.
 
     Args:
         name: explicit backend choice; None infers one from the sizing
-            flags for backward compatibility (``--threads N`` → thread,
-            ``--jobs N>1`` → process, otherwise serial).
-        jobs: worker-process count for the process backend.
+            flags (``--threads N`` → thread, ``--jobs N>1`` → process,
+            otherwise serial).
+        jobs: worker count for the process backend, and for the thread
+            backend when ``threads`` is 0.
         threads: worker-thread count for the thread backend.
-        workers: cluster worker addresses (``host:port,host:port``);
-            required by — and only meaningful for — the cluster
-            backend.
 
     Raises:
-        ConfigurationError: unknown name, missing/invalid sizing for
-            the chosen backend, or ``--workers`` without ``cluster``.
+        ConfigurationError: unknown name, invalid sizing, or a sizing
+            flag the chosen backend would ignore (``--threads`` with
+            serial or process, ``--jobs > 1`` with serial).
     """
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    if threads < 0:
+        raise ConfigurationError(f"--threads must be >= 1, got {threads}")
+    if threads and jobs > 1:
+        raise ConfigurationError("--threads and --jobs are mutually exclusive")
     if name is None:
-        if workers:
-            name = "cluster"
-        elif threads:
+        if threads:
             name = "thread"
         elif jobs > 1:
             name = "process"
         else:
             name = "serial"
-    if name != "cluster" and workers:
+    if name not in BACKEND_CHOICES:
         raise ConfigurationError(
-            f"--workers only applies to the cluster backend, not {name!r}"
+            f"unknown backend {name!r}; choose one of {', '.join(BACKEND_CHOICES)}"
+        )
+    if threads and name != "thread":
+        raise ConfigurationError(
+            f"--threads only applies to the thread backend, not {name!r}"
         )
     if name == "serial":
+        if jobs > 1:
+            raise ConfigurationError(
+                f"--jobs {jobs} does not apply to the serial backend"
+            )
         return SerialBackend()
     if name == "thread":
-        return ThreadPoolBackend(threads or max(jobs, 1))
-    if name == "process":
-        return ProcessPoolBackend(max(jobs, 1))
-    if name == "cluster":
-        if not workers:
-            raise ConfigurationError(
-                "the cluster backend needs --workers host:port[,host:port…] "
-                "(start them with 'repro worker')"
-            )
-        from repro.cluster import ClusterBackend  # deferred: repro.cluster
-        # imports this module, so a top-level import would be circular.
-
-        return ClusterBackend(workers)
-    raise ConfigurationError(
-        f"unknown backend {name!r}; choose one of {', '.join(BACKEND_CHOICES)}"
-    )
+        return ThreadPoolBackend(threads or jobs)
+    return ProcessPoolBackend(jobs)
 
 
 class ProcessPoolBackend(Executor):

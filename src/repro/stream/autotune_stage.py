@@ -15,7 +15,7 @@ Determinism contract (the strategy-equivalence harness gates all of it):
 * Estimation happens only at stack boundaries, over window content that
   is a pure function of the frame sequence, with a fixed calibration
   seed — so the Λ trajectory, and hence every output byte, is chunk-
-  invariant and identical across serial/thread/process/cluster drives.
+  invariant and identical across serial/thread/process drives.
 * ``state_dict``/``load_state`` carry the full tuner state (window
   frames, operating Λ, confirmation streak, trajectory), so kill/resume
   replays the exact same trajectory.

@@ -289,16 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="execution backend (uniform across repro CLIs; the stream "
         "pipeline is stateful and in-process, so only 'serial' and "
-        "'thread' apply — 'process' and 'cluster' are refused with "
-        "exit code 2)",
-    )
-    run.add_argument(
-        "--workers",
-        metavar="ADDRS",
-        default=None,
-        help="cluster worker addresses (accepted for flag uniformity; "
-        "refused here — batch campaigns via 'repro report' are the "
-        "cluster-capable path)",
+        "'thread' apply — 'process' is refused with exit code 2)",
     )
     run.add_argument(
         "--limit-chunks",
@@ -479,16 +470,12 @@ def _result_json(result: StreamResult) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro stream``; returns the exit code."""
     args = build_parser().parse_args(argv)
-    if args.workers and args.backend != "cluster":
-        print("--workers only applies to --backend cluster", file=sys.stderr)
-        return 2
-    if args.backend in ("process", "cluster"):
+    if args.backend == "process":
         print(
-            f"repro stream runs a stateful in-process pipeline (voter "
-            f"stacks carry frames across chunk boundaries); --backend "
-            f"{args.backend} is not supported — use serial or thread, or "
-            f"run batch campaigns over the cluster with 'repro report "
-            f"--backend cluster'",
+            "repro stream runs a stateful in-process pipeline (voter "
+            "stacks carry frames across chunk boundaries); --backend "
+            "process is not supported — use serial or thread, or run "
+            "batch campaigns across processes with 'repro report --jobs N'",
             file=sys.stderr,
         )
         return 2

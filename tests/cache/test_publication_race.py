@@ -2,10 +2,10 @@
 store consistent when two *processes* publish the same content key.
 
 The in-process concurrency tests cover thread races; this module forks
-real processes against one shared disk directory — the situation a
-cluster re-dispatch creates when a "dead" worker was merely slow and
-two publications of the same deterministic artifact land at once.
-Both must succeed silently, and the surviving entry must verify.
+real processes against one shared disk directory — the situation two
+``repro report`` processes sharing one ``--cache-dir`` create when
+both publish the same deterministic artifact at once.  Both must
+succeed silently, and the surviving entry must verify.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ KEY = "a" * 64
 
 def _artifact(stamp: int) -> CachedArtifact:
     # Deterministic payload: publications of one content key are
-    # bit-identical by construction, exactly like re-dispatched shards.
+    # bit-identical by construction, exactly like re-run graph nodes.
     return CachedArtifact.build(
         {"values": np.arange(2048, dtype=np.float64)},
         {"kind": "race", "stamp": stamp},

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,3 +108,45 @@ class TestRuntimeFlags:
         captured = capsys.readouterr()
         assert "trial(s)" in captured.err
         assert "done:" in captured.err
+
+
+def _message_lines(stderr: str) -> list[str]:
+    """stderr without argparse's (possibly wrapped) usage block."""
+    lines = stderr.splitlines()
+    if lines and lines[0].startswith("usage:"):
+        lines = lines[1:]
+        while lines and lines[0].startswith(" "):
+            lines = lines[1:]
+    return lines
+
+
+class TestRefusedInvocations:
+    """Removed commands and flags, and combinations a backend cannot
+    honour, fail fast: exit 2, one stderr line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker"],
+            ["report", "--backend", "cluster"],
+            ["fig2", "--workers", "127.0.0.1:1"],
+            ["stream", "--backend", "process"],
+            ["report", "--quick", "--only", "fig2", "--backend", "serial",
+             "--threads", "4"],
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(_message_lines(proc.stderr)) == 1, proc.stderr
+        assert proc.stdout == ""

@@ -12,6 +12,7 @@ from repro.runtime.backend import (
     SerialBackend,
     ThreadPoolBackend,
     default_start_method,
+    resolve_backend,
 )
 from repro.runtime.plan import TrialPlan
 
@@ -223,3 +224,39 @@ class TestThreadPoolBackend:
         finally:
             backend.shutdown()
         assert captured == ["ran"]
+
+
+class TestResolveBackend:
+    def test_inference_matches_legacy_flags(self):
+        assert resolve_backend(None).describe().startswith("SerialBackend")
+        assert resolve_backend(None, threads=3).jobs == 3
+        assert resolve_backend(None, jobs=2).describe().startswith(
+            "ProcessPoolBackend"
+        )
+
+    def test_explicit_names(self):
+        assert resolve_backend("serial").jobs == 1
+        assert resolve_backend("thread", threads=2).jobs == 2
+        assert resolve_backend("process", jobs=2).jobs == 2
+        # Without --threads, the thread backend takes its size from --jobs.
+        assert resolve_backend("thread", jobs=3).jobs == 3
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            resolve_backend("quantum")
+
+    @pytest.mark.parametrize(
+        "name, jobs, threads, message",
+        [
+            ("serial", 1, 4, "--threads only applies"),
+            ("process", 1, 4, "--threads only applies"),
+            ("serial", 2, 0, "does not apply to the serial backend"),
+            (None, 0, 0, "--jobs must be >= 1"),
+            (None, 1, -1, "--threads must be >= 1"),
+            (None, 2, 2, "mutually exclusive"),
+            ("thread", 2, 2, "mutually exclusive"),
+        ],
+    )
+    def test_ignored_or_invalid_sizing_rejected(self, name, jobs, threads, message):
+        with pytest.raises(ConfigurationError, match=message):
+            resolve_backend(name, jobs=jobs, threads=threads)
