@@ -18,7 +18,9 @@ from repro.baselines.median import (
     _reference_median_smooth_temporal,
     median_smooth_temporal,
 )
+from repro.config import OTISConfig
 from repro.core import bitops
+from repro.core.algo_otis import _otis_band, _reference_otis_band
 from repro.core.voter import VoterMatrix, _reference_grt
 from repro.faults.correlated import (
     _reference_correlated_flip_grid,
@@ -43,6 +45,19 @@ def stack_u16():
 def grt_voters(stack_u16):
     matrix = VoterMatrix(stack_u16, 8)
     return matrix.pruned(matrix.thresholds(0.75))
+
+
+@pytest.fixture(scope="module")
+def otis_band():
+    """A 32x32 uint16 band with 2% bit flips and an out-of-bounds spot,
+    at the report's tile 16 and Υ = 4."""
+    rng = np.random.default_rng(13)
+    values = 140.0 + np.cumsum(rng.normal(0.0, 2.0, (32, 32)), axis=1)
+    band = np.clip(np.rint(values / 0.004), 0, 65535).astype(np.uint16)
+    hit = rng.random(band.shape) < 0.02
+    band[hit] ^= np.left_shift(np.uint16(1), rng.integers(0, 16, hit.sum()).astype(np.uint16))
+    band[5:7, 9:11] = 65000
+    return band, OTISConfig(tile=16, upsilon=4)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +123,11 @@ def test_bench_cross_frame_reference(benchmark, swath):
 def test_bench_mosaic(benchmark, swath):
     frames, config = swath
     benchmark(mosaic, frames, config)
+
+
+def test_bench_otis_band(benchmark, otis_band):
+    benchmark(_otis_band, *otis_band)
+
+
+def test_bench_otis_band_reference(benchmark, otis_band):
+    benchmark(_reference_otis_band, *otis_band)

@@ -186,8 +186,10 @@ class OTISConfig:
         trend_exemption: when True, deviant pixels whose neighbourhood
             shows the same deviation trend are treated as genuine natural
             phenomena and left untouched (hypothesis 1).
-        trend_window: half-width of the square neighbourhood used for the
-            trend test.
+        trend_window: strictness of the trend test, which always reads
+            the pixel's fixed 8-neighbour ring.  1 exempts a deviant
+            pixel when at least two ring neighbours share its deviation;
+            any larger value needs only one (2 and 5 behave alike).
         dn_scale: physical value per DN count for uint16 fixed-point
             storage (full scale = 65535 × dn_scale ≈ 262, deliberately
             wider than the default physical upper bound of 200 so that

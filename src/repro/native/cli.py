@@ -24,6 +24,7 @@ def load_all_kernels() -> None:
     """Import every module that registers dispatched kernels."""
     import repro.baselines.majority  # noqa: F401
     import repro.baselines.smoothing  # noqa: F401
+    import repro.core.algo_otis  # noqa: F401
     import repro.core.bitops  # noqa: F401
     import repro.core.voter  # noqa: F401
     import repro.faults.correlated  # noqa: F401

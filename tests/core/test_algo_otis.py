@@ -29,6 +29,19 @@ class TestInputValidation:
         with pytest.raises(DataFormatError):
             AlgoOTIS()(np.zeros((2, 8), dtype=np.float32))
 
+    def test_rejects_empty_cube(self):
+        with pytest.raises(DataFormatError, match="no bands"):
+            AlgoOTIS()(np.zeros((0, 8, 8), dtype=np.uint16))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 5), (3, 8, 2)])
+    def test_rejects_tiny_bands_in_cube(self, shape):
+        # A cube's bands obey the same 3x3 floor as a single band.
+        cube = np.zeros(shape, dtype=np.uint16)
+        with pytest.raises(DataFormatError, match="at least 3x3"):
+            AlgoOTIS()(cube)
+        with pytest.raises(DataFormatError, match="at least 3x3"):
+            AlgoOTIS()(cube[0])
+
     def test_accepts_uint16_dn(self, blob_dn):
         result = AlgoOTIS()(blob_dn)
         assert result.corrected.dtype == np.uint16
@@ -161,6 +174,25 @@ class TestTrendExemption:
         assert centre_with >= centre_without
 
 
+    def test_trend_window_above_two_changes_nothing(self):
+        # The trend test always reads the fixed 8-ring; any window > 1
+        # only lowers the co-deviant count from two neighbours to one.
+        rng = np.random.default_rng(5)
+        field = np.full((24, 24), 95.0, dtype=np.float32)
+        field += rng.normal(0.0, 1.0, field.shape).astype(np.float32)
+        field[10:13, 10:13] = 180.0
+        dn = encode_dn(field)
+        hit = rng.random(dn.shape) < 0.05
+        dn[hit] ^= np.left_shift(np.uint16(1), rng.integers(8, 16, hit.sum()).astype(np.uint16))
+        narrow, two, five = (
+            AlgoOTIS(OTISConfig(trend_window=w))(dn) for w in (1, 2, 5)
+        )
+        assert two.corrected.tobytes() == five.corrected.tobytes()
+        counts = lambda r: (r.n_bounds_repairs, r.n_bit_corrections, r.n_trend_exemptions)
+        assert counts(two) == counts(five)
+        assert counts(narrow) != counts(two)
+
+
 class TestCube:
     def test_cube_processed_per_band(self, blob_dn):
         cube = np.stack([blob_dn, blob_dn, blob_dn])
@@ -184,6 +216,18 @@ class TestSpatialMedian:
         field = np.zeros((5, 5))
         field[2, 2] = 100.0
         assert spatial_median(field)[2, 2] == 0.0
+
+    def test_nan_in_ring_gives_nan(self):
+        field = np.arange(25, dtype=np.float64).reshape(5, 5)
+        field[2, 2] = np.nan
+        med = spatial_median(field)
+        assert np.isnan(med[1:4, 1:4]).sum() == 8
+        assert np.isfinite(med[2, 2])
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 5), (5, 1), (2, 3, 3)])
+    def test_rejects_degenerate_fields(self, shape):
+        with pytest.raises(DataFormatError):
+            spatial_median(np.zeros(shape))
 
 
 class TestPropertyBased:

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.baselines import majority, median, smoothing
-from repro.core import bitops, voter
+from repro.config import OTISBounds, OTISConfig
+from repro.core import algo_otis, bitops, voter
 from repro.faults.correlated import (
     _reference_correlated_flip_grid,
     correlated_flip_grid,
@@ -504,3 +505,207 @@ def test_rice_encode_peak_memory_bounded():
         finally:
             tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Algo_OTIS band kernel: every tier matches the per-offset np.pad routine
+# ---------------------------------------------------------------------------
+
+OTIS_TILES = [0, 3, 5, 7, 8, 16, 64]
+
+
+def _otis_field(rng, dtype, shape, flip_rate=0.02, cluster=None):
+    """A smooth radiance field stored as *dtype*, with random bit flips
+    and, optionally, a 3x3 cluster set to *cluster*."""
+    values = 140.0 + np.cumsum(rng.normal(0.0, 2.0, shape), axis=-1)
+    if dtype == np.uint16:
+        field = np.clip(np.rint(values / 0.004), 0, 65535).astype(np.uint16)
+        words = field
+    else:
+        field = values.astype(np.float32)
+        words = field.view(np.uint32)
+    hit = rng.random(shape) < flip_rate
+    shifts = rng.integers(0, words.dtype.itemsize * 8, int(hit.sum()))
+    words[hit] ^= np.left_shift(words.dtype.type(1), shifts.astype(words.dtype))
+    if cluster is not None:
+        r = int(rng.integers(0, shape[-2] - 2))
+        c = int(rng.integers(0, shape[-1] - 2))
+        field[..., r : r + 3, c : c + 3] = cluster
+    return field
+
+
+def _assert_otis_identity(tier, config, field):
+    got = _on_tier(tier, algo_otis.AlgoOTIS(config), field)
+    want = _on_tier("reference", algo_otis.AlgoOTIS(config), field)
+    assert got.corrected.dtype == want.corrected.dtype
+    assert got.corrected.shape == want.corrected.shape
+    assert got.corrected.tobytes() == want.corrected.tobytes(), (tier, config)
+    assert (got.n_bounds_repairs, got.n_bit_corrections, got.n_trend_exemptions) == (
+        want.n_bounds_repairs,
+        want.n_bit_corrections,
+        want.n_trend_exemptions,
+    )
+    assert got.windows.nbits == want.windows.nbits
+    for mask in ("msb_mask", "lsb_mask"):
+        a = np.asarray(getattr(got.windows, mask))
+        b = np.asarray(getattr(want.windows, mask))
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), (tier, config, mask)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+@pytest.mark.parametrize("tile", OTIS_TILES)
+@pytest.mark.parametrize("upsilon", [4, 8])
+def test_otis_band_tier_identity(tier, dtype, tile, upsilon):
+    # 24x24 at tile 16 is the report's non-dividing case: one whole
+    # tile, a right edge, a bottom edge and a corner.
+    rng = np.random.default_rng(1000 * tile + upsilon)
+    for shape in [(24, 24), (32, 32), (9, 20), (3, 3)]:
+        config = OTISConfig(
+            upsilon=upsilon,
+            tile=tile,
+            sensitivity=float(rng.choice([0.0, 20.0, 60.0, 100.0])),
+            iterations=int(rng.integers(1, 4)),
+            trend_window=int(rng.integers(1, 3)),
+        )
+        cluster = 65000 if dtype == np.uint16 else np.nan
+        field = _otis_field(rng, dtype, shape, cluster=cluster)
+        _assert_otis_identity(tier, config, field)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("cluster", [np.nan, np.inf, -np.inf, 500.0, -0.0])
+@pytest.mark.parametrize("sensitivity", [0.0, 60.0])
+def test_otis_band_tier_identity_nonfinite(tier, cluster, sensitivity):
+    # NaN and +-inf pixels and out-of-bounds clusters go to the bounds
+    # screen; a 3x3 cluster leaves its centre an all-invalid ring, and a
+    # negative lower bound keeps -0.0 in bounds.
+    rng = np.random.default_rng(7)
+    for bounds in (OTISBounds(), OTISBounds(lower=-50.0, upper=150.0)):
+        config = OTISConfig(sensitivity=sensitivity, bounds=bounds, iterations=3)
+        field = _otis_field(rng, np.float32, (24, 24), cluster=cluster)
+        field[rng.random(field.shape) < 0.03] = cluster
+        for value in (np.nan, np.inf, -np.inf, -0.0):
+            field[tuple(rng.integers(0, 24, 2))] = value
+        _assert_otis_identity(tier, config, field)
+    everything = np.full((6, 7), cluster, dtype=np.float32)
+    _assert_otis_identity(tier, OTISConfig(sensitivity=sensitivity), everything)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+def test_otis_band_tier_identity_options(tier, dtype):
+    # Tight bounds make voter corrections land out of bounds, so the
+    # median repair runs with and without the trend test's ring built.
+    rng = np.random.default_rng(11)
+    for bounds in (OTISBounds(), OTISBounds(lower=120.0, upper=160.0)):
+        for trend_exemption in (True, False):
+            for trend_window in (1, 2):
+                for iterations in (1, 2, 3):
+                    config = OTISConfig(
+                        bounds=bounds,
+                        trend_exemption=trend_exemption,
+                        trend_window=trend_window,
+                        iterations=iterations,
+                        sensitivity=float(rng.uniform(0, 100)),
+                    )
+                    field = _otis_field(rng, dtype, (24, 24), flip_rate=0.05)
+                    _assert_otis_identity(tier, config, field)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+def test_otis_band_tier_identity_cube(tier, dtype):
+    rng = np.random.default_rng(13)
+    for shape in [(1, 16, 16), (3, 24, 24), (6, 5, 9)]:
+        cluster = 65000 if dtype == np.uint16 else np.nan
+        field = _otis_field(rng, dtype, shape, cluster=cluster)
+        _assert_otis_identity(tier, OTISConfig(), field)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@settings(max_examples=40, deadline=None)
+@given(
+    field=hnp.arrays(
+        dtype=np.uint16,
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=3, max_side=40),
+    ),
+    tile=st.sampled_from(OTIS_TILES),
+    upsilon=st.sampled_from([4, 8]),
+    sensitivity=st.floats(0, 100),
+)
+def test_otis_band_tier_identity_property(tier, field, tile, upsilon, sensitivity):
+    config = OTISConfig(upsilon=upsilon, tile=tile, sensitivity=sensitivity)
+    _assert_otis_identity(tier, config, field)
+
+
+@pytest.mark.parametrize("tile", OTIS_TILES[1:])
+def test_tile_thresholds_match_reference(rng, tile):
+    for shape in [(4, 24, 24), (8, 32, 32), (4, 9, 20), (4, 3, 3), (8, 17, 5)]:
+        voters = _random_unsigned(rng, shape, np.uint16)
+        for fraction in (0.2, 0.5, 0.8):
+            _, rows, cols = shape
+            grid = algo_otis._tile_thresholds(voters, tile, fraction)
+            if grid.ndim > 1:
+                grid = algo_otis._expand_tiles(grid, tile, rows, cols)
+            want = algo_otis._reference_way_thresholds(voters, tile, fraction)
+            assert grid.dtype == want.dtype
+            assert np.array_equal(grid, want), (shape, tile, fraction)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.float64])
+def test_reflect_pad_matches_np_pad(rng, dtype):
+    for shape in [(2, 2), (2, 7), (5, 2), (24, 24), (3, 40)]:
+        field = (rng.random(shape) * 60000).astype(dtype)
+        padded = algo_otis._reflect_pad(field)
+        assert padded.dtype == field.dtype
+        assert np.array_equal(padded, np.pad(field, 1, mode="reflect"))
+
+
+def _median_fields(rng):
+    """Fields whose 8-rings hold NaNs, +-inf, both infinities, signed
+    zeros, an all-NaN neighbourhood and nothing finite at all."""
+    base = rng.normal(100.0, 20.0, (12, 13))
+    nan_rings = base.copy()
+    nan_rings[rng.random(base.shape) < 0.1] = np.nan
+    infs = base.copy()
+    infs[2, 3], infs[7, 8], infs[8, 8] = np.inf, -np.inf, np.inf
+    infs[4, 4], infs[4, 6] = np.inf, -np.inf  # one ring, both signs
+    all_nan = base.copy()
+    all_nan[3:6, 3:6] = np.nan
+    all_nan[0:2, 0:2] = np.nan  # reflected corner ring
+    zeros = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(9, 9))
+    # The centre's middle ranks are -inf and +inf: a NaN median.
+    split = np.array([[-np.inf] * 3, [-np.inf, 0.0, np.inf], [np.inf] * 3])
+    nothing_finite = np.full((4, 5), np.nan)
+    nothing_finite[1, 1] = np.inf
+    return [base, nan_rings, infs, all_nan, zeros, split, nothing_finite]
+
+
+def test_spatial_median_matches_reference(rng):
+    # np.median's NaN rule: a ring holding a NaN has a NaN median.
+    fields = _median_fields(rng) + [_random_unsigned(rng, (6, 9), np.uint16)]
+    for field in fields:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            got = algo_otis.spatial_median(field)
+            want = algo_otis._reference_spatial_median(field)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(algo_otis.spatial_median(fields[1])).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.isnan(algo_otis.spatial_median(fields[5])[1, 1])
+
+
+def test_nan_spatial_median_matches_reference(rng):
+    # All-NaN rings fall back to the global median of the finite
+    # values, and to 0.0 when nothing is finite.
+    for field in _median_fields(rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            got = algo_otis._nan_spatial_median(field)
+            want = algo_otis._reference_nan_spatial_median(field)
+        assert got.tobytes() == want.tobytes()
+    assert np.all(algo_otis._nan_spatial_median(np.full((3, 3), np.nan)) == 0.0)

@@ -218,9 +218,11 @@ def test_kernels_cli_json(capsys):
         "majority_vote_window",
         "weighted_window_smooth",
         "rice_encode",
+        "otis_band",
     }
     assert expected <= set(info["kernels"])
-    assert info["kernels"]["rice_encode"]["has_native_impl"] is False
+    for numpy_only in ("rice_encode", "otis_band"):
+        assert info["kernels"][numpy_only]["has_native_impl"] is False
     for entry in info["kernels"].values():
         assert entry["tier"] in TIERS
 
@@ -238,8 +240,9 @@ def test_kernels_cli_require_native_passes_over_numpy_only_kernels(capsys, monke
     monkeypatch.setattr(loader, "available", lambda: True)
     assert kernels_main(["--require", "native"]) == 0
     out = capsys.readouterr().out
-    [line] = [line for line in out.splitlines() if "rice_encode" in line]
-    assert line.endswith("->  numpy  (no native impl)")
+    for name in ("rice_encode", "otis_band"):
+        [line] = [line for line in out.splitlines() if name in line]
+        assert line.endswith("->  numpy  (no native impl)")
     assert kernels_main(["--require", "numpy"]) == 1
 
 
