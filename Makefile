@@ -39,10 +39,10 @@ serve-bench:
 	PYTHONPATH=src $(PYTHON) tools/load_serve.py $(BENCH_ARGS)
 
 figures:
-	$(PYTHON) -m repro.cli all --json results_full.json | tee results_full.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --json results_full.json | tee results_full.txt
 
 quick-figures:
-	$(PYTHON) -m repro.cli all --quick
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --quick
 
 # One resumable DAG run over every experiment (docs/ORCHESTRATION.md);
 # kill it anywhere and rerun with the same flags to pick up the frontier.
@@ -52,10 +52,10 @@ report:
 
 # Render an existing panels dump without recomputing anything.
 report-render: results_full.json
-	$(PYTHON) -m repro.cli report --from-json results_full.json --out RESULTS.md
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --from-json results_full.json --out RESULTS.md
 
 claims: results_full.json
-	$(PYTHON) -m repro.cli claims --json results_full.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli claims --json results_full.json
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache benchmarks/results

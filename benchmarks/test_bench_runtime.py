@@ -1,5 +1,4 @@
-"""Benches for the trial runtime: backend dispatch, sharding overhead,
-checkpoint I/O.
+"""Benches for the trial runtime: backend dispatch and sharding overhead.
 
 The container may expose a single CPU, so these benches measure and
 record throughput without asserting a parallel speedup; what they do
@@ -15,12 +14,7 @@ from repro.data.ngst import generate_walk
 from repro.faults.campaign import Campaign
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import (
-    CheckpointStore,
-    ProcessPoolBackend,
-    SerialBackend,
-    TrialRuntime,
-)
+from repro.runtime import ProcessPoolBackend, SerialBackend, TrialRuntime
 
 N_TRIALS = 24
 
@@ -61,19 +55,6 @@ def test_bench_sharding_overhead(benchmark, reference_values):
         lambda: runtime.run(_trial, N_TRIALS, seed=11), rounds=3, iterations=1
     )
     assert values == reference_values
-
-
-def test_bench_checkpoint_roundtrip(benchmark, tmp_path, reference_values):
-    """Cost of recording every shard plus a fully-restored re-run."""
-    store = CheckpointStore(tmp_path / "bench.jsonl")
-    TrialRuntime(checkpoint=store, shard_size=4).run(_trial, N_TRIALS, seed=11)
-
-    def restored_run():
-        return TrialRuntime(checkpoint=store, shard_size=4).run(
-            _trial, N_TRIALS, seed=11
-        )
-
-    assert benchmark(restored_run) == reference_values
 
 
 def test_bench_parallel_campaign(benchmark):

@@ -49,7 +49,6 @@ from repro.faults import (
 )
 from repro.metrics import bit_confusion, improvement_factor, psi
 from repro.runtime import (
-    CheckpointStore,
     ProcessPoolBackend,
     SerialBackend,
     TrialRuntime,
@@ -70,7 +69,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AlgoNGST",
     "AlgoOTIS",
-    "CheckpointStore",
     "CorrelatedFaultConfig",
     "CorrelatedFaultModel",
     "FaultInjector",

@@ -6,8 +6,8 @@ Usage::
     repro fig2 [--quick] [--jobs N] [--progress]
     repro all [--quick] [--json OUT.json]
     repro report [--quick] [--resume] [--plan] [--out REPORT.md]
+    repro report --only fig5 --resume     # resume one experiment
     repro dag show [report|fig2] [--dot]
-    repro fig5 --resume [--checkpoint-dir DIR]
     repro stream [--frames N] [--chunk-frames K] [--policy P] [--progress]
     repro serve [--port P] [--control-port C] [--checkpoint-dir DIR]
     repro fig2 --cache-dir .repro-cache   # persist artifacts across runs
@@ -21,11 +21,11 @@ seconds; default parameters match the EXPERIMENTS.md record.
 ``--jobs N`` runs each experiment's trial loops across N worker
 processes; results are bit-identical to a serial run because every
 trial's seed comes from the same ``SeedSequence`` spawn tree.
-``--resume`` records completed trial shards to a JSONL checkpoint
-(``--checkpoint-dir``, default ``.repro-checkpoints``) and, on re-run,
-skips the shards already recorded — an interrupted campaign picks up
-where it stopped.  ``--progress`` prints per-shard telemetry (timing,
-trials/sec) to stderr.  See docs/RUNTIME.md.
+``--progress`` prints per-shard telemetry (timing, trials/sec) to
+stderr.  See docs/RUNTIME.md.  A per-experiment run keeps no state
+between invocations; to make one resumable, run it through the report
+graph instead: ``repro report --only fig5 --resume`` picks up an
+interrupted run from the artifacts already in the store.
 
 ``repro stream`` runs the bounded-memory streaming pipeline instead of
 a batch experiment; its flags live in :mod:`repro.stream.cli` and its
@@ -49,7 +49,6 @@ from repro.exceptions import ReproError
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.runtime import (
     BACKEND_CHOICES,
-    CheckpointStore,
     ProgressPrinter,
     Telemetry,
     TrialRuntime,
@@ -102,14 +101,15 @@ _QUICK_OVERRIDES: dict[str, dict] = {
 _STRATEGY_EXPERIMENTS = frozenset({"fig2", "fig4"})
 
 
-def probe_writable(directory: Path) -> str | None:
-    """Check that *directory* can hold checkpoint files.
+def probe_writable(directory: Path, flag: str) -> str | None:
+    """Check that *directory*, given on the command line as *flag*, is
+    writable.
 
     Creates the directory (with parents) if needed and verifies a file
     can be opened for writing inside it.  Returns a one-line problem
-    description, or ``None`` when the directory is usable — the CLI
-    turns the former into a clean exit instead of a traceback from deep
-    inside a checkpoint write.
+    description naming *flag*, or ``None`` when the directory is usable
+    — the CLI turns the former into a clean exit instead of a traceback
+    from deep inside a store or checkpoint write.
     """
     probe = directory / ".write-probe"
     try:
@@ -118,7 +118,7 @@ def probe_writable(directory: Path) -> str | None:
             pass
         probe.unlink()
     except OSError as exc:
-        return f"--checkpoint-dir {directory} is not writable: {exc}"
+        return f"{flag} {directory} is not writable: {exc}"
     return None
 
 
@@ -154,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro",
         description="Regenerate figures from 'Pre-Processing Input Data to "
         "Augment Fault Tolerance in Space Applications' (DSN 2003).",
+        epilog="A per-experiment run keeps no state between invocations. "
+        "To resume an interrupted batch run, use the report graph: "
+        "'repro report --only <id> --resume'.",
     )
     parser.add_argument(
         "experiment",
@@ -196,19 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         "results are bit-identical for every choice)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="checkpoint completed trial shards and skip the ones already "
-        "recorded from a previous (possibly interrupted) run",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=".repro-checkpoints",
-        help="where --resume stores per-experiment JSONL checkpoints "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print per-shard telemetry (timing, trials/sec) to stderr",
@@ -238,16 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    if args.resume:
-        problem = probe_writable(Path(args.checkpoint_dir))
+    if args.cache_dir is not None:
+        problem = probe_writable(Path(args.cache_dir), "--cache-dir")
         if problem:
             print(problem, file=sys.stderr)
-            return 2
-
-    if args.cache_dir is not None:
-        problem = probe_writable(Path(args.cache_dir))
-        if problem:
-            print(problem.replace("--checkpoint-dir", "--cache-dir"), file=sys.stderr)
             return 2
 
     if args.experiment == "list":
@@ -289,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs = _QUICK_OVERRIDES.get(experiment_id, {}) if args.quick else {}
         if args.strategy and experiment_id in _STRATEGY_EXPERIMENTS:
             kwargs = {**kwargs, "strategies": tuple(dict.fromkeys(args.strategy))}
-        runtime = _build_runtime(args, experiment_id, backend)
+        runtime = _build_runtime(args, backend)
         try:
             results = run_experiment(experiment_id, runtime=runtime, **kwargs)
         except ReproError as exc:
@@ -306,29 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _build_runtime(
-    args: argparse.Namespace, experiment_id: str, backend
-) -> TrialRuntime:
-    """One runtime per experiment: fresh auto-key sequence, own checkpoint.
-
-    A per-experiment checkpoint file keyed by the runtime's
-    deterministic call sequence means a resumed run re-derives the same
-    keys in the same order and the recorded shards line up.  The
-    *backend* is shared across experiments.
-    """
-    checkpoint = None
-    if args.resume:
-        checkpoint = CheckpointStore(
-            Path(args.checkpoint_dir) / f"{experiment_id}.jsonl"
-        )
+def _build_runtime(args: argparse.Namespace, backend) -> TrialRuntime:
+    """One runtime per experiment, so each numbers its telemetry labels
+    from ``run-0000``.  The *backend* is shared across experiments."""
     telemetry = None
     if args.progress:
         telemetry = Telemetry()
         telemetry.subscribe(ProgressPrinter())
     cache = ArtifactCache(directory=args.cache_dir)
-    return TrialRuntime(
-        backend=backend, checkpoint=checkpoint, telemetry=telemetry, cache=cache
-    )
+    return TrialRuntime(backend=backend, telemetry=telemetry, cache=cache)
 
 
 if __name__ == "__main__":

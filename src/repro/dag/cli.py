@@ -208,11 +208,9 @@ def report_main(argv: list[str] | None = None) -> int:
 
     from repro.cli import probe_writable
 
-    problem = probe_writable(Path(args.cache_dir))
+    problem = probe_writable(Path(args.cache_dir), "--cache-dir")
     if problem:
-        print(
-            problem.replace("--checkpoint-dir", "--cache-dir"), file=sys.stderr
-        )
+        print(problem, file=sys.stderr)
         return 2
 
     telemetry = None

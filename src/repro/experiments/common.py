@@ -134,8 +134,7 @@ def averaged(
 
     Delegates the repeat loop to :class:`repro.runtime.TrialRuntime`,
     so passing a runtime with a process-pool backend parallelises the
-    repeats (and one with a checkpoint store makes them resumable)
-    without changing the result: per-repeat seeds are the
+    repeats without changing the result: per-repeat seeds are the
     ``SeedSequence.spawn`` children of *seed* on every backend.
     """
     if n_repeats < 1:

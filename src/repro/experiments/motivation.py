@@ -60,7 +60,7 @@ def run(
 
     Each trial returns ``[error, certified]`` so the certification
     verdicts travel with the trial values — they survive process-pool
-    workers and checkpoint resume, unlike an accumulator side effect.
+    workers, unlike an accumulator side effect.
     """
     runtime = runtime if runtime is not None else TrialRuntime()
     result = ExperimentResult(

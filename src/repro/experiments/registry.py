@@ -59,8 +59,8 @@ def run_experiment(
         experiment_id: a key of :data:`REGISTRY`.
         runtime: optional :class:`repro.runtime.TrialRuntime` that the
             experiment's trial loops run on — the hook through which
-            ``--jobs``/``--resume`` parallelise and checkpoint every
-            figure.  Serial in-process execution when omitted.
+            ``--jobs``/``--threads`` parallelise every figure.  Serial
+            in-process execution when omitted.
         **kwargs: forwarded to the experiment's ``run``.
     """
     try:

@@ -10,13 +10,13 @@ code states *what* is averaged instead of re-implementing the loop.
 The trial loop itself is delegated to
 :class:`repro.runtime.TrialRuntime`: trial seeds are the
 ``SeedSequence.spawn`` children of the campaign seed regardless of
-backend or sharding, so a campaign run across a process pool — or
-killed and resumed from a checkpoint — produces bit-identical values
-to a serial run.  Multi-arm comparisons (:meth:`Campaign.run_arms`)
-additionally emit a dataset → fault → score → aggregate task graph
-(:meth:`Campaign.graph`) scheduled by :class:`repro.dag.DagScheduler`,
-whose completed-work state lives in the artifact store rather than a
-checkpoint file.
+backend or sharding, so a campaign run across a process pool produces
+bit-identical values to a serial run.  Multi-arm comparisons
+(:meth:`Campaign.run_arms`) additionally emit a dataset → fault →
+score → aggregate task graph (:meth:`Campaign.graph`) scheduled by
+:class:`repro.dag.DagScheduler`, whose completed-work state lives in
+the artifact store, so a killed run resumes from the nodes it
+published.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class Campaign:
         n_trials: int,
         seed: int = 0,
         runtime: TrialRuntime | None = None,
-        key: str | None = None,
     ) -> CampaignSummary:
         """Run *n_trials* independently seeded trials and summarise.
 
@@ -144,15 +143,12 @@ class Campaign:
             runtime: execution runtime; a serial
                 :class:`~repro.runtime.TrialRuntime` when omitted.
                 Pass one with a :class:`~repro.runtime.ProcessPoolBackend`
-                to parallelise, or with a checkpoint store to make the
-                campaign resumable — the summary is identical either way.
-            key: checkpoint identity for this run (see
-                :meth:`TrialRuntime.run`).
+                to parallelise — the summary is identical either way.
         """
         if n_trials < 1:
             raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
         runtime = runtime if runtime is not None else TrialRuntime()
-        values = runtime.run(self._trial, n_trials, seed, key=key)
+        values = runtime.run(self._trial, n_trials, seed)
         return CampaignSummary.from_values(values, self.confidence)
 
     def graph(
@@ -213,7 +209,6 @@ class Campaign:
         n_trials: int,
         seed: int = 0,
         runtime: TrialRuntime | None = None,
-        key: str | None = None,
         dataset_key: tuple | None = None,
     ) -> dict[str, CampaignSummary]:
         """Run several preprocessing arms over one shared artifact stream.
@@ -232,9 +227,6 @@ class Campaign:
             n_trials: number of trials (>= 1).
             seed: root seed, as in :meth:`run`.
             runtime: execution runtime, as in :meth:`run`.
-            key: accepted for signature compatibility with :meth:`run`;
-                the DAG path needs no checkpoint identity because
-                completed nodes are recovered from the artifact store.
             dataset_key: canonical cache identity of the generator
                 configuration; when omitted, a process-unique key keeps
                 the artifact cache correct but defeats cross-call reuse
@@ -242,7 +234,6 @@ class Campaign:
         """
         from repro.dag import DagScheduler, aggregate_values
 
-        del key  # recovery is filesystem-based; see the docstring
         runtime = runtime if runtime is not None else TrialRuntime()
         task_graph, aggregate = self.graph(
             arms, n_trials, seed, dataset_key=dataset_key

@@ -1,5 +1,5 @@
 """Parallel campaign execution runtime: sharded trials, pluggable
-serial/process-pool backends, JSONL checkpointing, and telemetry.
+serial/thread/process-pool backends, and telemetry.
 
 The paper's evaluation averages every data point over many
 independently seeded trials (Figure 5 uses 100 datasets per point).
@@ -7,11 +7,11 @@ This subsystem makes that loop a scheduling problem: a
 :class:`TrialPlan` derives per-trial seeds via
 ``SeedSequence.spawn`` and splits them into shards, an
 :class:`Executor` backend runs the shards (in-process or across a
-process pool), a :class:`CheckpointStore` records completions so an
-interrupted campaign resumes where it stopped, and a
-:class:`Telemetry` hub reports per-shard timing and throughput.
-Results are bit-identical across backends, shard sizes, and
-interrupt/resume cycles.
+thread or process pool), and a :class:`Telemetry` hub reports
+per-shard timing and throughput.  Results are bit-identical across
+backends and shard sizes.  Interrupted batch runs resume through the
+task graph (``repro report --resume``), whose completed work lives in
+the artifact store.
 
 Multi-arm sweeps are described with the specs in
 :mod:`repro.runtime.specs` (:class:`Arm`, :class:`DatasetSpec`,
@@ -30,7 +30,6 @@ from repro.runtime.backend import (
     default_start_method,
     resolve_backend,
 )
-from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import TrialRuntime
 from repro.runtime.plan import Shard, TrialPlan, default_shard_size
 from repro.runtime.specs import Arm, DatasetSpec, FaultSpec
@@ -48,7 +47,6 @@ from repro.runtime.telemetry import (
 __all__ = [
     "Arm",
     "BACKEND_CHOICES",
-    "CheckpointStore",
     "DagCompleted",
     "DagStarted",
     "DatasetSpec",

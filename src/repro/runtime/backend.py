@@ -1,10 +1,10 @@
 """Execution backends: where a plan's shards actually run.
 
-Both backends implement the one-method :class:`Executor` interface —
+Every backend implements the one-method :class:`Executor` interface —
 take a shard function and a list of shards, yield a
 :class:`ShardResult` per shard as each completes (possibly out of
-order) — so everything above them (checkpointing, telemetry, result
-assembly) is backend-agnostic.
+order) — so everything above them (telemetry, result assembly) is
+backend-agnostic.
 
 :class:`ProcessPoolBackend` prefers a fork-context ``multiprocessing``
 pool and passes the shard function to workers through the pool

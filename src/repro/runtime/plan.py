@@ -4,8 +4,7 @@ A :class:`TrialPlan` splits ``n_trials`` independently seeded trials
 into contiguous :class:`Shard` chunks.  Per-trial seeds come from
 ``numpy.random.SeedSequence(seed).spawn(n_trials)`` — the same spawn
 tree regardless of how the trials are sharded or which backend runs
-them — so a parallel run is bit-identical to a serial one, and a
-resumed run is bit-identical to an uninterrupted one.
+them — so a parallel run is bit-identical to a serial one.
 """
 
 from __future__ import annotations
@@ -17,19 +16,16 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: Target shard count for :func:`default_shard_size`.  Chosen purely as
-#: a function of ``n_trials`` (never of the backend's worker count) so
-#: that plans — and therefore checkpoint files — are interchangeable
-#: between serial and parallel runs of the same campaign.
+#: Target shard count for :func:`default_shard_size`: enough shards to
+#: keep a worker pool busy, few enough to amortise dispatch overhead.
 _TARGET_SHARDS = 16
 
 
 def default_shard_size(n_trials: int) -> int:
     """Shard size aiming for ~:data:`_TARGET_SHARDS` shards.
 
-    Small campaigns get one trial per shard (finest checkpoint
-    granularity); large ones amortise dispatch overhead over bigger
-    chunks.
+    Small campaigns get one trial per shard (finest load balancing);
+    large ones amortise dispatch overhead over bigger chunks.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -98,16 +94,6 @@ class TrialPlan:
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def fingerprint(self) -> str:
-        """Identity of this plan for checkpoint compatibility checks.
-
-        Two runs may share checkpointed shards only when their
-        fingerprints match — same trial count, same root seed and same
-        shard boundaries.
-        """
-        return f"n={self.n_trials};seed={self.seed};shard={self.shard_size};v1"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

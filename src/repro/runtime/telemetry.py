@@ -1,16 +1,15 @@
 """Runtime telemetry: progress and throughput events for subscribers.
 
 The runtime emits one :class:`RunStarted` per ``TrialRuntime.run``
-call, one :class:`ShardCompleted` per shard (including shards restored
-from a checkpoint, flagged ``from_checkpoint``), and one
+call, one :class:`ShardCompleted` per shard, and one
 :class:`RunCompleted` at the end.  The DAG scheduler
 (:mod:`repro.dag`) emits the parallel family :class:`DagStarted` /
 :class:`NodeCompleted` / :class:`DagCompleted`, where restoration is
-flagged per node (``from_store``) because completed work is detected
-from the artifact store rather than a checkpoint file.  Experiments,
-the CLI, tests and benchmarks subscribe callbacks on a
-:class:`Telemetry` hub; :class:`ProgressPrinter` is the stock
-subscriber that renders events as one-line progress messages.
+flagged per node (``from_store``): a resumed run detects completed
+work from the artifact store.  Experiments, the CLI, tests and
+benchmarks subscribe callbacks on a :class:`Telemetry` hub;
+:class:`ProgressPrinter` is the stock subscriber that renders events
+as one-line progress messages.
 """
 
 from __future__ import annotations
@@ -26,31 +25,28 @@ class RunStarted:
     """Emitted when a trial run begins, before any shard executes.
 
     Attributes:
-        key: the run's checkpoint key.
+        key: the run's telemetry label (``run-NNNN``).
         n_trials: total trials in the plan.
         n_shards: total shards in the plan.
-        n_pending: shards that will actually run (not checkpointed).
         backend: human-readable backend description.
     """
 
     key: str
     n_trials: int
     n_shards: int
-    n_pending: int
     backend: str
 
 
 @dataclass(frozen=True)
 class ShardCompleted:
-    """Emitted as each shard finishes (or is restored from checkpoint).
+    """Emitted as each shard finishes.
 
     Attributes:
-        key: the run's checkpoint key.
+        key: the run's telemetry label (``run-NNNN``).
         shard_index: which shard completed.
         n_trials: trials in this shard.
-        elapsed_s: worker-side wall-clock seconds (0 when restored).
-        trials_per_sec: shard throughput (0 when restored).
-        from_checkpoint: True when the shard was loaded, not run.
+        elapsed_s: worker-side wall-clock seconds.
+        trials_per_sec: shard throughput.
     """
 
     key: str
@@ -58,7 +54,6 @@ class ShardCompleted:
     n_trials: int
     elapsed_s: float
     trials_per_sec: float
-    from_checkpoint: bool
 
 
 @dataclass(frozen=True)
@@ -66,18 +61,16 @@ class RunCompleted:
     """Emitted once per run after every shard's values are assembled.
 
     Attributes:
-        key: the run's checkpoint key.
+        key: the run's telemetry label (``run-NNNN``).
         n_trials: total trials aggregated.
-        n_shards_run: shards executed in this process.
-        n_shards_restored: shards restored from the checkpoint.
+        n_shards_run: shards executed.
         elapsed_s: end-to-end wall-clock seconds for the run call.
-        trials_per_sec: overall throughput including restored shards.
+        trials_per_sec: overall throughput.
     """
 
     key: str
     n_trials: int
     n_shards_run: int
-    n_shards_restored: int
     elapsed_s: float
     trials_per_sec: float
 
@@ -196,18 +189,11 @@ class ProgressPrinter:
     def format(event: TelemetryEvent) -> str:
         """The one-line rendering of *event*."""
         if isinstance(event, RunStarted):
-            restored = event.n_shards - event.n_pending
-            suffix = f", {restored} shard(s) from checkpoint" if restored else ""
             return (
                 f"[{event.key}] start: {event.n_trials} trial(s) in "
-                f"{event.n_shards} shard(s) on {event.backend}{suffix}"
+                f"{event.n_shards} shard(s) on {event.backend}"
             )
         if isinstance(event, ShardCompleted):
-            if event.from_checkpoint:
-                return (
-                    f"[{event.key}] shard {event.shard_index}: "
-                    f"{event.n_trials} trial(s) restored from checkpoint"
-                )
             return (
                 f"[{event.key}] shard {event.shard_index}: "
                 f"{event.n_trials} trial(s) in {event.elapsed_s:.3f}s "
@@ -243,7 +229,6 @@ class ProgressPrinter:
             return (
                 f"[{event.key}] done: {event.n_trials} trial(s) in "
                 f"{event.elapsed_s:.3f}s ({event.trials_per_sec:.1f} trials/s; "
-                f"{event.n_shards_run} shard(s) run, "
-                f"{event.n_shards_restored} restored)"
+                f"{event.n_shards_run} shard(s) run)"
             )
         return repr(event)

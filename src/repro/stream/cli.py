@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume:
         from repro.cli import probe_writable
 
-        problem = probe_writable(Path(args.checkpoint_dir))
+        problem = probe_writable(Path(args.checkpoint_dir), "--checkpoint-dir")
         if problem:
             print(problem, file=sys.stderr)
             return 2

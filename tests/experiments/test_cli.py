@@ -87,22 +87,6 @@ class TestRuntimeFlags:
         capsys.readouterr()
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
-    def test_resume_writes_and_reuses_checkpoints(self, tmp_path, capsys):
-        ckpt_dir = tmp_path / "ckpts"
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        args = ["fig5", "--quick", "--resume", "--checkpoint-dir", str(ckpt_dir)]
-        assert main(args + ["--json", str(first)]) == 0
-        ckpt_path = ckpt_dir / "fig5.jsonl"
-        assert ckpt_path.exists()
-        recorded = ckpt_path.read_text()
-        # Second run restores every shard: the checkpoint grows by
-        # nothing and the output is unchanged.
-        assert main(args + ["--json", str(second)]) == 0
-        capsys.readouterr()
-        assert ckpt_path.read_text() == recorded
-        assert first.read_bytes() == second.read_bytes()
-
     def test_progress_prints_telemetry_to_stderr(self, tmp_path, capsys):
         assert main(["fig5", "--quick", "--progress"]) == 0
         captured = capsys.readouterr()
@@ -133,20 +117,44 @@ class TestRefusedInvocations:
             ["stream", "--backend", "process"],
             ["report", "--quick", "--only", "fig2", "--backend", "serial",
              "--threads", "4"],
+            # Per-experiment checkpoints are gone; the report graph
+            # (`repro report --only fig5 --resume`) is the one resume.
+            ["fig5", "--resume"],
+            ["fig5", "--checkpoint-dir", "d"],
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path):
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=tmp_path,
-            timeout=120,
+        _refused_message(argv, tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig8", "--quick", "--cache-dir", "/dev/null/store"],
+            ["report", "--quick", "--only", "fig8", "--cache-dir", "/dev/null/store"],
+        ],
+    )
+    def test_unwritable_cache_dir_names_the_flag(self, argv, tmp_path):
+        assert _refused_message(argv, tmp_path).startswith(
+            "--cache-dir /dev/null/store is not writable"
         )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(_message_lines(proc.stderr)) == 1, proc.stderr
-        assert proc.stdout == ""
+
+
+def _refused_message(argv: list[str], cwd) -> str:
+    """Run the real CLI on *argv*; assert a clean refusal and return its
+    one stderr message line."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = _message_lines(proc.stderr)
+    assert len(lines) == 1, proc.stderr
+    assert proc.stdout == ""
+    return lines[0]

@@ -146,6 +146,18 @@ def _panels(blob):
 
 
 def test_reference_panels_match_direct_experiment_run(reference):
-    """The DAG-produced panels decode to the registry experiments' ids."""
+    """The DAG-produced panels decode to the same values as running each
+    experiment directly — so ``repro report --only <id>`` (resumable)
+    stands in for ``repro <id>``.  Values, not bytes: the report stores
+    canonical JSON (sorted keys, ``49152.0`` for ``49152``)."""
+    from repro.dag.report import quick_overrides
+    from repro.experiments.registry import run_experiment
+
     panels = _panels(reference[0])
     assert [p["experiment_id"] for p in panels] == ["fig2", "motivation"]
+    direct = [
+        result.to_dict()
+        for experiment_id in EXPERIMENTS.split(",")
+        for result in run_experiment(experiment_id, **quick_overrides(experiment_id))
+    ]
+    assert panels == json.loads(json.dumps(direct))

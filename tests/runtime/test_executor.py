@@ -1,10 +1,8 @@
-"""Tests for TrialRuntime: equivalence, resume, telemetry."""
+"""Tests for TrialRuntime: equivalence, telemetry."""
 
 import numpy as np
-import pytest
 
 from repro.runtime import (
-    CheckpointStore,
     ProcessPoolBackend,
     RunCompleted,
     RunStarted,
@@ -62,85 +60,17 @@ class TestSerialEquivalence:
         assert parallel == serial
 
 
-class TestResume:
-    def test_interrupted_run_resumes_without_rerunning(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        calls = {"n": 0}
-
-        def fragile(rng):
-            calls["n"] += 1
-            if calls["n"] > 4:
-                raise RuntimeError("simulated crash")
-            return float(rng.normal())
-
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            TrialRuntime(checkpoint=store, shard_size=2).run(fragile, 10, seed=3)
-        # Two full shards (4 trials) were checkpointed before the crash.
-        assert len(store.completed("run-0000", "n=10;seed=3;shard=2;v1")) == 2
-
-        calls["n"] = 0
-
-        def healthy(rng):
-            calls["n"] += 1
-            return float(rng.normal())
-
-        resumed = TrialRuntime(checkpoint=store, shard_size=2).run(
-            healthy, 10, seed=3
-        )
-        assert calls["n"] == 6  # only the 3 unfinished shards re-ran
-        clean = TrialRuntime(shard_size=2).run(_trial, 10, seed=3)
-        assert resumed == clean
-
-    def test_checkpoint_shared_between_serial_and_parallel(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        serial = TrialRuntime(
-            SerialBackend(), checkpoint=store, shard_size=2
-        ).run(_trial, 9, seed=4)
-        resumed = TrialRuntime(
-            ProcessPoolBackend(3), checkpoint=store, shard_size=2
-        ).run(_trial, 9, seed=4)
-        assert resumed == serial
-
-    def test_changed_plan_invalidates_checkpoint(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 6, seed=1)
-        calls = {"n": 0}
-
-        def counting(rng):
-            calls["n"] += 1
-            return float(rng.normal())
-
-        TrialRuntime(checkpoint=store, shard_size=2).run(counting, 6, seed=99)
-        assert calls["n"] == 6  # different seed: nothing restored
-
-    def test_out_of_range_shard_records_ignored(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        store.record("run-0000", "n=4;seed=0;shard=2;v1", 7, [1.0, 2.0])
-        values = TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 4, seed=0)
-        assert values == TrialRuntime(shard_size=2).run(_trial, 4, seed=0)
-
-    def test_wrong_length_checkpoint_fails_loudly(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        store.record("run-0000", "n=4;seed=0;shard=2;v1", 0, [1.0, 2.0, 3.0])
-        with pytest.raises(RuntimeError, match="expected 2"):
-            TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 4, seed=0)
-
-
 class TestKeysAndTelemetry:
-    def test_auto_keys_are_sequential_per_runtime(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        runtime = TrialRuntime(checkpoint=store, shard_size=2)
+    def test_auto_keys_are_sequential_per_runtime(self):
+        telemetry = Telemetry()
+        events = []
+        telemetry.subscribe(events.append)
+        runtime = TrialRuntime(telemetry=telemetry, shard_size=2)
         runtime.run(_trial, 4, seed=0)
         runtime.run(_trial, 4, seed=0)
-        assert store.completed("run-0000", "n=4;seed=0;shard=2;v1")
-        assert store.completed("run-0001", "n=4;seed=0;shard=2;v1")
-
-    def test_explicit_key_used_verbatim(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(
-            _trial, 4, seed=0, key="fig5/point-1"
-        )
-        assert store.completed("fig5/point-1", "n=4;seed=0;shard=2;v1")
+        starts = [e.key for e in events if isinstance(e, RunStarted)]
+        assert starts == ["run-0000", "run-0001"]
+        assert {e.key for e in events} == {"run-0000", "run-0001"}
 
     def test_event_sequence(self):
         telemetry = Telemetry()
@@ -151,30 +81,10 @@ class TestKeysAndTelemetry:
         assert isinstance(events[0], RunStarted)
         assert events[0].n_trials == 6
         assert events[0].n_shards == 3
-        assert events[0].n_pending == 3
 
         shard_events = [e for e in events if isinstance(e, ShardCompleted)]
         assert sorted(e.shard_index for e in shard_events) == [0, 1, 2]
-        assert not any(e.from_checkpoint for e in shard_events)
 
         assert isinstance(events[-1], RunCompleted)
         assert events[-1].n_trials == 6
         assert events[-1].n_shards_run == 3
-        assert events[-1].n_shards_restored == 0
-
-    def test_restored_shards_flagged_in_telemetry(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 6, seed=1)
-
-        telemetry = Telemetry()
-        events = []
-        telemetry.subscribe(events.append)
-        TrialRuntime(checkpoint=store, telemetry=telemetry, shard_size=2).run(
-            _trial, 6, seed=1
-        )
-        restored = [
-            e for e in events if isinstance(e, ShardCompleted) and e.from_checkpoint
-        ]
-        assert len(restored) == 3
-        assert events[-1].n_shards_run == 0
-        assert events[-1].n_shards_restored == 3

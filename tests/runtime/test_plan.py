@@ -56,13 +56,6 @@ class TestTrialPlan:
 
         assert draws(1) == draws(3) == draws(9)
 
-    def test_fingerprint_distinguishes_plans(self):
-        base = TrialPlan(10, seed=3, shard_size=3)
-        assert base.fingerprint == TrialPlan(10, seed=3, shard_size=3).fingerprint
-        assert base.fingerprint != TrialPlan(11, seed=3, shard_size=3).fingerprint
-        assert base.fingerprint != TrialPlan(10, seed=4, shard_size=3).fingerprint
-        assert base.fingerprint != TrialPlan(10, seed=3, shard_size=5).fingerprint
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):
             TrialPlan(0)

@@ -11,20 +11,17 @@ from repro.runtime.telemetry import (
 )
 
 
-def _started(n_pending=4):
-    return RunStarted(
-        key="run-0000", n_trials=10, n_shards=4, n_pending=n_pending, backend="serial"
-    )
+def _started():
+    return RunStarted(key="run-0000", n_trials=10, n_shards=4, backend="serial")
 
 
-def _shard(from_checkpoint=False):
+def _shard():
     return ShardCompleted(
         key="run-0000",
         shard_index=2,
         n_trials=3,
-        elapsed_s=0.0 if from_checkpoint else 0.5,
-        trials_per_sec=0.0 if from_checkpoint else 6.0,
-        from_checkpoint=from_checkpoint,
+        elapsed_s=0.5,
+        trials_per_sec=6.0,
     )
 
 
@@ -32,8 +29,7 @@ def _completed():
     return RunCompleted(
         key="run-0000",
         n_trials=10,
-        n_shards_run=3,
-        n_shards_restored=1,
+        n_shards_run=4,
         elapsed_s=2.0,
         trials_per_sec=5.0,
     )
@@ -75,11 +71,9 @@ class TestProgressPrinter:
         assert len(lines) == 3
         assert all(line.startswith("[run-0000]") for line in lines)
 
-    def test_format_run_started_mentions_checkpointed_shards(self):
-        assert "from checkpoint" not in ProgressPrinter.format(_started(n_pending=4))
-        assert "1 shard(s) from checkpoint" in ProgressPrinter.format(
-            _started(n_pending=3)
-        )
+    def test_format_run_started(self):
+        line = ProgressPrinter.format(_started())
+        assert line == "[run-0000] start: 10 trial(s) in 4 shard(s) on serial"
 
     def test_format_shard_completed(self):
         line = ProgressPrinter.format(_shard())
@@ -87,12 +81,8 @@ class TestProgressPrinter:
         assert "3 trial(s)" in line
         assert "6.0 trials/s" in line
 
-    def test_format_restored_shard(self):
-        line = ProgressPrinter.format(_shard(from_checkpoint=True))
-        assert "restored from checkpoint" in line
-
     def test_format_run_completed(self):
         line = ProgressPrinter.format(_completed())
         assert "done" in line
-        assert "3 shard(s) run" in line
-        assert "1 restored" in line
+        assert "4 shard(s) run" in line
+        assert "restored" not in line

@@ -133,22 +133,13 @@ class TestErrorPaths:
         assert "unknown experiment" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_unwritable_checkpoint_dir_main_cli(self, capsys):
-        rc = repro_main(
-            ["fig2", "--quick", "--resume", "--checkpoint-dir", "/proc/nope"]
-        )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "not writable" in captured.err
-        assert "Traceback" not in captured.err
-
     def test_unwritable_checkpoint_dir_stream_cli(self, capsys):
         rc = stream_main(
             ["--frames", "10", "--resume", "--checkpoint-dir", "/proc/nope"]
         )
         assert rc == 2
         captured = capsys.readouterr()
-        assert "not writable" in captured.err
+        assert "--checkpoint-dir /proc/nope is not writable" in captured.err
 
     def test_missing_input_file_is_one_line(self, capsys, tmp_path):
         rc = stream_main(["--input", str(tmp_path / "absent.npy")])

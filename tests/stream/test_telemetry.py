@@ -93,7 +93,6 @@ class TestProgressPrinter:
                 key="k",
                 n_trials=10,
                 n_shards_run=2,
-                n_shards_restored=0,
                 elapsed_s=1.0,
                 trials_per_sec=10.0,
             )
