@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test verify bench serve-bench strategy-smoke figures quick-figures report report-render claims clean
+.PHONY: install native test verify bench serve-bench figures quick-figures report report-render claims clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -26,11 +26,6 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Adaptive-strategy drill: the operator `--strategy` flag path through
-# the real CLI (fig2 --quick with the adaptive arm).
-strategy-smoke:
-	PYTHONPATH=src $(PYTHON) tools/strategy_smoke.py
 
 # Serve load harness: concurrent-stream throughput/latency plus the
 # chaos-kill/drain/restart churn phase, written under

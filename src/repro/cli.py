@@ -97,7 +97,7 @@ _QUICK_OVERRIDES: dict[str, dict] = {
 }
 
 #: Experiments whose ``run`` accepts a ``strategies`` keyword (the
-#: figures ``--strategy`` adds adaptive/selective arms to).
+#: figures ``--strategy`` adds selective arms to).
 _STRATEGY_EXPERIMENTS = frozenset({"fig2", "fig4"})
 
 
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=[s for s in STRATEGY_CHOICES if s != "fixed"],
         default=None,
         metavar="NAME",
-        help="append an adaptive/selective Algo_NGST arm to experiments "
+        help="append a selective Algo_NGST arm to experiments "
         "that support strategy arms (fig2, fig4); repeatable",
     )
     parser.add_argument(

@@ -30,12 +30,11 @@ def _check_sensitivity(sensitivity: float) -> None:
 
 
 #: Preprocessing strategies selectable through :class:`NGSTConfig`.
-#: ``fixed`` is Algorithm 1 exactly as the paper states it; ``adaptive``
-#: re-weights the pruning thresholds per pairing way by an incoherence
-#: score (Alagöz-style score-weighted voting); ``selective`` routes only
-#: high-sensitivity regions through the full pipeline (Wang et al.-style
-#: application-aware protection).  See :mod:`repro.core.strategies`.
-STRATEGY_CHOICES = ("fixed", "adaptive", "selective")
+#: ``fixed`` is Algorithm 1 exactly as the paper states it; ``selective``
+#: routes only high-sensitivity regions through the full pipeline (Wang
+#: et al.-style application-aware protection).  See
+#: :mod:`repro.core.strategies`.
+STRATEGY_CHOICES = ("fixed", "selective")
 
 
 def _check_probability(p: float, name: str) -> None:
@@ -56,17 +55,10 @@ class NGSTConfig:
             image coordinate (the fully dynamic behaviour of §3.3).  When
             False a single global threshold per pairing way is used.
         strategy: one of :data:`STRATEGY_CHOICES`.  ``fixed`` (default)
-            runs Algorithm 1 unchanged; ``adaptive`` and ``selective``
-            dispatch through :mod:`repro.core.strategies`.
-        coherence_beta: β ≥ 0, gain of the incoherence-score threshold
-            shift used by the ``adaptive`` strategy.  β = 0 disables the
-            adjustment entirely: the adaptive path then produces output
-            byte-identical to ``fixed`` (the degeneracy the equivalence
-            harness gates).
-        coherence_prune_ratio: incoherence score at or above which an
-            entire pairing way is pruned (abstains) at a column.  Scores
-            are normalised so a coherent way sits near 1.0; 0 disables
-            pruning.  Must be 0 or > 1.
+            runs Algorithm 1 unchanged; ``selective`` dispatches to
+            :func:`repro.core.strategies.run_selective`.  The three
+            region fields below are refused under ``fixed``, which would
+            ignore them.
         margin: border width (in pixels, every spatial axis) classified
             low-sensitivity by the ``selective`` strategy's region map.
             0 = no margin region.
@@ -84,8 +76,6 @@ class NGSTConfig:
     sensitivity: float = 50.0
     per_coordinate_thresholds: bool = True
     strategy: str = "fixed"
-    coherence_beta: float = 1.0
-    coherence_prune_ratio: float = 0.0
     margin: int = 0
     header_rows: int = 0
     science_fast: bool = False
@@ -97,37 +87,19 @@ class NGSTConfig:
             raise ConfigurationError(
                 f"strategy must be one of {STRATEGY_CHOICES}, got {self.strategy!r}"
             )
-        if not self.coherence_beta >= 0:
-            raise ConfigurationError(
-                f"coherence_beta must be >= 0, got {self.coherence_beta}"
-            )
-        if self.coherence_prune_ratio != 0 and not self.coherence_prune_ratio > 1:
-            raise ConfigurationError(
-                "coherence_prune_ratio must be 0 (off) or > 1, "
-                f"got {self.coherence_prune_ratio}"
-            )
         if self.margin < 0:
             raise ConfigurationError(f"margin must be >= 0, got {self.margin}")
         if self.header_rows < 0:
             raise ConfigurationError(
                 f"header_rows must be >= 0, got {self.header_rows}"
             )
-
-    @property
-    def is_default_strategy(self) -> bool:
-        """True when every strategy field still has its default value.
-
-        Used by :meth:`repro.stream.pipeline.VoterStage.describe` to keep
-        checkpoint fingerprints of pre-strategy pipelines unchanged.
-        """
-        return (
-            self.strategy == "fixed"
-            and self.coherence_beta == 1.0
-            and self.coherence_prune_ratio == 0.0
-            and self.margin == 0
-            and self.header_rows == 0
-            and not self.science_fast
-        )
+        if self.strategy != "selective" and (
+            self.margin or self.header_rows or self.science_fast
+        ):
+            raise ConfigurationError(
+                "margin, header_rows and science_fast apply only to "
+                f"strategy 'selective', got strategy {self.strategy!r}"
+            )
 
     @property
     def half_upsilon(self) -> int:

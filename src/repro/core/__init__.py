@@ -11,37 +11,23 @@ from repro.core.algo_otis import AlgoOTIS, OTISResult
 from repro.core.autotune import AutotuneResult, autotune_sensitivity
 from repro.core.preprocessor import NGSTPreprocessor, OTISPreprocessor
 from repro.core.sensitivity import phi_rank
-from repro.core.strategies import (
-    AdaptiveVotingStrategy,
-    FixedStrategy,
-    SelectiveProtectionStrategy,
-    adaptive_thresholds,
-    incoherence_scores,
-    region_mask,
-    resolve_strategy,
-    strategy_arm_config,
-)
+from repro.core.strategies import region_mask, run_selective, strategy_arm_config
 from repro.core.voter import VoterMatrix
 from repro.core.windows import BitWindows
 
 __all__ = [
-    "AdaptiveVotingStrategy",
     "AlgoNGST",
     "AlgoOTIS",
     "AutotuneResult",
     "BitWindows",
-    "FixedStrategy",
     "NGSTPreprocessor",
     "NGSTResult",
     "OTISPreprocessor",
     "OTISResult",
-    "SelectiveProtectionStrategy",
     "VoterMatrix",
-    "adaptive_thresholds",
     "autotune_sensitivity",
-    "incoherence_scores",
     "phi_rank",
     "region_mask",
-    "resolve_strategy",
+    "run_selective",
     "strategy_arm_config",
 ]

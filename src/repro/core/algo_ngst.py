@@ -49,21 +49,12 @@ class NGSTResult:
     n_bits_corrected: int
 
 
-def correct_with_thresholds(
-    pixels: np.ndarray,
-    cfg: NGSTConfig,
-    matrix: VoterMatrix,
-    thresholds: np.ndarray,
-) -> NGSTResult:
-    """Steps 3–4 of Algorithm 1 given a (possibly adjusted) threshold tensor.
-
-    This is the shared correction core: the ``fixed`` path feeds it the
-    Φ(Λ)-ranked thresholds unchanged, while the adaptive strategy feeds
-    it per-way/per-column thresholds rescaled by incoherence score.
-    ``thresholds`` must have shape ``(Υ,)`` or ``(Υ,) + coord shape`` and
-    contain powers of two (or 0 / 2**nbits at the extremes), as
-    :meth:`BitWindows.from_thresholds` requires.
-    """
+def run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:
+    """Algorithm 1 exactly as the paper states it (the ``fixed`` strategy)."""
+    matrix = VoterMatrix(pixels, cfg.upsilon)
+    thresholds = matrix.thresholds(
+        cfg.sensitivity, per_coordinate=cfg.per_coordinate_thresholds
+    )
     nbits = bitops.bit_width(pixels.dtype)
     windows = BitWindows.from_thresholds(thresholds, nbits)
 
@@ -99,15 +90,6 @@ def correct_with_thresholds(
         n_pixels_corrected=int(np.count_nonzero(corr)),
         n_bits_corrected=int(bitops.popcount(corr).sum()),
     )
-
-
-def run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:
-    """Algorithm 1 exactly as the paper states it (the ``fixed`` strategy)."""
-    matrix = VoterMatrix(pixels, cfg.upsilon)
-    thresholds = matrix.thresholds(
-        cfg.sensitivity, per_coordinate=cfg.per_coordinate_thresholds
-    )
-    return correct_with_thresholds(pixels, cfg, matrix, thresholds)
 
 
 class AlgoNGST:
@@ -147,9 +129,9 @@ class AlgoNGST:
                 "pixels must have a leading temporal axis with >= 2 variants"
             )
         cfg = self.config
-        if cfg.strategy != "fixed":
+        if cfg.strategy == "selective":
             # Late import: strategies imports run_fixed from this module.
-            from repro.core.strategies import resolve_strategy
+            from repro.core.strategies import run_selective
 
-            return resolve_strategy(cfg).run(pixels, cfg)
+            return run_selective(pixels, cfg)
         return run_fixed(pixels, cfg)

@@ -35,8 +35,7 @@ from repro.metrics.relative_error import psi
 DEFAULT_LAMBDA_GRID = (10.0, 30.0, 50.0, 70.0, 90.0, 100.0)
 
 #: Gaussian consistency constant: MAD of N(0, σ) samples ≈ 0.6745·σ, so
-#: dividing a median absolute deviation by this estimates σ.  Shared with
-#: the incoherence scoring in :mod:`repro.core.strategies`.
+#: dividing a median absolute deviation by this estimates σ.
 MAD_SCALE = 0.6745
 
 

@@ -97,9 +97,8 @@ def graph(
     One arm sweep per Γ₀ point; the pristine-walk dataset nodes are
     shared across points (the walk does not depend on Γ₀), turning the
     artifact reuse the cache used to discover at runtime into explicit
-    graph structure.  *strategies* appends one adaptive/selective
-    Algo_NGST arm per named strategy, all operating at Λ =
-    *strategy_lambda* (see
+    graph structure.  *strategies* appends one Algo_NGST arm per
+    named strategy, all operating at Λ = *strategy_lambda* (see
     :func:`repro.core.strategies.strategy_arm_config`).
     """
     result_graph = TaskGraph("fig2")

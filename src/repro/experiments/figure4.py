@@ -97,7 +97,7 @@ def graph(
 ) -> TaskGraph:
     """The Figure 4 campaign as a task graph ending in :data:`TABLE_NODE`.
 
-    *strategies* appends one adaptive/selective Algo_NGST arm per named
+    *strategies* appends one Algo_NGST arm per named
     strategy at Λ = *strategy_lambda*, mirroring figure 2.
     """
     result_graph = TaskGraph("fig4")

@@ -11,33 +11,25 @@ The trial loop itself is delegated to
 :class:`repro.runtime.TrialRuntime`: trial seeds are the
 ``SeedSequence.spawn`` children of the campaign seed regardless of
 backend or sharding, so a campaign run across a process pool produces
-bit-identical values to a serial run.  Multi-arm comparisons
-(:meth:`Campaign.run_arms`) additionally emit a dataset → fault →
-score → aggregate task graph (:meth:`Campaign.graph`) scheduled by
-:class:`repro.dag.DagScheduler`, whose completed-work state lives in
-the artifact store, so a killed run resumes from the nodes it
-published.
+bit-identical values to a serial run.  Multi-arm sweeps that share
+one artifact stream across arms (the figure campaigns) are task graphs
+built with :func:`repro.dag.add_arm_sweep` instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.runtime import Arm, DatasetSpec, FaultSpec, TrialRuntime
+from repro.runtime import TrialRuntime
 
 #: z-scores for the supported confidence levels.
 _Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-
-#: Process-unique tokens for campaigns run without an explicit dataset
-#: cache key: distinct campaigns must never share cache entries.
-_UNKEYED_DATASETS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -150,102 +142,6 @@ class Campaign:
         runtime = runtime if runtime is not None else TrialRuntime()
         values = runtime.run(self._trial, n_trials, seed)
         return CampaignSummary.from_values(values, self.confidence)
-
-    def graph(
-        self,
-        arms: Mapping[str, Callable[[np.ndarray], np.ndarray] | None],
-        n_trials: int,
-        seed: int = 0,
-        dataset_key: tuple | None = None,
-    ):
-        """This campaign's multi-arm sweep as a task graph.
-
-        Returns ``(graph, aggregate_node)``: a
-        :class:`~repro.dag.TaskGraph` with one dataset + fault node
-        pair per trial, one pure score node per (trial, arm), and an
-        aggregate node stacking each arm's per-trial metric values.
-        :meth:`run_arms` schedules this graph; callers wanting to merge
-        several campaigns into one run (or render it with
-        ``repro dag show``) can build it directly.
-        """
-        from repro.dag import TaskGraph, add_arm_sweep
-
-        if n_trials < 1:
-            raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-        if not arms:
-            raise ConfigurationError("need at least one arm")
-        if dataset_key is None:
-            dataset_key = ("campaign-unkeyed", next(_UNKEYED_DATASETS))
-        if hasattr(self.fault_model, "cache_key_parts"):
-            fault = FaultSpec.of(self.fault_model)
-        else:
-            fault = FaultSpec(
-                model=self.fault_model,
-                key_parts=(type(self.fault_model).__name__, dataset_key),
-            )
-
-        def make_evaluate(preprocess):
-            def evaluate(corrupted, pristine):
-                processed = preprocess(corrupted) if preprocess else corrupted
-                return float(self.metric(processed, pristine))
-
-            return evaluate
-
-        task_graph = TaskGraph("campaign")
-        aggregate = add_arm_sweep(
-            task_graph,
-            "campaign",
-            [Arm(name, make_evaluate(fn)) for name, fn in arms.items()],
-            DatasetSpec(build=self.generate, key_parts=dataset_key),
-            fault,
-            n_trials,
-            seed,
-        )
-        return task_graph, aggregate
-
-    def run_arms(
-        self,
-        arms: Mapping[str, Callable[[np.ndarray], np.ndarray] | None],
-        n_trials: int,
-        seed: int = 0,
-        runtime: TrialRuntime | None = None,
-        dataset_key: tuple | None = None,
-    ) -> dict[str, CampaignSummary]:
-        """Run several preprocessing arms over one shared artifact stream.
-
-        Emits the campaign's task graph (:meth:`graph`) and schedules
-        it on the runtime's backend: generation and injection run
-        **once per trial** and every arm scores the same
-        corrupted/pristine pair, so each summary is bit-identical to
-        the corresponding per-arm :meth:`run` — at roughly
-        ``1/len(arms)`` the production cost, less again when the
-        runtime carries a warm artifact cache.
-
-        Args:
-            arms: name → preprocessing callable (None for the
-                no-preprocessing arm); names key the returned dict.
-            n_trials: number of trials (>= 1).
-            seed: root seed, as in :meth:`run`.
-            runtime: execution runtime, as in :meth:`run`.
-            dataset_key: canonical cache identity of the generator
-                configuration; when omitted, a process-unique key keeps
-                the artifact cache correct but defeats cross-call reuse
-                (and cross-run recovery).
-        """
-        from repro.dag import DagScheduler, aggregate_values
-
-        runtime = runtime if runtime is not None else TrialRuntime()
-        task_graph, aggregate = self.graph(
-            arms, n_trials, seed, dataset_key=dataset_key
-        )
-        scheduler = DagScheduler.for_runtime(runtime)
-        outputs = scheduler.run(task_graph, targets=(aggregate,))
-        return {
-            name: CampaignSummary.from_values(
-                [float(v) for v in values], self.confidence
-            )
-            for name, values in aggregate_values(outputs[aggregate]).items()
-        }
 
     def compare(
         self,

@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.config import NGSTConfig
+from repro.config import NGSTConfig, STRATEGY_CHOICES
 from repro.exceptions import ConfigurationError, ServeError
 from repro.faults import UncorrelatedFaultModel
 from repro.stream.autotune_stage import AutotuneVoterStage
@@ -54,9 +54,6 @@ class TenantConfig:
         measure: accumulate Ψ metrics per stream.
         strategy: preprocessing strategy for the voter
             (:data:`repro.config.STRATEGY_CHOICES`).
-        coherence_beta: adaptive-strategy shift gain (see
-            :class:`repro.config.NGSTConfig`).
-        coherence_prune_ratio: adaptive-strategy way-abstain score.
         margin: selective-strategy low-sensitivity border width.
         header_rows: selective-strategy always-protected leading rows.
         science_fast: selective-strategy cheap path for the interior.
@@ -85,8 +82,6 @@ class TenantConfig:
     durable: bool = True
     measure: bool = True
     strategy: str = "fixed"
-    coherence_beta: float = 1.0
-    coherence_prune_ratio: float = 0.0
     margin: int = 0
     header_rows: int = 0
     science_fast: bool = False
@@ -145,8 +140,6 @@ class TenantConfig:
             upsilon=self.upsilon,
             sensitivity=self.sensitivity,
             strategy=self.strategy,
-            coherence_beta=self.coherence_beta,
-            coherence_prune_ratio=self.coherence_prune_ratio,
             margin=self.margin,
             header_rows=self.header_rows,
             science_fast=self.science_fast,
@@ -260,6 +253,22 @@ class TenantRegistry:
                 f'{{"tenants": [...]}}, got {type(payload).__name__}'
             )
         for entry in payload["tenants"]:
+            if isinstance(entry, dict):
+                # Registries written while the adaptive strategy existed
+                # persist its two knobs in every entry.  Other strategies
+                # never read them, so they are dropped; an adaptive
+                # tenant cannot be served as configured.
+                if entry.get("strategy") == "adaptive":
+                    raise ConfigurationError(
+                        f"tenant {entry.get('name')!r} in {self.path} uses "
+                        "the retired 'adaptive' strategy; choose one of "
+                        f"{STRATEGY_CHOICES}"
+                    )
+                entry = {
+                    key: value
+                    for key, value in entry.items()
+                    if key not in ("coherence_beta", "coherence_prune_ratio")
+                }
             config = TenantConfig.from_dict(entry)
             self._tenants[config.name] = config
 

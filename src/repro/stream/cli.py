@@ -171,22 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/ADAPTIVE.md)",
     )
     stages.add_argument(
-        "--coherence-beta",
-        type=float,
-        default=1.0,
-        metavar="B",
-        help="adaptive strategy: incoherence shift gain (default "
-        "%(default)s; 0 is byte-identical to --strategy fixed)",
-    )
-    stages.add_argument(
-        "--coherence-prune-ratio",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="adaptive strategy: score at or above which a voter way "
-        "abstains (default %(default)s = off; must be > 1 when set)",
-    )
-    stages.add_argument(
         "--margin",
         type=int,
         default=0,
@@ -392,8 +376,6 @@ def _build_stages(args: argparse.Namespace) -> list[Stage]:
             upsilon=args.upsilon,
             sensitivity=args.sensitivity,
             strategy=args.strategy,
-            coherence_beta=args.coherence_beta,
-            coherence_prune_ratio=args.coherence_prune_ratio,
             margin=args.margin,
             header_rows=args.header_rows,
             science_fast=args.science_fast,

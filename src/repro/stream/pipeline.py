@@ -528,16 +528,15 @@ class VoterStage(Stage):
             f"sensitivity={self.config.sensitivity}, "
             f"per_coord={self.config.per_coordinate_thresholds})"
         )
-        # The default strategy keeps the historical fingerprint so
+        # The fixed strategy keeps the historical fingerprint so
         # checkpoints written before strategies existed still resume;
-        # any non-default strategy field is part of the stream's
-        # semantics and must invalidate mismatched checkpoints.
-        if self.config.is_default_strategy:
-            return base
+        # the selective strategy and its region map are part of the
+        # stream's semantics and must invalidate mismatched checkpoints.
         cfg = self.config
+        if cfg.strategy == "fixed":
+            return base
         return base + (
-            f"+strategy({cfg.strategy}, beta={cfg.coherence_beta}, "
-            f"prune={cfg.coherence_prune_ratio}, margin={cfg.margin}, "
+            f"+strategy({cfg.strategy}, margin={cfg.margin}, "
             f"header_rows={cfg.header_rows}, science_fast={cfg.science_fast})"
         )
 

@@ -38,6 +38,16 @@ class TestCLI:
         assert main(["ablate-windows", "--quick"]) == 0
         assert "full" in capsys.readouterr().out
 
+    def test_selective_strategy_arm(self, tmp_path, capsys):
+        """`repro fig2 --quick --strategy selective` adds the selective
+        arm's column to the emitted table."""
+        path = tmp_path / "fig2.json"
+        argv = ["fig2", "--quick", "--strategy", "selective", "--json", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        labels = [s["label"] for s in json.loads(path.read_text())[0]["series"]]
+        assert "Algo_NGST selective L=50" in labels
+
 
 class TestAllQuickOverrides:
     """Every registered experiment must run under --quick."""
@@ -121,6 +131,9 @@ class TestRefusedInvocations:
             # (`repro report --only fig5 --resume`) is the one resume.
             ["fig5", "--resume"],
             ["fig5", "--checkpoint-dir", "d"],
+            # The adaptive strategy and its stream knobs are retired.
+            ["fig2", "--strategy", "adaptive"],
+            ["stream", "--coherence-beta", "0"],
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path):

@@ -1,5 +1,7 @@
 """Tenant configs and the persisted tenant registry."""
 
+import json
+
 import pytest
 
 from repro.exceptions import ConfigurationError, ServeError
@@ -73,6 +75,24 @@ class TestTenantConfig:
         assert "chunk=64" in text
 
 
+def legacy_entry(**overrides):
+    """One tenant as registries persisted it while the adaptive strategy
+    existed: every field, including the two adaptive-only knobs."""
+    entry = {
+        "name": "default", "gamma": 0.0, "inject_seed": 0, "upsilon": 4,
+        "sensitivity": 50.0, "stack_frames": 16, "smoother": None,
+        "window": 5, "chunk_frames": 64, "policy": "block",
+        "buffer_frames": 4096, "durable": True, "measure": True,
+        "strategy": "fixed", "coherence_beta": 1.0,
+        "coherence_prune_ratio": 0.0, "margin": 0, "header_rows": 0,
+        "science_fast": False, "autotune": False, "autotune_window": 2,
+        "autotune_interval": 1, "autotune_min_delta": 15.0,
+        "autotune_confirm": 2, "autotune_seed": 0,
+    }
+    entry.update(overrides)
+    return entry
+
+
 class TestTenantRegistry:
     def test_fresh_registry_has_default(self, tmp_path):
         registry = TenantRegistry(tmp_path / "tenants.json")
@@ -106,3 +126,36 @@ class TestTenantRegistry:
         registry = TenantRegistry(None)
         registry.put(TenantConfig(name="ephemeral"))
         assert len(registry) == 2  # default + ephemeral
+
+    def test_loads_a_registry_with_retired_adaptive_keys(self, tmp_path):
+        # A server restarted on state written before the adaptive
+        # strategy was retired serves the same tenants.
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps({"tenants": [
+            legacy_entry(),
+            legacy_entry(
+                name="lab", gamma=0.02, strategy="selective", margin=1
+            ),
+        ]}))
+        registry = TenantRegistry(path)
+        assert registry.get(DEFAULT_TENANT) == TenantConfig()
+        assert registry.get("lab") == TenantConfig(
+            name="lab", gamma=0.02, strategy="selective", margin=1
+        )
+        # The control plane still refuses the retired keys on the wire.
+        with pytest.raises(ConfigurationError, match="unknown tenant config key"):
+            TenantConfig.from_dict(legacy_entry())
+
+    def test_refuses_a_persisted_adaptive_tenant_by_name(self, tmp_path):
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps({"tenants": [
+            legacy_entry(),
+            legacy_entry(
+                name="old", strategy="adaptive", coherence_beta=0.5
+            ),
+        ]}))
+        with pytest.raises(ConfigurationError) as excinfo:
+            TenantRegistry(path)
+        message = str(excinfo.value)
+        assert "'old'" in message and "adaptive" in message
+        assert "\n" not in message

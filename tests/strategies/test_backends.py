@@ -1,6 +1,6 @@
-"""Strategy-equivalence harness, part 2: adaptive arms on every backend.
+"""Strategy-equivalence harness, part 2: strategy arms on every backend.
 
-A figure 2 campaign carrying the adaptive and selective arms must
+A figure 2 campaign carrying the selective arm must
 produce byte-identical table artifacts whether its task graph runs
 serially, on a thread pool, or on a process pool — the same contract
 the fixed arms already hold.
@@ -31,7 +31,7 @@ def _close(backend):
         shutdown()
 
 
-STRATEGIES = ("adaptive", "selective")
+STRATEGIES = ("selective",)
 
 
 def fig2_table(backend=None):
@@ -79,7 +79,7 @@ class TestAdaptiveArmsAcrossBackends:
             lambdas=(50.0, 100.0),
             shape=(8, 8),
             n_repeats=1,
-            strategies=("adaptive",),
+            strategies=STRATEGIES,
         )
 
         def table(backend=None):

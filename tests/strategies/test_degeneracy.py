@@ -1,12 +1,10 @@
 """Strategy-equivalence harness, part 1: disabled adaptivity IS the baseline.
 
-The adaptive strategies earn their place only if turning them off
-reproduces Algorithm 1 *bit for bit* — approximate equality would let a
-silent behaviour change ride in under the flag.  Gated here:
+The selective strategy and the autotuner earn their place only if
+turning them off reproduces Algorithm 1 *bit for bit* — approximate
+equality would let a silent behaviour change ride in under the flag.
+Gated here:
 
-* ``adaptive`` with ``coherence_beta = 0`` ≡ ``fixed``;
-* ``adaptive`` on uniform-coherence (constant) stacks ≡ ``fixed`` at
-  any β (every incoherence score is exactly 1.0);
 * ``selective`` with the all-sensitive default map ≡ ``fixed``;
 * a ``frozen`` :class:`AutotuneVoterStage` ≡ a plain ``VoterStage``.
 
@@ -19,14 +17,7 @@ import pytest
 
 from repro.config import NGSTConfig, NGSTDatasetConfig, STRATEGY_CHOICES
 from repro.core.algo_ngst import AlgoNGST
-from repro.core.strategies import (
-    adaptive_thresholds,
-    incoherence_scores,
-    region_mask,
-    resolve_strategy,
-    strategy_arm_config,
-)
-from repro.core.voter import VoterMatrix
+from repro.core.strategies import region_mask, strategy_arm_config
 from repro.data.ngst import generate_walk
 from repro.exceptions import ConfigurationError
 from repro.faults import UncorrelatedFaultModel
@@ -49,73 +40,6 @@ def assert_identical(result_a, result_b):
     )
     assert result_a.n_pixels_corrected == result_b.n_pixels_corrected
     assert result_a.n_bits_corrected == result_b.n_bits_corrected
-
-
-class TestAdaptiveDegeneracy:
-    @pytest.mark.parametrize("shape", [(), (24,), (8, 12)])
-    @pytest.mark.parametrize("per_coordinate", [False, True])
-    def test_beta_zero_is_byte_identical_to_fixed(self, shape, per_coordinate):
-        pixels = corrupted_stack(shape=shape)
-        fixed = AlgoNGST(
-            NGSTConfig(per_coordinate_thresholds=per_coordinate)
-        )(pixels)
-        adaptive = AlgoNGST(
-            NGSTConfig(
-                per_coordinate_thresholds=per_coordinate,
-                strategy="adaptive",
-                coherence_beta=0.0,
-            )
-        )(pixels)
-        assert_identical(fixed, adaptive)
-
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
-    def test_constant_stack_scores_one_and_matches_fixed(self, beta):
-        # A constant stack has all-zero XOR streams: every way scores
-        # exactly 1.0, so no threshold moves at any shift gain.
-        pixels = np.full((16, 6), 1234, dtype=np.uint16)
-        scores = incoherence_scores(VoterMatrix(pixels, 4))
-        assert np.all(scores == 1.0)
-        fixed = AlgoNGST(NGSTConfig())(pixels)
-        adaptive = AlgoNGST(
-            NGSTConfig(strategy="adaptive", coherence_beta=beta)
-        )(pixels)
-        assert_identical(fixed, adaptive)
-
-    def test_adjusted_thresholds_stay_ranked_powers_of_two(self):
-        pixels = corrupted_stack(gamma=0.05)
-        matrix = VoterMatrix(pixels, 4)
-        base = matrix.thresholds(50.0, per_coordinate=True)
-        adjusted = adaptive_thresholds(
-            base,
-            incoherence_scores(matrix),
-            beta=2.0,
-            prune_ratio=0.0,
-            nbits=16,
-        )
-        assert adjusted.dtype == np.uint64
-        assert np.all(adjusted >= 1)
-        assert np.all(adjusted <= np.uint64(1) << np.uint64(16))
-        log2 = np.log2(adjusted.astype(np.float64))
-        assert np.all(log2 == np.rint(log2))  # exact powers of two
-
-    def test_prune_ratio_forces_abstention(self):
-        pixels = corrupted_stack()
-        matrix = VoterMatrix(pixels, 4)
-        base = matrix.thresholds(50.0, per_coordinate=True)
-        scores = incoherence_scores(matrix)
-        # Ratio below every score: all ways abstain everywhere.
-        pruned = adaptive_thresholds(
-            base, scores, beta=1.0, prune_ratio=1e-9, nbits=16
-        )
-        assert np.all(pruned == np.uint64(1) << np.uint64(16))
-
-    def test_beta_zero_arms_agree_with_fixed_through_algo_dispatch(self):
-        # The AlgoNGST front door routes non-fixed strategies through
-        # resolve_strategy; beta=0 must survive the full dispatch path.
-        pixels = corrupted_stack(shape=(10,))
-        cfg = NGSTConfig(strategy="adaptive", coherence_beta=0.0)
-        assert resolve_strategy(cfg).name == "adaptive"
-        assert_identical(AlgoNGST(NGSTConfig())(pixels), AlgoNGST(cfg)(pixels))
 
 
 class TestSelectiveDegeneracy:
@@ -174,11 +98,6 @@ class TestSelectiveDegeneracy:
 
 
 class TestStrategyPlumbing:
-    def test_resolve_strategy_covers_choices(self):
-        for name in STRATEGY_CHOICES:
-            cfg = NGSTConfig(strategy=name)
-            assert resolve_strategy(cfg).name == name
-
     def test_arm_config_round_trips_names(self):
         for name in STRATEGY_CHOICES:
             assert strategy_arm_config(name).strategy == name
@@ -186,26 +105,20 @@ class TestStrategyPlumbing:
             strategy_arm_config("voting-by-vibes")
 
     def test_config_validates_strategy_fields(self):
+        for retired_or_unknown in ("adaptive", "nope"):
+            with pytest.raises(ConfigurationError):
+                NGSTConfig(strategy=retired_or_unknown)
         with pytest.raises(ConfigurationError):
-            NGSTConfig(strategy="nope")
+            NGSTConfig(strategy="selective", margin=-1)
         with pytest.raises(ConfigurationError):
-            NGSTConfig(coherence_beta=-1.0)
-        with pytest.raises(ConfigurationError):
-            NGSTConfig(coherence_prune_ratio=0.5)  # must be 0 or > 1
-        with pytest.raises(ConfigurationError):
-            NGSTConfig(margin=-1)
-        with pytest.raises(ConfigurationError):
-            NGSTConfig(header_rows=-2)
-
-    def test_default_strategy_flag_tracks_every_knob(self):
-        assert NGSTConfig().is_default_strategy
+            NGSTConfig(strategy="selective", header_rows=-2)
+        # The region map is read only by the selective strategy; under
+        # fixed it would be silently ignored, so it is refused.
         for override in (
-            {"strategy": "adaptive"},
-            {"strategy": "selective"},
-            {"coherence_beta": 0.0},
-            {"coherence_prune_ratio": 2.0},
             {"margin": 1},
             {"header_rows": 1},
             {"science_fast": True},
         ):
-            assert not NGSTConfig(**override).is_default_strategy
+            with pytest.raises(ConfigurationError, match="selective"):
+                NGSTConfig(**override)
+            NGSTConfig(strategy="selective", **override)  # accepted

@@ -2,8 +2,9 @@
 
 * the online Λ autotuner moves Λ under a time-varying Γ step profile
   and ends strictly better than the fixed Λ it started from;
-* the coherence-adaptive arm is no worse than the fixed arm at the
-  nominal operating Γ, within :data:`ADAPTIVE_TOLERANCE`.
+* the selective arm is gated per Γ₀, with no slack: strictly better
+  than the fixed arm at Γ₀ = 0.05 and strictly worse at Γ₀ = 0.005,
+  the losing range docs/ADAPTIVE.md reports.
 """
 
 import numpy as np
@@ -17,12 +18,6 @@ from repro.faults.profile import GammaStepProfile
 from repro.metrics import psi
 from repro.stream import InjectStage, StreamPipeline, SyntheticWalkSource, VoterStage
 from repro.stream.autotune_stage import AutotuneVoterStage
-
-#: Relative slack on "adaptive no worse than fixed" at the operating Γ.
-#: Two repeats over an 8x8 grid leave Ψ with seed noise of a few
-#: percent, so exact no-worse would be brittle; 5% still catches a real
-#: regression.  It goes once the adaptive arm is exactly no worse.
-ADAPTIVE_TOLERANCE = 0.05
 
 STEP_FRAMES = 512
 STEP_PROFILE = GammaStepProfile(base=0.001, elevated=0.08, period=256, duty=0.5)
@@ -55,18 +50,27 @@ def test_autotuner_beats_its_starting_lambda_on_the_step_profile():
     assert autotuned.psi_algorithm < fixed.psi_algorithm
 
 
-def test_adaptive_within_tolerance_of_fixed_at_operating_gamma():
-    operating_gamma = 0.001
-    n_repeats = 2
-    dataset = NGSTDatasetConfig(n_variants=32, sigma=25.0)
-    arms = {name: AlgoNGST(strategy_arm_config(name)) for name in ("fixed", "adaptive")}
+def _mean_psi_fixed_and_selective(gamma0, n_trials=16):
+    """Mean Ψ of the fixed and selective arms at the fig2 default size
+    (16x16 coordinates, N = 64, σ = 25, Λ = 50) over seeded trials."""
+    dataset = NGSTDatasetConfig(n_variants=64, sigma=25.0)
+    arms = {name: AlgoNGST(strategy_arm_config(name)) for name in ("fixed", "selective")}
     sums = dict.fromkeys(arms, 0.0)
-    for repeat in range(n_repeats):
-        pristine = generate_walk(dataset, np.random.default_rng(1000 + repeat), (8, 8))
+    for trial in range(n_trials):
+        pristine = generate_walk(dataset, np.random.default_rng(1000 + trial), (16, 16))
         corrupted, _ = FaultInjector(
-            UncorrelatedFaultModel(operating_gamma), seed=repeat
+            UncorrelatedFaultModel(gamma0), seed=trial
         ).inject(pristine)
         for name, algo in arms.items():
             sums[name] += psi(algo(corrupted).corrected, pristine)
-    psi_fixed, psi_adaptive = (sums[name] / n_repeats for name in ("fixed", "adaptive"))
-    assert psi_adaptive <= psi_fixed * (1 + ADAPTIVE_TOLERANCE) + 1e-12
+    return sums["fixed"] / n_trials, sums["selective"] / n_trials
+
+
+def test_selective_beats_fixed_at_high_gamma():
+    psi_fixed, psi_selective = _mean_psi_fixed_and_selective(0.05)
+    assert psi_selective < psi_fixed
+
+
+def test_selective_loses_to_fixed_at_gamma_0_005():
+    psi_fixed, psi_selective = _mean_psi_fixed_and_selective(0.005)
+    assert psi_selective > psi_fixed

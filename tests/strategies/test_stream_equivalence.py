@@ -1,6 +1,7 @@
 """Strategy-equivalence harness, part 3: streams, chunks, kills, resumes.
 
-Adaptive arms must honour every invariant the fixed stream path holds:
+The selective strategy and the online autotuner must honour every
+invariant the fixed stream path holds:
 
 * chunk-invariance — any transport chunk size produces the same bytes;
 * stream ≡ batch — the streamed output equals ``run_batch`` on the same
@@ -39,16 +40,6 @@ def make_source():
     return SyntheticWalkSource(shape=(16,), seed=11, n_frames=N_FRAMES)
 
 
-def adaptive_stages():
-    return [
-        InjectStage(UncorrelatedFaultModel(0.01), seed=3),
-        VoterStage(
-            NGSTConfig(strategy="adaptive", coherence_beta=1.0),
-            stack_frames=32,
-        ),
-    ]
-
-
 def selective_stages():
     return [
         InjectStage(UncorrelatedFaultModel(0.01), seed=3),
@@ -75,7 +66,6 @@ def autotune_stages(frozen=False):
 
 
 STAGE_BUILDERS = {
-    "adaptive": adaptive_stages,
     "selective": selective_stages,
     "autotune": autotune_stages,
 }
@@ -177,10 +167,9 @@ class TestFingerprints:
     @pytest.mark.parametrize(
         "config",
         [
-            NGSTConfig(strategy="adaptive"),
-            NGSTConfig(strategy="adaptive", coherence_beta=0.0),
+            NGSTConfig(strategy="selective"),
             NGSTConfig(strategy="selective", margin=2),
-            NGSTConfig(science_fast=True),
+            NGSTConfig(strategy="selective", science_fast=True),
         ],
     )
     def test_strategy_knobs_change_the_fingerprint(self, config):

@@ -158,6 +158,22 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             stream_main(["--policy", "drop-newest"])
 
+    @pytest.mark.parametrize(
+        "flag", [["--science-fast"], ["--margin", "1"], ["--header-rows", "2"]]
+    )
+    def test_selective_only_flag_without_selective_is_refused(
+        self, capsys, flag
+    ):
+        # Under the fixed strategy the region map would be silently
+        # ignored, so the flag is refused before anything runs.
+        rc = stream_main(["--frames", "32", "--shape", "4"] + flag)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "selective" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestFingerprintMismatchExitCode:
     def test_mismatched_resume_exits_4(self, tmp_path, capsys):
@@ -191,23 +207,22 @@ class TestFingerprintMismatchExitCode:
     @pytest.mark.parametrize(
         "changed",
         [
-            ["--strategy", "adaptive"],
-            ["--strategy", "adaptive", "--coherence-beta", "0"],
+            ["--strategy", "selective"],
             ["--strategy", "selective", "--margin", "1"],
-            ["--science-fast"],
+            ["--strategy", "selective", "--science-fast"],
             ["--autotune"],
             ["--profile", "step:elevated=0.05"],
         ],
-        ids=["adaptive", "beta0", "selective", "science-fast", "autotune",
-             "profile"],
+        ids=["selective", "margin", "science-fast", "autotune", "profile"],
     )
     def test_new_strategy_fields_invalidate_the_checkpoint(
         self, tmp_path, capsys, changed
     ):
         # Every strategy/autotuner/profile knob is stream semantics, so
-        # flipping any of them mid-campaign must exit 4 — including
-        # beta=0, which is byte-identical in OUTPUT but still a
-        # different declared configuration.
+        # flipping any of them mid-campaign must exit 4 — including a
+        # selective run with the all-sensitive default map, which is
+        # byte-identical in OUTPUT but still a different declared
+        # configuration.
         ckdir = str(tmp_path / "ck")
         base = [
             "--frames", "120", "--shape", "4", "--chunk-frames", "16",
@@ -228,7 +243,8 @@ class TestFingerprintMismatchExitCode:
         ckdir = str(tmp_path / "ck")
         base = [
             "--frames", "120", "--shape", "4", "--chunk-frames", "16",
-            "--stack-frames", "16", "--strategy", "adaptive",
+            "--stack-frames", "16", "--strategy", "selective",
+            "--margin", "1",
             "--resume", "--checkpoint-dir", ckdir,
         ]
         rc, _ = run_json(tmp_path, base + ["--limit-chunks", "3"])
