@@ -18,13 +18,14 @@ Pipeline per Algorithm 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.config import NGSTConfig
 from repro.core import bitops
-from repro.core.voter import VoterMatrix
+from repro.core.voter import VoterMatrix, _reference_thresholds
 from repro.core.windows import BitWindows
 from repro.exceptions import ConfigurationError, DataFormatError
 
@@ -51,9 +52,70 @@ class NGSTResult:
 
 def run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:
     """Algorithm 1 exactly as the paper states it (the ``fixed`` strategy)."""
+    return _sweep_fixed(pixels, cfg, (cfg.sensitivity,))[0]
+
+
+def _sweep_fixed(
+    pixels: np.ndarray, cfg: NGSTConfig, sensitivities: Sequence[float]
+) -> list[NGSTResult]:
+    """Algorithm 1 at every Λ of *sensitivities* on one stack.
+
+    The voter matrix and the ordered ways do not depend on Λ and are
+    built once; only the thresholds and everything downstream of them
+    are per Λ.
+    """
     matrix = VoterMatrix(pixels, cfg.upsilon)
-    thresholds = matrix.thresholds(
-        cfg.sensitivity, per_coordinate=cfg.per_coordinate_thresholds
+    nbits = bitops.bit_width(pixels.dtype)
+    sweep = matrix.threshold_sweep(
+        sensitivities, per_coordinate=cfg.per_coordinate_thresholds
+    )
+    return [_vote(matrix, thresholds, nbits) for thresholds in sweep]
+
+
+def _vote(matrix: VoterMatrix, thresholds: np.ndarray, nbits: int) -> NGSTResult:
+    """Prune, combine and correct at one set of thresholds.
+
+    The vote visits only the *active* pixels — those with at least one
+    surviving voter — gathered in the pixel dtype; every other pixel gets
+    a zero correction.  A higher Λ lowers the thresholds and admits more
+    active pixels, so this step's cost grows with Λ (§3.2, Fig. 3).
+    """
+    pixels = matrix.pixels
+    windows = BitWindows.from_thresholds(thresholds, nbits)
+    keep = matrix.survivors(thresholds).reshape(matrix.upsilon, -1)
+    active = np.flatnonzero(keep.any(axis=0))
+    corr = np.zeros(pixels.size, dtype=pixels.dtype)
+    if active.size:
+        # np.take and a multiply by the mask are several times faster
+        # than fancy indexing and np.where on these small-integer dtypes.
+        xors = np.take(matrix.xors.reshape(matrix.upsilon, -1), active, axis=1)
+        voters = np.multiply(xors, np.take(keep, active, axis=1), dtype=pixels.dtype)
+        unanimous = VoterMatrix.unanimous(voters)
+        grt = VoterMatrix.grt(voters)
+        # The masks hold only bits below 2**nbits, so the cast is exact;
+        # per-coordinate masks are read at each active pixel's coordinate.
+        msb = windows.msb_mask.astype(pixels.dtype).reshape(-1)
+        lsb = windows.lsb_mask.astype(pixels.dtype).reshape(-1)
+        if lsb.size > 1:
+            coords = active % lsb.size
+            msb, lsb = np.take(msb, coords), np.take(lsb, coords)
+        corr[active] = (unanimous | (grt & msb)) & lsb
+    corr = corr.reshape(pixels.shape)
+    return NGSTResult(
+        corrected=np.bitwise_xor(pixels, corr),
+        correction_vectors=corr,
+        windows=windows,
+        n_pixels_corrected=int(np.count_nonzero(corr)),
+        n_bits_corrected=int(bitops.popcount(corr).sum()),
+    )
+
+
+def _reference_run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:
+    """Pre-sweep oracle for :func:`run_fixed`: one Λ, voting in uint64
+    over a fancy-index gather of the active pixels only."""
+    matrix = VoterMatrix(pixels, cfg.upsilon)
+    thresholds = _reference_thresholds(
+        matrix, cfg.sensitivity, per_coordinate=cfg.per_coordinate_thresholds
     )
     nbits = bitops.bit_width(pixels.dtype)
     windows = BitWindows.from_thresholds(thresholds, nbits)
@@ -106,12 +168,7 @@ class AlgoNGST:
     """
 
     def __init__(self, config: NGSTConfig | None = None) -> None:
-        self.config = config or NGSTConfig()
-        if self.config.sensitivity == 0:
-            raise ConfigurationError(
-                "Algo_NGST requires sensitivity > 0; at null sensitivity use "
-                "NGSTPreprocessor, which degrades to header sanity analysis"
-            )
+        self.config = _require_positive_sensitivity(config or NGSTConfig())
 
     def __call__(self, pixels: np.ndarray) -> NGSTResult:
         """Preprocess a temporal stack of shape ``(N, ...)`` uint16 pixels.
@@ -123,11 +180,7 @@ class AlgoNGST:
         sensitivity: a higher Λ lowers the thresholds and admits more
         candidates into the expensive voting stage.
         """
-        bitops.require_unsigned(pixels, "pixels")
-        if pixels.ndim < 1 or pixels.shape[0] < 2:
-            raise DataFormatError(
-                "pixels must have a leading temporal axis with >= 2 variants"
-            )
+        _require_stack(pixels)
         cfg = self.config
         if cfg.strategy == "selective":
             # Late import: strategies imports run_fixed from this module.
@@ -135,3 +188,43 @@ class AlgoNGST:
 
             return run_selective(pixels, cfg)
         return run_fixed(pixels, cfg)
+
+    def sweep(
+        self, pixels: np.ndarray, sensitivities: Sequence[float]
+    ) -> list[NGSTResult]:
+        """One result per Λ of *sensitivities*, in order, on one stack.
+
+        Each entry is byte-identical to this algorithm's call with the
+        sensitivity replaced by that Λ.  The Υ-way voter matrix and its
+        ordered ways are built once for the whole sweep, which is what
+        makes choosing Λ by trial (``best_sensitivity``, the autotuner)
+        cheap.  Only the ``fixed`` strategy sweeps.
+        """
+        _require_stack(pixels)
+        if self.config.strategy != "fixed":
+            raise ConfigurationError(
+                f"sweep runs only strategy 'fixed', got {self.config.strategy!r}"
+            )
+        for sensitivity in sensitivities:
+            # replace() re-runs NGSTConfig's range check on each Λ.
+            _require_positive_sensitivity(
+                replace(self.config, sensitivity=sensitivity)
+            )
+        return _sweep_fixed(pixels, self.config, sensitivities)
+
+
+def _require_positive_sensitivity(config: NGSTConfig) -> NGSTConfig:
+    if config.sensitivity == 0:
+        raise ConfigurationError(
+            "Algo_NGST requires sensitivity > 0; at null sensitivity use "
+            "NGSTPreprocessor, which degrades to header sanity analysis"
+        )
+    return config
+
+
+def _require_stack(pixels: np.ndarray) -> None:
+    bitops.require_unsigned(pixels, "pixels")
+    if pixels.ndim < 1 or pixels.shape[0] < 2:
+        raise DataFormatError(
+            "pixels must have a leading temporal axis with >= 2 variants"
+        )

@@ -153,10 +153,13 @@ def autotune_sensitivity(
         )
         damaged, _ = injector.inject(pristine)
         synthetic.append((pristine, damaged))
-    for lam in lambda_grid:
-        algo = AlgoNGST(NGSTConfig(upsilon=upsilon, sensitivity=lam))
+    algo = AlgoNGST(NGSTConfig(upsilon=upsilon))
+    sweeps = [algo.sweep(d, lambda_grid) for _, d in synthetic]
+    for i, lam in enumerate(lambda_grid):
         value = float(
-            np.mean([psi(algo(d).corrected, p) for p, d in synthetic])
+            np.mean(
+                [psi(sweep[i].corrected, p) for (p, _), sweep in zip(synthetic, sweeps)]
+            )
         )
         if best_psi is None or value < best_psi:
             best_lambda, best_psi = lam, value

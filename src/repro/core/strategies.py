@@ -111,22 +111,9 @@ def _unanimous_corrections(pixels: np.ndarray, cfg: NGSTConfig) -> tuple[np.ndar
     """
     matrix = VoterMatrix(pixels, cfg.upsilon)
     thresholds = matrix.thresholds(cfg.sensitivity, per_coordinate=False)
-    nbits = bitops.bit_width(pixels.dtype)
-    windows = BitWindows.from_thresholds(thresholds, nbits)
-    # Prune in the voters' own dtype (as VoterMatrix.pruned does), with
-    # the global per-way thresholds broadcast over every trailing axis.
-    thr = np.asarray(thresholds, dtype=np.uint64).reshape(
-        (cfg.upsilon,) + (1,) * pixels.ndim
-    )
-    dtype_max = np.uint64(np.iinfo(matrix.xors.dtype).max)
-    capped = np.minimum(thr, dtype_max).astype(matrix.xors.dtype)
-    pruned = np.where(matrix.xors > capped, matrix.xors, np.zeros_like(matrix.xors))
-    unanimous = VoterMatrix.unanimous(
-        pruned.reshape(cfg.upsilon, -1).astype(np.uint64)
-    )
-    lsb = np.asarray(windows.lsb_mask, dtype=np.uint64).reshape(-1)
-    corr = (unanimous & lsb[0]).reshape(pixels.shape).astype(pixels.dtype)
-    return corr, windows
+    windows = BitWindows.from_thresholds(thresholds, bitops.bit_width(pixels.dtype))
+    unanimous = VoterMatrix.unanimous(matrix.pruned(thresholds))
+    return unanimous & windows.lsb_mask.astype(pixels.dtype), windows
 
 
 def run_selective(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:

@@ -11,6 +11,8 @@ they vote for no correction at any bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core import bitops
@@ -98,6 +100,22 @@ def _reference_grt(voters: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reference_thresholds(
+    matrix: VoterMatrix, sensitivity: float, per_coordinate: bool = True
+) -> np.ndarray:
+    """Pre-sweep oracle for :meth:`VoterMatrix.thresholds`: one
+    partition per Λ."""
+    kth = matrix.n_variants - phi_rank(sensitivity, matrix.n_variants)
+    if per_coordinate and matrix.xors.ndim > 2:
+        selected = np.partition(matrix.xors, kth, axis=1)[:, kth]
+    else:
+        flat = matrix.xors.reshape(matrix.upsilon, -1)
+        total = flat.shape[1]
+        kth_flat = min(total - 1, max(0, round(kth * total / matrix.n_variants)))
+        selected = np.partition(flat, kth_flat, axis=1)[:, kth_flat]
+    return np.asarray(bitops.ceil_pow2(selected), dtype=np.uint64)
+
+
 class VoterMatrix:
     """Voter matrix over a temporal stack of unsigned pixels.
 
@@ -149,46 +167,82 @@ class VoterMatrix:
             uint64 array of shape ``(Υ,)`` (global) or ``(Υ,) + coord
             shape`` (per coordinate), each element a power of two.
         """
-        phi = phi_rank(sensitivity, self.n_variants)
+        return self.threshold_sweep((sensitivity,), per_coordinate)[0]
+
+    def threshold_sweep(
+        self, sensitivities: Sequence[float], per_coordinate: bool = True
+    ) -> list[np.ndarray]:
+        """:meth:`thresholds` at every Λ of *sensitivities*, in order.
+
+        The ways are ordered along the temporal axis once for the whole
+        sweep, so each Λ's Φ(Λ)-th greatest element is a read.  One
+        distinct rank needs only a partition; several take a full sort,
+        which on 64-long lanes costs what a single partition does.
+        """
         # Φ-th greatest == (N - Φ)-th smallest (0-indexed) along the
         # temporal axis of each way.
-        kth = self.n_variants - phi
+        kths = [self.n_variants - phi_rank(s, self.n_variants) for s in sensitivities]
         if per_coordinate and self.xors.ndim > 2:
-            part = np.partition(self.xors, kth, axis=1)
-            selected = part[:, kth]
+            lanes = self.xors
         else:
-            flat = self.xors.reshape(self.upsilon, -1)
+            lanes = self.xors.reshape(self.upsilon, -1)
             # Rank Φ is defined over N statistics; for the global variant
             # scale the rank to the flattened length to keep the same
             # quantile.
-            total = flat.shape[1]
-            kth_flat = min(total - 1, max(0, round(kth * total / self.n_variants)))
-            part = np.partition(flat, kth_flat, axis=1)
-            selected = part[:, kth_flat]
-        return np.asarray(bitops.ceil_pow2(selected), dtype=np.uint64)
+            total = lanes.shape[1]
+            kths = [
+                min(total - 1, max(0, round(kth * total / self.n_variants)))
+                for kth in kths
+            ]
+        if len(set(kths)) == 1:
+            ordered = np.partition(lanes, kths[0], axis=1)
+        else:
+            ordered = np.sort(lanes, axis=1)
+        return [
+            np.asarray(bitops.ceil_pow2(ordered[:, kth]), dtype=np.uint64)
+            for kth in kths
+        ]
 
-    def pruned(self, thresholds: np.ndarray) -> np.ndarray:
-        """Voters with natural-variation entries zeroed.
+    def survivors(self, thresholds: np.ndarray) -> np.ndarray:
+        """Boolean ``(Υ, N, ...)`` mask of the voters that survive pruning.
 
-        ``thresholds`` must come from :meth:`thresholds`; entries whose XOR
-        magnitude is <= the threshold of their way (and coordinate) are
-        discarded (set to zero ⇒ they vote for nothing).
+        ``thresholds`` must come from :meth:`thresholds`; an entry
+        survives when its XOR magnitude is above the threshold of its way
+        (and coordinate).
         """
         thresholds = np.asarray(thresholds, dtype=np.uint64)
-        if thresholds.shape[0] != self.upsilon:
+        if thresholds.ndim < 1 or thresholds.shape[0] != self.upsilon:
             raise DataFormatError(
-                f"expected {self.upsilon} way thresholds, got {thresholds.shape[0]}"
+                f"expected {self.upsilon} way thresholds, got shape {thresholds.shape}"
             )
-        # Broadcast (Υ, ...) thresholds against (Υ, N, ...) voters.  The
+        coords = thresholds.shape[1:]
+        if coords and coords != self.pixels.shape[1:]:
+            raise DataFormatError(
+                f"per-coordinate thresholds of shape {coords} do not match "
+                f"the stack's coordinates {self.pixels.shape[1:]}"
+            )
+        # Broadcast against the (Υ, N, ...) voters: global (Υ,)
+        # thresholds over the temporal axis and every coordinate axis,
+        # per-coordinate (Υ, ...) ones over the temporal axis.  The
         # comparison runs in the voters' own dtype: a threshold above the
         # dtype's maximum (e.g. 2**16 for uint16) prunes everything, which
         # clamping to the maximum reproduces without materializing a
         # uint64 copy of the whole voter array.
-        expanded = np.expand_dims(thresholds, axis=1)
+        expanded = thresholds.reshape(
+            (self.upsilon,) + (1,) * (self.xors.ndim - 1 - len(coords)) + coords
+        )
         dtype_max = np.uint64(np.iinfo(self.xors.dtype).max)
-        capped = np.minimum(expanded, dtype_max).astype(self.xors.dtype)
-        keep = self.xors > capped
-        return np.where(keep, self.xors, np.zeros_like(self.xors))
+        return self.xors > np.minimum(expanded, dtype_max).astype(self.xors.dtype)
+
+    def pruned(self, thresholds: np.ndarray) -> np.ndarray:
+        """Voters with natural-variation entries zeroed.
+
+        Entries outside :meth:`survivors` are discarded (set to zero ⇒
+        they vote for nothing).
+        """
+        # Multiplying by the boolean mask is several times faster than
+        # np.where on these small-integer dtypes.
+        return np.multiply(self.xors, self.survivors(thresholds), dtype=self.xors.dtype)
 
     @staticmethod
     def unanimous(voters: np.ndarray) -> np.ndarray:

@@ -307,9 +307,9 @@ def best_sensitivity(
     if not lambdas:
         raise ConfigurationError("need at least one candidate sensitivity")
     best_lam, best_psi = None, None
-    for lam in lambdas:
-        algo = AlgoNGST(NGSTConfig(upsilon=upsilon, sensitivity=lam))
-        value = psi(algo(corrupted).corrected, pristine)
+    results = AlgoNGST(NGSTConfig(upsilon=upsilon)).sweep(corrupted, lambdas)
+    for lam, result in zip(lambdas, results):
+        value = psi(result.corrected, pristine)
         if best_psi is None or value < best_psi:
             best_lam, best_psi = lam, value
     return float(best_lam), float(best_psi)

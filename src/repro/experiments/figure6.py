@@ -18,13 +18,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.config import NGSTConfig, NGSTDatasetConfig
-from repro.core.algo_ngst import AlgoNGST
+from repro.config import NGSTDatasetConfig
 from repro.data.ngst import generate_walk
 from repro.experiments.common import (
     DEFAULT_LAMBDA_GRID,
     ExperimentResult,
     averaged,
+    best_sensitivity,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
@@ -72,12 +72,7 @@ def run(
                 corrupted, _ = injector.inject(pristine)
                 if upsilon is None:
                     return psi(corrupted, pristine)
-                best = None
-                for lam in lambdas:
-                    algo = AlgoNGST(NGSTConfig(upsilon=upsilon, sensitivity=lam))
-                    value = psi(algo(corrupted).corrected, pristine)
-                    best = value if best is None else min(best, value)
-                return best
+                return best_sensitivity(corrupted, pristine, lambdas, upsilon)[1]
 
             none_curve.append(
                 averaged(lambda rng: one_point(rng, None), n_repeats, seed, runtime)

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.baselines import majority, median, smoothing
-from repro.config import OTISBounds, OTISConfig
-from repro.core import algo_otis, bitops, voter
+from repro.config import NGSTConfig, OTISBounds, OTISConfig
+from repro.core import algo_ngst, algo_otis, bitops, voter
+from repro.exceptions import ConfigurationError
 from repro.faults.correlated import (
     _reference_correlated_flip_grid,
     correlated_flip_grid,
@@ -137,6 +138,129 @@ def test_pruned_no_uint64_blowup_matches_semantics(rng, dtype):
     # A threshold beyond the dtype's range prunes everything.
     huge = np.full_like(thresholds, np.uint64(2) ** 40)
     assert not matrix.pruned(huge).any()
+
+
+# ---------------------------------------------------------------------------
+# Algo_NGST: run_fixed and every Λ-sweep entry match the one-Λ oracle
+# ---------------------------------------------------------------------------
+
+#: Λ sequences for the sweep: the smallest positive Λ, Λ = 100, repeats
+#: and an unsorted order.  On N <= 5 every Λ clips Φ to 1.
+NGST_LAMBDA_SWEEPS = [
+    (100.0,),
+    (1e-9, 0.5, 20.0, 50.0, 80.0, 99.5, 100.0),
+    (80.0, 10.0, 100.0, 10.0, 55.5, 80.0),
+]
+
+
+def _ngst_stack(rng, dtype, shape):
+    """A noisy walk in *dtype* with random single-bit flips.  uint64
+    stacks keep their top bit clear: a 2**63 XOR rounds up past the
+    dtype and both paths refuse it as a non-power-of-two threshold."""
+    nbits = np.iinfo(dtype).bits
+    top = nbits - 1 if dtype == np.uint64 else nbits
+    base = 1 << (nbits - 2)
+    walk = base + np.cumsum(rng.integers(-8, 9, size=shape), axis=0)
+    stack = walk.astype(dtype)
+    hit = rng.random(shape) < 0.05
+    shifts = rng.integers(0, top, int(hit.sum())).astype(dtype)
+    stack[hit] ^= np.left_shift(dtype(1), shifts)
+    return stack
+
+
+def _assert_ngst_identity(got, want, context):
+    for field in ("corrected", "correction_vectors"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, (field, context)
+        assert a.tobytes() == b.tobytes(), (field, context)
+    for mask in ("msb_mask", "lsb_mask"):
+        a = np.asarray(getattr(got.windows, mask))
+        b = np.asarray(getattr(want.windows, mask))
+        assert a.dtype == b.dtype and a.shape == b.shape, (mask, context)
+        assert np.array_equal(a, b), (mask, context)
+    assert got.windows.nbits == want.windows.nbits
+    assert got.n_pixels_corrected == want.n_pixels_corrected, context
+    assert got.n_bits_corrected == want.n_bits_corrected, context
+
+
+def _assert_sweep_identity(tier, stack, upsilon, per_coordinate, lambdas):
+    base = NGSTConfig(upsilon=upsilon, per_coordinate_thresholds=per_coordinate)
+    swept = _on_tier(tier, algo_ngst.AlgoNGST(base).sweep, stack, lambdas)
+    assert len(swept) == len(lambdas)
+    for lam, got in zip(lambdas, swept):
+        cfg = NGSTConfig(
+            upsilon=upsilon, sensitivity=lam, per_coordinate_thresholds=per_coordinate
+        )
+        want = _on_tier("reference", algo_ngst._reference_run_fixed, stack, cfg)
+        context = (tier, stack.dtype, stack.shape, upsilon, per_coordinate, lam)
+        _assert_ngst_identity(got, want, context)
+        _assert_ngst_identity(
+            _on_tier(tier, algo_ngst.run_fixed, stack, cfg), want, context
+        )
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("dtype", UNSIGNED_DTYPES)
+@pytest.mark.parametrize("upsilon", [2, 4, 6])
+def test_ngst_sweep_matches_reference(tier, dtype, upsilon):
+    rng = np.random.default_rng(100 * upsilon + np.iinfo(dtype).bits)
+    for shape in [(4,), (17,), (5, 7), (24, 6), (17, 4, 3), (16, 5, 3)]:
+        stack = _ngst_stack(rng, dtype, shape)
+        for per_coordinate in (True, False):
+            for lambdas in NGST_LAMBDA_SWEEPS:
+                _assert_sweep_identity(tier, stack, upsilon, per_coordinate, lambdas)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@settings(max_examples=40, deadline=None)
+@given(
+    stack=hnp.arrays(
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=4, max_side=12),
+    ),
+    upsilon=st.sampled_from([2, 4, 6]),
+    per_coordinate=st.booleans(),
+    lambdas=st.lists(
+        st.floats(0, 100, exclude_min=True), min_size=1, max_size=5
+    ),
+)
+def test_ngst_sweep_matches_reference_property(
+    tier, stack, upsilon, per_coordinate, lambdas
+):
+    _assert_sweep_identity(tier, stack, upsilon, per_coordinate, lambdas)
+
+
+def test_voter_thresholds_match_reference(rng):
+    for shape in [(4,), (17,), (9, 5), (17, 4, 3)]:
+        matrix = voter.VoterMatrix(_ngst_stack(rng, np.uint16, shape), 4)
+        for per_coordinate in (True, False):
+            lambdas = NGST_LAMBDA_SWEEPS[1]
+            swept = matrix.threshold_sweep(lambdas, per_coordinate)
+            for lam, got in zip(lambdas, swept):
+                want = voter._reference_thresholds(matrix, lam, per_coordinate)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (shape, per_coordinate, lam)
+                assert np.array_equal(
+                    matrix.thresholds(lam, per_coordinate), want
+                )
+
+
+@pytest.mark.parametrize("sensitivity", [0.0, -1.0, 100.5, float("nan")])
+def test_ngst_sweep_rejects_sensitivity_like_the_config(rng, sensitivity):
+    stack = _ngst_stack(rng, np.uint16, (16, 3))
+    with pytest.raises(ConfigurationError) as want:
+        algo_ngst.AlgoNGST(NGSTConfig(sensitivity=sensitivity))
+    with pytest.raises(ConfigurationError) as got:
+        algo_ngst.AlgoNGST().sweep(stack, [50.0, sensitivity])
+    assert str(got.value) == str(want.value)
+
+
+def test_ngst_sweep_refuses_selective(rng):
+    stack = _ngst_stack(rng, np.uint16, (16, 6, 6))
+    algo = algo_ngst.AlgoNGST(NGSTConfig(strategy="selective", margin=1))
+    with pytest.raises(ConfigurationError) as err:
+        algo.sweep(stack, [50.0])
+    assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,28 @@ class TestPruning:
         with pytest.raises(DataFormatError):
             matrix.pruned(np.ones(3, dtype=np.uint64))
 
+    def test_threshold_coordinate_shape_checked(self, walk_stack):
+        matrix = VoterMatrix(walk_stack, 4)
+        with pytest.raises(DataFormatError):
+            matrix.pruned(np.ones((4, 3), dtype=np.uint64))
+
+    # (16, 5, 3) once raised a raw broadcast ValueError; (16, 4, 3) with
+    # Υ = 4 silently lined the way thresholds up with the first
+    # coordinate axis instead of the way axis.
+    @pytest.mark.parametrize("shape", [(16, 5, 3), (16, 4, 3)])
+    def test_global_thresholds_on_multi_axis_stack(self, rng, shape):
+        pixels = rng.integers(0, 2**16, size=shape, dtype=np.uint16)
+        matrix = VoterMatrix(pixels, 4)
+        thr = np.array([2**4, 2**8, 2**12, 2**15], dtype=np.uint64)
+        pruned = matrix.pruned(thr)
+        for way in range(4):
+            want = np.where(matrix.xors[way] > thr[way], matrix.xors[way], 0)
+            assert np.array_equal(pruned[way], want), way
+        # Global thresholds prune a multi-axis stack exactly as they
+        # prune the same stack flattened to one coordinate axis.
+        flat = VoterMatrix(pixels.reshape(shape[0], -1), 4).pruned(thr)
+        assert np.array_equal(pruned.reshape(flat.shape), flat)
+
 
 class TestCombiners:
     def test_unanimous_is_and(self):
