@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test verify bench serve-bench figures quick-figures report report-render claims clean
+.PHONY: install native test verify bench figures quick-figures report report-render claims clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -26,12 +26,6 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Serve load harness: concurrent-stream throughput/latency plus the
-# chaos-kill/drain/restart churn phase, written under
-# benchmarks/results/.  BENCH_ARGS=--quick for CI.
-serve-bench:
-	PYTHONPATH=src $(PYTHON) tools/load_serve.py $(BENCH_ARGS)
 
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro.cli all --json results_full.json | tee results_full.txt

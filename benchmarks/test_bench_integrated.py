@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.e2e.speed import kernel_s
 from repro.config import NGSTConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
@@ -34,13 +35,18 @@ def transport_world():
 
 
 def best_of_interleaved(first, second, repeats):
-    """Best-of-*repeats* seconds of two callables, timed in alternation.
+    """Best-of-*repeats* times of two callables, timed in alternation.
 
     Each round times one call of each, so a slow spell on a shared host
     lands on both callables instead of on one timing block.  The order
     within a round alternates too, so neither callable always runs in
-    the other's wake.  One untimed warm-up call each precedes the rounds
-    and the cyclic garbage collector is paused while they run.
+    the other's wake.  Each call's time is divided by the mean of two
+    host-speed references (:func:`benchmarks.e2e.speed.kernel_s`) taken
+    just before and just after it, so a call that falls in a slow spell
+    is not read as a slow call.  The results are therefore in units of
+    the reference kernel, and only their ratio means anything.  One
+    untimed warm-up call each precedes the rounds and the cyclic garbage
+    collector is paused while they run.
     """
     first()
     second()
@@ -52,9 +58,12 @@ def best_of_interleaved(first, second, repeats):
             order = (0, 1) if round_index % 2 == 0 else (1, 0)
             for index in order:
                 fn = (first, second)[index]
+                before = kernel_s()
                 start = time.perf_counter()
                 fn()
-                best[index] = min(best[index], time.perf_counter() - start)
+                elapsed = time.perf_counter() - start
+                reference = (before + kernel_s()) / 2
+                best[index] = min(best[index], elapsed / reference)
     finally:
         gc.enable()
     return best

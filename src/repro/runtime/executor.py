@@ -129,7 +129,6 @@ class TrialRuntime:
             RunCompleted(
                 key=key,
                 n_trials=plan.n_trials,
-                n_shards_run=plan.n_shards,
                 elapsed_s=elapsed,
                 trials_per_sec=plan.n_trials / elapsed if elapsed > 0 else 0.0,
             )

@@ -63,14 +63,12 @@ class RunCompleted:
     Attributes:
         key: the run's telemetry label (``run-NNNN``).
         n_trials: total trials aggregated.
-        n_shards_run: shards executed.
         elapsed_s: end-to-end wall-clock seconds for the run call.
         trials_per_sec: overall throughput.
     """
 
     key: str
     n_trials: int
-    n_shards_run: int
     elapsed_s: float
     trials_per_sec: float
 
@@ -228,7 +226,6 @@ class ProgressPrinter:
         if isinstance(event, RunCompleted):
             return (
                 f"[{event.key}] done: {event.n_trials} trial(s) in "
-                f"{event.elapsed_s:.3f}s ({event.trials_per_sec:.1f} trials/s; "
-                f"{event.n_shards_run} shard(s) run)"
+                f"{event.elapsed_s:.3f}s ({event.trials_per_sec:.1f} trials/s)"
             )
         return repr(event)

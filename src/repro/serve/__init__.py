@@ -27,7 +27,7 @@ Quick start (one process, in-code)::
         return result
 
 Or from the command line: ``repro serve --port 7801`` and drive it with
-``tools/load_serve.py``.  See docs/SERVING.md for the protocol and the
+``tools/serve_smoke.py``.  See docs/SERVING.md for the protocol and the
 resume semantics.
 """
 

@@ -8,7 +8,7 @@ from the ``resume_frame`` the server reports.  Output dedupe is by
 global frame index, so however many times the link breaks, the
 collected output is byte-identical to an uninterrupted run — the
 client-side half of the serve layer's resume contract, and what the
-load harness and the end-to-end tests assert with.
+end-to-end tests assert with.
 """
 
 from __future__ import annotations

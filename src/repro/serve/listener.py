@@ -23,8 +23,7 @@ A drain signal is raced against every read: a draining connection gets
 ``{"type": "drained", "resume_frame": N}`` and a clean close, never a
 mid-message cut.  The optional :class:`~repro.serve.server.ChaosMonkey`
 aborts connections abruptly before or after a message is processed —
-the fault-injection hook the resume tests and the churn phase of the
-load harness rely on.
+the fault-injection hook the resume tests rely on.
 """
 
 from __future__ import annotations

@@ -67,15 +67,17 @@ PSI_CAP = 1e6
 class StreamingPsi:
     """Chunk-invariant streaming accumulation of the paper's Ψ metric.
 
-    Per frame, the element-wise relative error is computed exactly as
+    The element-wise relative error is computed exactly as
     :func:`repro.metrics.relative_error.psi` does (same float64 casts,
-    denominator floor, and cap); the frame's error *sum* then enters a
-    Kahan-compensated running total, and the frame's error *mean* a
-    Welford mean/variance recursion (for dispersion telemetry).  Every
-    floating-point operation happens at per-frame granularity in frame
-    order, so the accumulated value is a function of the frame sequence
-    alone — the streaming pipeline and the batch comparator produce the
-    same bits no matter how the frames were chunked.
+    denominator floor, and cap), for a whole chunk at once; each frame's
+    error *sum* is its own row sum, and enters a Kahan-compensated
+    running total, and the frame's error *mean* a Welford mean/variance
+    recursion (for dispersion telemetry), one frame at a time in frame
+    order.  Element-wise operations do not depend on their neighbours,
+    and a row sum equals the frame's own sum, so the accumulated value is
+    a function of the frame sequence alone — the streaming pipeline and
+    the batch comparator produce the same bits no matter how the frames
+    were chunked.
 
     ``value`` equals ``psi(observed, pristine)`` up to the difference
     between numpy's pairwise-summed mean and the compensated sum —
@@ -104,23 +106,34 @@ class StreamingPsi:
                 f"shape mismatch: observed {observed.shape} vs "
                 f"pristine {pristine.shape}"
             )
-        for j in range(observed.shape[0]):
-            obs = observed[j].astype(np.float64)
-            ref = pristine[j].astype(np.float64)
-            denom = np.maximum(np.abs(ref), self.floor)
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = np.abs(obs - ref) / denom
-            err = np.where(np.isfinite(err), np.minimum(err, self.cap), self.cap)
-            frame_sum = float(err.sum())
+        k = observed.shape[0]
+        frame_size = observed[0].size if k else 0
+        # In place, so a whole-stack update holds two float64 copies of
+        # the chunk, not one per operation.
+        err = observed.astype(np.float64)
+        ref = pristine.astype(np.float64)
+        err -= ref
+        np.abs(err, out=err)
+        denom = np.maximum(np.abs(ref, out=ref), self.floor, out=ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err /= denom
+        finite = np.isfinite(err)
+        np.minimum(err, self.cap, out=err)
+        np.copyto(err, self.cap, where=~finite)
+        # Each row is one contiguous frame, so its sum is the per-frame
+        # err.sum() bit for bit; the recursions below stay scalar and in
+        # frame order.
+        frame_sums = err.reshape(k, frame_size).sum(axis=1).tolist()
+        for frame_sum in frame_sums:
             # Kahan-compensated addition of the frame sum.
             y = frame_sum - self._comp
             t = self._sum + y
             self._comp = (t - self._sum) - y
             self._sum = t
-            self._count += err.size
+            self._count += frame_size
             # Welford over per-frame means, for dispersion reporting.
             self._n_frames += 1
-            frame_mean = frame_sum / err.size if err.size else 0.0
+            frame_mean = frame_sum / frame_size if frame_size else 0.0
             delta = frame_mean - self._mean
             self._mean += delta / self._n_frames
             self._m2 += delta * (frame_mean - self._mean)
@@ -252,7 +265,7 @@ class InjectStage(Stage):
         self.name = f"inject[{type(model).__name__}]"
         self._next = 0
         self._template: np.ndarray | None = None
-        self._profiled: dict[float, object] = {}
+        self._profiled: tuple[float, object] | None = None
         self.n_bits_flipped = 0
         self.n_words_hit = 0
 
@@ -261,25 +274,38 @@ class InjectStage(Stage):
             return self.model
         from repro.faults.uncorrelated import UncorrelatedFaultModel
 
+        # Only the model for the Γ in force is kept: a profile that moves
+        # Γ every frame must not grow a cache without bound.
         gamma = float(self.profile.gamma_at(index))
-        model = self._profiled.get(gamma)
-        if model is None:
-            model = self._profiled[gamma] = UncorrelatedFaultModel(gamma)
-        return model
+        if self._profiled is None or self._profiled[0] != gamma:
+            self._profiled = (gamma, UncorrelatedFaultModel(gamma))
+        return self._profiled[1]
 
-    def _corrupt_one(self, frame: np.ndarray, index: int) -> np.ndarray:
-        corrupted, mask = self._model_for(index).corrupt(
-            frame, frame_rng(self.seed, index)
-        )
-        umask = mask if mask.dtype != np.float32 else bitops.float32_to_bits(mask)
-        self.n_bits_flipped += int(bitops.popcount(umask).sum())
-        self.n_words_hit += int(np.count_nonzero(umask))
-        return corrupted
+    def _corrupt_chunk(
+        self, frames: np.ndarray, start: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Corrupt frames ``start, start + 1, ...``; return them and
+        their flip masks (``None`` for an empty chunk)."""
+        out = np.empty_like(frames)
+        masks = None
+        for j in range(frames.shape[0]):
+            index = start + j
+            # frames[j, ...] keeps a scalar frame a 0-d array.
+            out[j], mask = self._model_for(index).corrupt(
+                frames[j, ...], frame_rng(self.seed, index)
+            )
+            if masks is None:
+                masks = np.empty((frames.shape[0],) + mask.shape, dtype=mask.dtype)
+            masks[j] = mask
+        return out, masks
 
     def process(self, frames: np.ndarray) -> np.ndarray:
-        out = np.empty_like(frames)
-        for j in range(frames.shape[0]):
-            out[j] = self._corrupt_one(frames[j], self._next + j)
+        out, masks = self._corrupt_chunk(frames, self._next)
+        if masks is not None:
+            if masks.dtype == np.float32:
+                masks = bitops.float32_to_bits(masks)
+            self.n_bits_flipped += int(bitops.popcount(masks).sum())
+            self.n_words_hit += int(np.count_nonzero(masks))
         self._next += frames.shape[0]
         self._template = frames[:0]
         return out
@@ -291,13 +317,7 @@ class InjectStage(Stage):
         return self._template
 
     def batch(self, stack: np.ndarray) -> np.ndarray:
-        out = np.empty_like(stack)
-        for i in range(stack.shape[0]):
-            corrupted, _ = self._model_for(i).corrupt(
-                stack[i], frame_rng(self.seed, i)
-            )
-            out[i] = corrupted
-        return out
+        return self._corrupt_chunk(stack, 0)[0]
 
     def state_dict(self) -> dict:
         return {

@@ -156,22 +156,25 @@ class SyntheticWalkSource(FrameSource):
             if k <= 0:
                 return self._empty()
         cfg = self.config
-        out = np.empty((k,) + self.shape, dtype=np.uint16)
+        # Row j holds frame (next + j)'s step (frame 0: the initial
+        # value); one sequential cumsum from the carried state then adds
+        # them in exactly the order a frame-by-frame walk would.
+        walk = np.empty((k,) + self.shape, dtype=np.float64)
         for j in range(k):
             index = self._next + j
             if index == 0:
-                self._walk = np.full(
-                    self.shape, float(cfg.initial_value), dtype=np.float64
-                )
+                walk[j] = float(cfg.initial_value)
             else:
-                step = frame_rng(self.seed, index).normal(0.0, cfg.sigma, self.shape)
-                assert self._walk is not None
-                self._walk = self._walk + step
-            out[j] = np.clip(
-                np.rint(self._walk), cfg.background_floor, U16_MAX
-            ).astype(np.uint16)
+                walk[j] = frame_rng(self.seed, index).normal(0.0, cfg.sigma, self.shape)
+        if self._next > 0:
+            assert self._walk is not None
+            walk[0] += self._walk
+        np.cumsum(walk, axis=0, out=walk)
+        self._walk = walk[-1].copy()
         self._next += k
-        return out
+        np.rint(walk, out=walk)
+        np.clip(walk, cfg.background_floor, U16_MAX, out=walk)
+        return walk.astype(np.uint16)
 
     def state_dict(self) -> dict:
         return {
@@ -181,7 +184,12 @@ class SyntheticWalkSource(FrameSource):
 
     def load_state(self, state: dict) -> None:
         self._next = int(state["next"])
-        self._walk = None if state["walk"] is None else decode_array(state["walk"])
+        self._walk = (
+            None
+            if state["walk"] is None
+            # A scalar walk is saved as shape (1,); restore the frame shape.
+            else decode_array(state["walk"]).reshape(self.shape)
+        )
 
     def describe(self) -> str:
         return (

@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import UncorrelatedFaultConfig
+from repro.core import bitops
 from repro.exceptions import ConfigurationError
-from repro.faults.uncorrelated import UncorrelatedFaultModel, uncorrelated_flip_mask
+from repro.faults.uncorrelated import (
+    _DRAW_BUDGET,
+    UncorrelatedFaultModel,
+    _reference_uncorrelated_flip_mask,
+    uncorrelated_flip_mask,
+)
 
 
 class TestFlipMask:
@@ -41,6 +47,77 @@ class TestFlipMask:
         a = uncorrelated_flip_mask((50,), 16, 0.1, np.random.default_rng(9))
         b = uncorrelated_flip_mask((50,), 16, 0.1, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+
+def _assert_matches_reference(shape, nbits, gamma0, seed):
+    fast_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    fast = uncorrelated_flip_mask(shape, nbits, gamma0, fast_rng)
+    ref = _reference_uncorrelated_flip_mask(shape, nbits, gamma0, ref_rng)
+    assert fast.dtype == ref.dtype == np.uint64
+    assert fast.shape == ref.shape == tuple(shape)
+    assert fast.tobytes() == ref.tobytes(), (shape, nbits, gamma0)
+    # Same Generator state afterwards: the next draw of the stream agrees.
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert fast_rng.random() == ref_rng.random()
+
+
+class TestBlockedDrawMatchesReference:
+    """The block-of-planes draw is byte-identical to one draw per plane."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (),
+            (0,),
+            (64,),
+            (8, 8),
+            (3, 5),
+            (_DRAW_BUDGET // 7, 7),
+            (_DRAW_BUDGET // 2 - 1,),
+            (_DRAW_BUDGET // 2 + 1,),
+            (_DRAW_BUDGET - 1,),
+            (_DRAW_BUDGET,),
+            (_DRAW_BUDGET + 1,),
+            (64, 16, 16),
+        ],
+    )
+    def test_grid(self, shape):
+        for nbits in (1, 7, 12, 16, 32, 64):
+            for gamma0 in (0.0, 1e-6, 0.01, 0.5, 1.0):
+                _assert_matches_reference(shape, nbits, gamma0, seed=nbits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.lists(st.integers(0, 12), max_size=3).map(tuple),
+            st.integers(_DRAW_BUDGET // 16 - 3, _DRAW_BUDGET // 16 + 3).map(
+                lambda n: (n, 16)
+            ),
+        ),
+        nbits=st.integers(1, 64),
+        gamma0=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, shape, nbits, gamma0, seed):
+        _assert_matches_reference(shape, nbits, gamma0, seed)
+
+    @pytest.mark.parametrize("shape", [(), (8, 8), (64, 16, 16)])
+    def test_float32_corrupt_path(self, shape):
+        data = (
+            np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+            * np.float32(300)
+        )
+        corrupted, mask = UncorrelatedFaultModel(0.05).corrupt(
+            data, np.random.default_rng(8)
+        )
+        bits = bitops.float32_to_bits(np.ascontiguousarray(data))
+        ref_mask = _reference_uncorrelated_flip_mask(
+            bits.shape, 32, 0.05, np.random.default_rng(8)
+        ).astype(np.uint32)
+        assert mask.tobytes() == ref_mask.tobytes()
+        expected = bitops.bits_to_float32(np.bitwise_xor(bits, ref_mask))
+        assert np.asarray(corrupted).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestUncorrelatedFaultModel:

@@ -87,4 +87,3 @@ class TestKeysAndTelemetry:
 
         assert isinstance(events[-1], RunCompleted)
         assert events[-1].n_trials == 6
-        assert events[-1].n_shards_run == 3

@@ -29,7 +29,6 @@ def _completed():
     return RunCompleted(
         key="run-0000",
         n_trials=10,
-        n_shards_run=4,
         elapsed_s=2.0,
         trials_per_sec=5.0,
     )
@@ -83,6 +82,4 @@ class TestProgressPrinter:
 
     def test_format_run_completed(self):
         line = ProgressPrinter.format(_completed())
-        assert "done" in line
-        assert "4 shard(s) run" in line
-        assert "restored" not in line
+        assert line == "[run-0000] done: 10 trial(s) in 2.000s (5.0 trials/s)"

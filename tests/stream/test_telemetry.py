@@ -92,7 +92,6 @@ class TestProgressPrinter:
             RunCompleted(
                 key="k",
                 n_trials=10,
-                n_shards_run=2,
                 elapsed_s=1.0,
                 trials_per_sec=10.0,
             )
