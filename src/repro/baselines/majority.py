@@ -15,7 +15,6 @@ import numpy as np
 from repro.core import bitops
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.native import dispatch as _dispatch
-from repro.native import kernels as _native_kernels
 
 
 def _majority3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -139,6 +138,4 @@ _dispatch.register(
     "majority_vote_window",
     numpy_impl=_numpy_majority_vote_window,
     reference_impl=_reference_majority_vote_window,
-    native_impl=_native_kernels.majority_vote_window,
-    accepts=_native_kernels.majority_window_ok,
 )

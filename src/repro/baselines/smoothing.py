@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.native import dispatch as _dispatch
-from repro.native import kernels as _native_kernels
 
 
 def _validate(pixels: np.ndarray, window: int) -> np.ndarray:
@@ -44,8 +43,7 @@ def _weighted_window_smooth(pixels: np.ndarray, weights: np.ndarray) -> np.ndarr
     The float64 accumulate-and-divide runs on the selected kernel tier;
     the taps are accumulated in the same order in every tier — float
     addition is not associative, so the order is part of the
-    bit-identical contract (the C tier is compiled with
-    ``-ffp-contract=off`` so its multiply/add roundings match NumPy's).
+    bit-identical contract.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     out = _dispatch.call("weighted_window_smooth", pixels, weights)
@@ -94,8 +92,6 @@ _dispatch.register(
     "weighted_window_smooth",
     numpy_impl=_numpy_weighted_accumulate,
     reference_impl=_reference_weighted_accumulate,
-    native_impl=_native_kernels.weighted_window_smooth,
-    accepts=_native_kernels.weighted_smooth_ok,
 )
 
 

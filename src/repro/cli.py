@@ -13,7 +13,7 @@ Usage::
     repro fig2 --cache-dir .repro-cache   # persist artifacts across runs
     repro cache stats|clear [--cache-dir DIR]
     repro kernels [--json] [--require native]
-    repro fig2 --threads 4                # thread-pool shards (native tier)
+    repro fig2 --threads 4                # thread-pool shards
 
 ``--quick`` shrinks repeats/grids so every experiment finishes in
 seconds; default parameters match the EXPERIMENTS.md record.
@@ -188,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         metavar="N",
         help="worker threads for trial loops instead of processes "
-        "(best with the native kernel tier, whose C kernels release "
-        "the GIL; see 'repro kernels'; mutually exclusive with --jobs)",
+        "(they overlap only inside NumPy calls and the C correlated "
+        "scan; mutually exclusive with --jobs)",
     )
     parser.add_argument(
         "--backend",

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.exceptions import DataFormatError
 from repro.native import dispatch as _dispatch
-from repro.native import kernels as _native_kernels
 
 #: Number of bits per supported unsigned dtype.
 BITS_PER_DTYPE = {
@@ -262,15 +261,11 @@ _dispatch.register(
     "to_bit_planes",
     numpy_impl=_numpy_to_bit_planes,
     reference_impl=_reference_to_bit_planes,
-    native_impl=_native_kernels.to_bit_planes,
-    accepts=_native_kernels.words_native_ok,
 )
 _dispatch.register(
     "from_bit_planes",
     numpy_impl=_numpy_from_bit_planes,
     reference_impl=_reference_from_bit_planes,
-    native_impl=_native_kernels.from_bit_planes,
-    accepts=_native_kernels.words_native_ok,
 )
 
 

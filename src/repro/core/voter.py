@@ -19,7 +19,6 @@ from repro.core import bitops
 from repro.core.sensitivity import phi_rank
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.native import dispatch as _dispatch
-from repro.native import kernels as _native_kernels
 
 
 def reflect_index(index: int, length: int) -> int:
@@ -255,8 +254,7 @@ class VoterMatrix:
 
         The union over k of the AND of all voters except k, exactly the
         ``Max / Ξ`` construction in Algorithm 1, computed in O(Υ) bit ops
-        (see :func:`_leave_one_out_union`; the C tier uses the same
-        two-level zero-counter blocked for L1).  For Υ = 2 the
+        (see :func:`_leave_one_out_union`).  For Υ = 2 the
         leave-one-out AND degenerates to a single voter — any lone
         disagreement would trigger a window-A correction — so the
         combiner falls back to unanimity, the only meaningful consensus
@@ -268,14 +266,10 @@ class VoterMatrix:
         return _dispatch.call("grt", voters)
 
 
-# ndim >= 2: reducing a single (Υ,) vector returns a NumPy scalar, a
-# shape the bytewise C combiners do not reproduce.
 _dispatch.register(
     "unanimous",
     numpy_impl=lambda voters: np.bitwise_and.reduce(voters, axis=0),
     reference_impl=_reference_unanimous,
-    native_impl=_native_kernels.unanimous,
-    accepts=lambda voters: voters.ndim >= 2,
 )
 # The Υ = 2 degeneration to unanimity happens before dispatch, so every
 # tier's grt implementation only ever sees Υ >= 3.
@@ -283,6 +277,4 @@ _dispatch.register(
     "grt",
     numpy_impl=_leave_one_out_union,
     reference_impl=_reference_grt,
-    native_impl=_native_kernels.grt,
-    accepts=lambda voters: voters.ndim >= 2,
 )

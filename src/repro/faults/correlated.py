@@ -34,6 +34,8 @@ def run_probability_table(gamma_ini: float, max_terms: int) -> np.ndarray:
     """
     if not 0.0 <= gamma_ini < 0.5:
         raise ConfigurationError(f"gamma_ini must be in [0, 0.5), got {gamma_ini}")
+    if max_terms < 1:
+        raise ConfigurationError(f"max_terms must be >= 1, got {max_terms}")
     powers = gamma_ini ** np.arange(1, max_terms + 1, dtype=np.float64)
     return np.cumsum(powers)
 
@@ -194,9 +196,9 @@ def correlated_flip_grid(
     rows, cols = shape
     if rows < 1 or cols < 1:
         raise ConfigurationError(f"grid shape must be positive, got {shape}")
+    table = run_probability_table(gamma_ini, max_terms)
     if gamma_ini == 0.0:
         return np.zeros(shape, dtype=bool)
-    table = run_probability_table(gamma_ini, max_terms)
     draws = rng.random(shape)
     return _dispatch.call("correlated_flip_grid", draws, table)
 
@@ -298,9 +300,9 @@ def _reference_correlated_flip_grid(
     rows, cols = shape
     if rows < 1 or cols < 1:
         raise ConfigurationError(f"grid shape must be positive, got {shape}")
+    table = run_probability_table(gamma_ini, max_terms)
     if gamma_ini == 0.0:
         return np.zeros(shape, dtype=bool)
-    table = run_probability_table(gamma_ini, max_terms)
     return _reference_scan(rng.random(shape), table)
 
 

@@ -1,23 +1,19 @@
 """Optional compiled kernel tier (cffi/C) with graceful NumPy fallback.
 
-The top kernels by campaign time — the Eq. (2) correlated flip scan,
-the GRT combiner vote, the bit-plane transforms and the window
-smoothers — have C implementations compiled via cffi in API mode.  A
-dispatch layer selects, per kernel and per call, between three
-bit-identical tiers::
+One kernel is C: the Eq. (2) correlated flip scan, a raster loop in
+which each cell depends on the cells flipped before it, compiled via
+cffi in API mode.  Every other dispatched kernel runs in NumPy.  A
+dispatch layer selects, per kernel and per call, between bit-identical
+tiers::
 
-    native  →  numpy  →  reference
+    native (correlated scan only)  →  numpy  →  reference
 
 controlled by the ``REPRO_KERNEL_TIER`` environment variable
-(``auto``/``native``/``numpy``/``reference``) or programmatically via
-:func:`set_kernel_tier`.  When no compiler or extension is present the
-whole package degrades to the NumPy tier without errors, so
-``repro.native`` is safe to import everywhere.
-
-Because cffi releases the GIL around C calls, native kernels overlap
-across :class:`~repro.runtime.ThreadPoolBackend` threads — threaded
-shard execution escapes both the interpreter lock and the
-process-pool pickle tax.
+(``auto``/``numpy``/``reference``) or, for one block, by the
+:func:`kernel_tier` context manager.  ``auto`` runs the C scan when the
+extension loads; when no compiler or extension is present it degrades
+to the NumPy tier without errors, so ``repro.native`` is safe to import
+everywhere.
 
 See ``docs/PERFORMANCE.md`` ("Native kernel tier") and the ``repro
 kernels`` CLI subcommand for build requirements and diagnostics.
@@ -30,7 +26,6 @@ from repro.native.dispatch import (
     TIERS,
     get_kernel_tier,
     kernel_tier,
-    set_kernel_tier,
 )
 from repro.native.loader import (
     available as native_available,
@@ -46,5 +41,4 @@ __all__ = [
     "native_available",
     "native_origin",
     "native_unavailable_reason",
-    "set_kernel_tier",
 ]

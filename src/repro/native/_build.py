@@ -10,7 +10,7 @@ Two consumers share this module:
   no prebuilt module is importable.
 
 Keeping the C in standalone ``repro_kernels.c``/``.h`` files (rather
-than an inline source string) keeps the hot loops readable and lets the
+than an inline source string) keeps the hot loop readable and lets the
 loader fingerprint exactly what it compiles.
 """
 
@@ -28,31 +28,13 @@ CDEF = """
 void repro_correlated_scan(const double *draws, int64_t rows, int64_t cols,
                            const double *table, int64_t n_terms,
                            uint8_t *flips);
-void repro_grt_bytes(const uint8_t *voters, int64_t upsilon,
-                     int64_t plane_bytes, uint8_t *out);
-void repro_unanimous_bytes(const uint8_t *voters, int64_t upsilon,
-                           int64_t plane_bytes, uint8_t *out);
-void repro_to_bit_planes(const uint8_t *words, int64_t n_words,
-                         int32_t nbits, uint8_t *planes);
-void repro_from_bit_planes(const uint8_t *planes, int64_t n_words,
-                           int32_t nbits, uint8_t *words);
-void repro_majority_window(const uint8_t *frames, int64_t n,
-                           int64_t frame_bytes, int32_t window,
-                           uint8_t *out);
-void repro_weighted_smooth_f64(const double *padded, int64_t n,
-                               int64_t frame_len, const double *weights,
-                               int32_t window, double wsum, double *out);
 """
 
 
 def _compile_args() -> list[str]:
     if os.name == "nt":
-        # MSVC does not contract FP by default; /O2 is the usual opt level.
         return ["/O2"]
-    # -ffp-contract=off is part of the bit-identity contract: the NumPy
-    # tier rounds after every multiply and add, so FMA fusion in the
-    # weighted smoother would produce differently-rounded floats.
-    return ["-O3", "-std=c99", "-ffp-contract=off"]
+    return ["-O3", "-std=c99"]
 
 
 ffibuilder = FFI()

@@ -6,9 +6,9 @@ the compiled extension loaded (and from where), whether a C compiler is
 on PATH, and the first-use build cache location.  ``--json`` emits the
 same facts machine-readably; ``--require TIER`` turns the report into a
 gate (exit 1 unless every kernel resolves to TIER) for CI jobs that
-must not silently fall back.  A kernel with no native implementation
-(``(no native impl)`` in the report) has nothing to fall back from, so
-``--require native`` passes over it.
+must not silently fall back.  Only ``correlated_flip_grid`` has a native
+implementation; the others (``(no native impl)`` in the report) have
+nothing to fall back from, so ``--require native`` passes over them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def status() -> dict:
             name: {
                 "tier": dispatch.resolve(name),
                 "has_native_impl": registry[name].native_impl is not None,
-                "has_accepts_predicate": registry[name].accepts is not None,
             }
             for name in sorted(registry)
         },
@@ -66,10 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--require",
         metavar="TIER",
-        choices=dispatch.TIERS,
+        choices=("native",) + dispatch.TIERS,
         help="exit 1 unless every kernel resolves to TIER (CI gate; "
-        "kernels with per-call accepts predicates can still demote "
-        "individual calls, and native skips kernels with no native impl)",
+        "native skips kernels with no native impl)",
     )
     args = parser.parse_args(argv)
 

@@ -1,210 +1,35 @@
 """NumPy ⇄ C marshalling for the native kernel tier.
 
-Each wrapper here is the ``native_impl`` of one dispatched kernel: it
-normalises the arrays the Python call sites hand over (contiguity,
-little-endian word layout, float64 padding) exactly the way the NumPy
-tier does, calls the corresponding ``repro_*`` C function, and shapes
-the result back.  Validation of user input stays in the owning modules
-(``repro.core.bitops``, ``repro.core.voter``, …) so every tier shares
-one error surface.
-
-cffi releases the GIL for the duration of every C call, so these
-kernels overlap across :class:`~repro.runtime.ThreadPoolBackend`
-worker threads — the property that lets threaded shard execution and
-the serve layer scale past the interpreter lock.
+The one wrapper here is the ``native_impl`` of the
+``correlated_flip_grid`` kernel: it normalises the arrays the Python
+call site hands over (contiguity, float64) exactly the way the NumPy
+tier does, calls the ``repro_correlated_scan`` C function, and returns
+the flip grid.  Validation of user input stays in
+:mod:`repro.faults.correlated`, so every tier shares one error surface.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
 from repro.native import loader
 
-#: The C word kernels assume little-endian byte layout inside each word.
-_LITTLE = sys.byteorder == "little"
-
-
-def _lib():
-    loaded = loader.load()
-    assert loaded is not None, "native kernel called while extension missing"
-    return loaded
-
-
-def _in(ffi, ctype: str, arr: np.ndarray):
-    if arr.size == 0:
-        return ffi.NULL
-    return ffi.cast(ctype, ffi.from_buffer(arr))
-
-
-def _out(ffi, ctype: str, arr: np.ndarray):
-    if arr.size == 0:
-        return ffi.NULL
-    return ffi.cast(ctype, ffi.from_buffer(arr, require_writable=True))
-
-
-# ---------------------------------------------------------------------------
-# correlated fault grid
-# ---------------------------------------------------------------------------
-
 
 def correlated_scan(draws: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Raster-scan the Eq. (2) flip grid from pre-drawn uniforms."""
-    ffi, lib = _lib()
+    loaded = loader.load()
+    assert loaded is not None, "native kernel called while extension missing"
+    ffi, lib = loaded
     draws = np.ascontiguousarray(draws, dtype=np.float64)
     table = np.ascontiguousarray(table, dtype=np.float64)
     rows, cols = draws.shape
     flips = np.empty((rows, cols), dtype=np.bool_)
     lib.repro_correlated_scan(
-        _in(ffi, "double *", draws),
+        ffi.cast("double *", ffi.from_buffer(draws)),
         rows,
         cols,
-        _in(ffi, "double *", table),
+        ffi.cast("double *", ffi.from_buffer(table)),
         table.size,
-        _out(ffi, "uint8_t *", flips),
+        ffi.cast("uint8_t *", ffi.from_buffer(flips, require_writable=True)),
     )
     return flips
-
-
-# ---------------------------------------------------------------------------
-# voter combiners (bytewise — any unsigned word width)
-# ---------------------------------------------------------------------------
-
-
-def grt(voters: np.ndarray) -> np.ndarray:
-    """Union of leave-one-out ANDs over axis 0 (Υ >= 3)."""
-    ffi, lib = _lib()
-    voters = np.ascontiguousarray(voters)
-    out = np.empty(voters.shape[1:], dtype=voters.dtype)
-    if out.nbytes == 0:
-        return out
-    lib.repro_grt_bytes(
-        _in(ffi, "uint8_t *", voters),
-        voters.shape[0],
-        out.nbytes,
-        _out(ffi, "uint8_t *", out),
-    )
-    return out
-
-
-def unanimous(voters: np.ndarray) -> np.ndarray:
-    """Bitwise AND over axis 0."""
-    ffi, lib = _lib()
-    voters = np.ascontiguousarray(voters)
-    out = np.empty(voters.shape[1:], dtype=voters.dtype)
-    if out.nbytes == 0:
-        return out
-    lib.repro_unanimous_bytes(
-        _in(ffi, "uint8_t *", voters),
-        voters.shape[0],
-        out.nbytes,
-        _out(ffi, "uint8_t *", out),
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bit-plane transforms
-# ---------------------------------------------------------------------------
-
-
-def words_native_ok(arr: np.ndarray, *_args, **_kwargs) -> bool:
-    """Word kernels need a little-endian host (x86/arm — everywhere)."""
-    return _LITTLE
-
-
-def to_bit_planes(arr: np.ndarray) -> np.ndarray:
-    nbits = arr.dtype.itemsize * 8
-    ffi, lib = _lib()
-    little = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).reshape(-1)
-    planes = np.empty((nbits, little.size), dtype=np.uint8)
-    if little.size == 0:
-        return planes.reshape((nbits,) + arr.shape)
-    lib.repro_to_bit_planes(
-        _in(ffi, "uint8_t *", little),
-        little.size,
-        nbits,
-        _out(ffi, "uint8_t *", planes),
-    )
-    return planes.reshape((nbits,) + arr.shape)
-
-
-def from_bit_planes(planes: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    nbits = dtype.itemsize * 8
-    ffi, lib = _lib()
-    flat = np.ascontiguousarray(planes, dtype=np.uint8).reshape(nbits, -1)
-    out = np.empty(flat.shape[1], dtype=dtype)
-    if flat.shape[1] == 0:
-        return out.reshape(planes.shape[1:])
-    lib.repro_from_bit_planes(
-        _in(ffi, "uint8_t *", flat),
-        flat.shape[1],
-        nbits,
-        _out(ffi, "uint8_t *", out),
-    )
-    return out.reshape(planes.shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# sliding-window smoothers
-# ---------------------------------------------------------------------------
-
-
-def majority_window_ok(pixels: np.ndarray, window: int = 3) -> bool:
-    """The C bit-sliced counter holds counts up to 15."""
-    return _LITTLE and window <= 15
-
-
-def majority_vote_window(pixels: np.ndarray, window: int = 3) -> np.ndarray:
-    ffi, lib = _lib()
-    frames = np.ascontiguousarray(
-        pixels, dtype=pixels.dtype.newbyteorder("<")
-    )
-    n = frames.shape[0]
-    frame_bytes = frames.nbytes // n if n else 0
-    out = np.empty(frames.shape, dtype=pixels.dtype)
-    if out.nbytes == 0:
-        return out
-    lib.repro_majority_window(
-        _in(ffi, "uint8_t *", frames),
-        n,
-        frame_bytes,
-        window,
-        _out(ffi, "uint8_t *", out),
-    )
-    return out
-
-
-def weighted_smooth_ok(pixels: np.ndarray, weights: np.ndarray) -> bool:
-    """uint64 output needs NumPy's exact float→word cast; defer to it."""
-    return pixels.dtype != np.uint64
-
-
-def weighted_window_smooth(pixels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Accumulate+divide in C; the dtype finishing (rint/clip/cast) is
-    shared with the NumPy tier via the caller."""
-    ffi, lib = _lib()
-    n = pixels.shape[0]
-    window = len(weights)
-    half = window // 2
-    pad = [(half, half)] + [(0, 0)] * (pixels.ndim - 1)
-    padded = np.ascontiguousarray(
-        np.pad(pixels.astype(np.float64), pad, mode="edge")
-    )
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    frame_len = int(np.prod(pixels.shape[1:], dtype=np.int64)) if pixels.ndim > 1 else 1
-    out = np.empty(pixels.shape, dtype=np.float64)
-    if out.size == 0:
-        return out
-    lib.repro_weighted_smooth_f64(
-        _in(ffi, "double *", padded),
-        n,
-        frame_len,
-        _in(ffi, "double *", weights),
-        window,
-        float(weights.sum()),
-        _out(ffi, "double *", out),
-    )
-    return out

@@ -1,14 +1,8 @@
-/* Native kernel tier — see repro_kernels.h for the contracts. */
+/* Native kernel tier — see repro_kernels.h for the contract. */
 
 #include "repro_kernels.h"
 
 #include <stdlib.h>
-#include <string.h>
-
-/* Cache-friendly block length (bytes / words) for the plane kernels:
- * small enough that a block of every operand stays in L1 across the
- * inner passes, large enough to amortise the loop overhead. */
-#define REPRO_BLOCK 8192
 
 void repro_correlated_scan(const double *draws, int64_t rows, int64_t cols,
                            const double *table, int64_t n_terms,
@@ -80,190 +74,4 @@ void repro_correlated_scan(const double *draws, int64_t rows, int64_t cols,
         }
     }
     free(vrun);
-}
-
-void repro_grt_bytes(const uint8_t *voters, int64_t upsilon,
-                     int64_t plane_bytes, uint8_t *out)
-{
-    /* Two-level saturating zero counter, identical in structure to the
-     * NumPy tier: zero1 marks bits cleared by >= 1 voter, zero2 bits
-     * cleared by >= 2; a bit survives a leave-one-out AND exactly when
-     * at most one voter clears it.  Blocked so the accumulators live in
-     * L1 while every voter plane streams through once. */
-    uint8_t zero1[REPRO_BLOCK];
-    uint8_t zero2[REPRO_BLOCK];
-    for (int64_t start = 0; start < plane_bytes; start += REPRO_BLOCK) {
-        const int64_t len = plane_bytes - start < REPRO_BLOCK
-                                ? plane_bytes - start
-                                : REPRO_BLOCK;
-        const uint8_t *v0 = voters + start;
-        for (int64_t i = 0; i < len; i++) {
-            zero1[i] = (uint8_t)~v0[i];
-            zero2[i] = 0;
-        }
-        for (int64_t k = 1; k < upsilon; k++) {
-            const uint8_t *v = voters + k * plane_bytes + start;
-            for (int64_t i = 0; i < len; i++) {
-                const uint8_t cleared = (uint8_t)~v[i];
-                zero2[i] |= (uint8_t)(zero1[i] & cleared);
-                zero1[i] |= cleared;
-            }
-        }
-        for (int64_t i = 0; i < len; i++)
-            out[start + i] = (uint8_t)~zero2[i];
-    }
-}
-
-void repro_unanimous_bytes(const uint8_t *voters, int64_t upsilon,
-                           int64_t plane_bytes, uint8_t *out)
-{
-    memcpy(out, voters, (size_t)plane_bytes);
-    for (int64_t k = 1; k < upsilon; k++) {
-        const uint8_t *v = voters + k * plane_bytes;
-        for (int64_t i = 0; i < plane_bytes; i++)
-            out[i] &= v[i];
-    }
-}
-
-/* Word block length for the bit-plane transforms: the de-interleaved
- * byte columns of a block (nbytes * 4096 bytes, <= 32 KiB for uint64)
- * stay cache-resident across the per-plane passes. */
-#define REPRO_PLANE_BLOCK 4096
-
-void repro_to_bit_planes(const uint8_t *words, int64_t n_words,
-                         int32_t nbits, uint8_t *planes)
-{
-    const int32_t nbytes = nbits / 8;
-    /* Strided byte access defeats vectorisation, so each block is
-     * de-interleaved into contiguous per-byte columns once; every plane
-     * extraction is then a contiguous shift-and-mask pass that the
-     * compiler turns into SIMD. */
-    uint8_t cols[8][REPRO_PLANE_BLOCK];
-    for (int64_t start = 0; start < n_words; start += REPRO_PLANE_BLOCK) {
-        const int64_t len = n_words - start < REPRO_PLANE_BLOCK
-                                ? n_words - start
-                                : REPRO_PLANE_BLOCK;
-        const uint8_t *base = words + start * nbytes;
-        for (int32_t b = 0; b < nbytes; b++) {
-            uint8_t *col = cols[b];
-            for (int64_t i = 0; i < len; i++)
-                col[i] = base[i * nbytes + b];
-        }
-        for (int32_t j = 0; j < nbits; j++) {
-            const int32_t pos = nbits - 1 - j;
-            const uint8_t *col = cols[pos >> 3];
-            const int32_t shift = pos & 7;
-            uint8_t *dst = planes + (int64_t)j * n_words + start;
-            for (int64_t i = 0; i < len; i++)
-                dst[i] = (uint8_t)((col[i] >> shift) & 1);
-        }
-    }
-}
-
-void repro_from_bit_planes(const uint8_t *planes, int64_t n_words,
-                           int32_t nbits, uint8_t *words)
-{
-    const int32_t nbytes = nbits / 8;
-    uint8_t cols[8][REPRO_PLANE_BLOCK];
-    for (int64_t start = 0; start < n_words; start += REPRO_PLANE_BLOCK) {
-        const int64_t len = n_words - start < REPRO_PLANE_BLOCK
-                                ? n_words - start
-                                : REPRO_PLANE_BLOCK;
-        memset(cols, 0, sizeof(cols[0]) * (size_t)nbytes);
-        for (int32_t j = 0; j < nbits; j++) {
-            const int32_t pos = nbits - 1 - j;
-            const uint8_t *src = planes + (int64_t)j * n_words + start;
-            uint8_t *col = cols[pos >> 3];
-            const int32_t shift = pos & 7;
-            for (int64_t i = 0; i < len; i++)
-                col[i] |= (uint8_t)((src[i] & 1) << shift);
-        }
-        uint8_t *base = words + start * nbytes;
-        for (int32_t b = 0; b < nbytes; b++) {
-            const uint8_t *col = cols[b];
-            for (int64_t i = 0; i < len; i++)
-                base[i * nbytes + b] = col[i];
-        }
-    }
-}
-
-/* Bit-sliced addition of one 64-lane operand into a 4-level counter. */
-static inline void counter_add(uint64_t c[4], uint64_t x)
-{
-    for (int l = 0; l < 4; l++) {
-        const uint64_t t = c[l] & x;
-        c[l] ^= x;
-        x = t;
-    }
-}
-
-/* Lanes where the 4-bit counter value exceeds `half` (MSB-first compare
- * against the constant). */
-static inline uint64_t counter_gt(const uint64_t c[4], int32_t half)
-{
-    uint64_t gt = 0;
-    uint64_t eq = ~(uint64_t)0;
-    for (int l = 3; l >= 0; l--) {
-        const uint64_t hb = ((half >> l) & 1) ? ~(uint64_t)0 : 0;
-        gt |= eq & c[l] & ~hb;
-        eq &= ~(c[l] ^ hb);
-    }
-    return gt;
-}
-
-void repro_majority_window(const uint8_t *frames, int64_t n,
-                           int64_t frame_bytes, int32_t window,
-                           uint8_t *out)
-{
-    const int32_t half = window / 2;
-    for (int64_t i = 0; i < n; i++) {
-        uint8_t *orow = out + i * frame_bytes;
-        int64_t b = 0;
-        for (; b + 8 <= frame_bytes; b += 8) {
-            uint64_t c[4] = {0, 0, 0, 0};
-            for (int32_t k = 0; k < window; k++) {
-                int64_t idx = i + k - half;
-                if (idx < 0)
-                    idx = 0;
-                else if (idx > n - 1)
-                    idx = n - 1;
-                uint64_t v;
-                memcpy(&v, frames + idx * frame_bytes + b, 8);
-                counter_add(c, v);
-            }
-            const uint64_t m = counter_gt(c, half);
-            memcpy(orow + b, &m, 8);
-        }
-        for (; b < frame_bytes; b++) {
-            uint64_t c[4] = {0, 0, 0, 0};
-            for (int32_t k = 0; k < window; k++) {
-                int64_t idx = i + k - half;
-                if (idx < 0)
-                    idx = 0;
-                else if (idx > n - 1)
-                    idx = n - 1;
-                counter_add(c, (uint64_t)frames[idx * frame_bytes + b]);
-            }
-            orow[b] = (uint8_t)counter_gt(c, half);
-        }
-    }
-}
-
-void repro_weighted_smooth_f64(const double *padded, int64_t n,
-                               int64_t frame_len, const double *weights,
-                               int32_t window, double wsum, double *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const double *base = padded + i * frame_len;
-        double *o = out + i * frame_len;
-        for (int64_t e = 0; e < frame_len; e++) {
-            double acc = 0.0;
-            /* Tap order matches the NumPy tier's per-tap accumulation;
-             * -ffp-contract=off keeps the multiply and add distinct so
-             * every intermediate rounding agrees. */
-            for (int32_t k = 0; k < window; k++)
-                acc += weights[k] * base[(int64_t)k * frame_len + e];
-            o[e] = acc / wsum;
-        }
-    }
 }

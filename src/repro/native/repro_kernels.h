@@ -1,17 +1,16 @@
 /* Native kernel tier for the repro preprocessing library.
  *
- * Every function here is a drop-in replacement for one NumPy-vectorized
- * hot-path kernel and is bound by the same contract as the NumPy tier:
- * byte-for-byte identity with the in-tree `_reference_*` oracle on every
- * input the Python wrappers admit.  The wrappers in
- * `repro/native/kernels.py` own all validation, dtype normalisation and
- * memory layout; these functions assume contiguous buffers, little-endian
- * word layout, and pre-checked shapes.
+ * One kernel: the Eq. (2) raster scan of the correlated fault model,
+ * the one hot-path loop NumPy cannot vectorise (each cell depends on
+ * the cells flipped before it).  It is bound by the same contract as
+ * the NumPy tier: byte-for-byte identity with the in-tree `_reference_*`
+ * oracle on every input the Python wrapper admits.  The wrapper in
+ * `repro/native/kernels.py` owns validation, dtype normalisation and
+ * memory layout; this function assumes contiguous buffers and
+ * pre-checked shapes.
  *
- * All functions are pure C99 with no Python dependency so the cffi
- * API-mode build can compile them with any hosted toolchain; cffi
- * releases the GIL around every call, which is what lets ThreadPoolBackend
- * shards overlap on multi-core hosts.
+ * Pure C99 with no Python dependency, so the cffi API-mode build can
+ * compile it with any hosted toolchain.
  */
 
 #ifndef REPRO_KERNELS_H
@@ -22,60 +21,15 @@
 /* Eq. (2) run-correlated flip grid: raster scan over pre-drawn uniforms.
  *
  * `draws` is the rows*cols row-major array of uniform [0, 1) draws,
- * `table` the cumulative Eq. (2) probability table (n_terms entries,
- * strictly increasing), `flips` the rows*cols output written as 0/1
- * bytes.  Semantics match `_reference_scan`: a cell flips when its draw
- * is below table[min(run, n_terms - 1)] where run is the longer of the
- * horizontal/vertical runs of already-flipped immediate predecessors.
+ * `table` the cumulative Eq. (2) probability table (n_terms >= 1
+ * entries, strictly increasing), `flips` the rows*cols output written
+ * as 0/1 bytes.  Semantics match `_reference_scan`: a cell flips when
+ * its draw is below table[min(run, n_terms - 1)] where run is the
+ * longer of the horizontal/vertical runs of already-flipped immediate
+ * predecessors.
  */
 void repro_correlated_scan(const double *draws, int64_t rows, int64_t cols,
                            const double *table, int64_t n_terms,
                            uint8_t *flips);
-
-/* GRT combiner (union of leave-one-out ANDs) over `upsilon` bit planes.
- *
- * `voters` holds upsilon contiguous planes of plane_bytes raw bytes each
- * (any unsigned word width — the combiner is bytewise).  Requires
- * upsilon >= 3; the Υ = 2 unanimity degeneration stays in Python.
- */
-void repro_grt_bytes(const uint8_t *voters, int64_t upsilon,
-                     int64_t plane_bytes, uint8_t *out);
-
-/* Per-bit AND over `upsilon` planes (the Ξ unanimity combiner). */
-void repro_unanimous_bytes(const uint8_t *voters, int64_t upsilon,
-                           int64_t plane_bytes, uint8_t *out);
-
-/* Bit-plane decomposition: n_words little-endian words of width nbits
- * (8/16/32/64) into nbits planes of 0/1 bytes; plane j holds bit
- * (nbits - 1 - j), i.e. plane 0 is the MSB, matching the paper's
- * P(i, j) convention.
- */
-void repro_to_bit_planes(const uint8_t *words, int64_t n_words,
-                         int32_t nbits, uint8_t *planes);
-
-/* Inverse of repro_to_bit_planes for 0/1 planes. */
-void repro_from_bit_planes(const uint8_t *planes, int64_t n_words,
-                           int32_t nbits, uint8_t *words);
-
-/* Sliding-window bitwise majority along axis 0 with clamped (edge-pad)
- * indices: n frames of frame_bytes bytes each, odd window in [3, 15].
- * Counting is bit-sliced (a 4-level ripple counter over 64-bit lanes),
- * so one pass covers 64 bit positions at a time.
- */
-void repro_majority_window(const uint8_t *frames, int64_t n,
-                           int64_t frame_bytes, int32_t window,
-                           uint8_t *out);
-
-/* Centred weighted window along axis 0 of an edge-padded float64 stack.
- *
- * `padded` holds n + window - 1 frames of frame_len doubles; output
- * frame i accumulates weights[k] * padded[i + k] in tap order (the same
- * per-element addition order as the NumPy tier — float addition is not
- * associative, and the compile flags forbid FMA contraction, so the
- * result is bit-identical) and divides by wsum.
- */
-void repro_weighted_smooth_f64(const double *padded, int64_t n,
-                               int64_t frame_len, const double *weights,
-                               int32_t window, double wsum, double *out);
 
 #endif /* REPRO_KERNELS_H */

@@ -30,19 +30,22 @@ from repro.faults.correlated import (
     _reference_correlated_flip_grid,
     correlated_flip_grid,
 )
-from repro.native import kernel_tier, native_available
+from repro.native import dispatch, kernel_tier, native_available
 from repro.ngst import rice
 from repro.otis import scan
 
 UNSIGNED_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
 
-#: Tier parametrization for the dispatched kernels: the native column
-#: skips cleanly when no extension can be built (no compiler / no cffi).
+#: Tier parametrization for the dispatched kernels.  The native column
+#: runs the default ``auto`` tier with the compiled extension loaded:
+#: C for the correlated scan, NumPy for every kernel without a C
+#: implementation.  It skips cleanly when no extension can be built (no
+#: compiler / no cffi).
 TIER_PARAMS = [
     pytest.param("numpy", id="numpy"),
     pytest.param("reference", id="reference"),
     pytest.param(
-        "native",
+        "auto",
         id="native",
         marks=pytest.mark.skipif(
             not native_available(), reason="native extension unavailable"
@@ -438,7 +441,7 @@ def test_observation_stacks_unobserved_row_error():
 
 
 # ---------------------------------------------------------------------------
-# kernel tiers (PR 7): every dispatched kernel is byte-identical across
+# kernel tiers: every dispatched kernel is byte-identical across
 # native / numpy / reference, on every dtype, odd shape and edge value
 # ---------------------------------------------------------------------------
 
@@ -452,6 +455,9 @@ def _on_tier(tier, fn, *args, **kwargs):
 @pytest.mark.parametrize("gamma", [0.02, 0.3, 0.45, 0.49])
 @pytest.mark.parametrize("max_terms", [1, 2, 8, 64])
 def test_correlated_tier_identity(tier, gamma, max_terms):
+    if tier == "auto":
+        with kernel_tier(tier):
+            assert dispatch.resolve("correlated_flip_grid") == "native"
     for seed, shape in enumerate([(1, 1), (1, 17), (9, 1), (5, 7), (48, 64)]):
         got = _on_tier(
             tier,
@@ -471,6 +477,17 @@ def test_correlated_tier_identity(tier, gamma, max_terms):
         )
         assert got.dtype == want.dtype == np.bool_
         assert np.array_equal(got, want), (tier, shape, gamma, max_terms)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("max_terms", [0, -3])
+def test_correlated_rejects_empty_run_table(tier, gamma, max_terms):
+    # An empty Eq. (2) table once reached the C scan, which read
+    # table[0] out of bounds; every tier must refuse it up front.
+    rng = np.random.default_rng(0)
+    with kernel_tier(tier), pytest.raises(ConfigurationError, match="max_terms"):
+        correlated_flip_grid((4, 8), gamma, rng, max_terms)
 
 
 @pytest.mark.parametrize("tier", TIER_PARAMS)
@@ -505,8 +522,6 @@ def test_voter_combiner_tier_identity(rng, tier, dtype, upsilon):
 @pytest.mark.parametrize("dtype", UNSIGNED_DTYPES)
 @pytest.mark.parametrize("window", [3, 5, 15, 17])
 def test_majority_window_tier_identity(rng, tier, dtype, window):
-    # window 17 exceeds the C bit-sliced counter's capacity, so the
-    # native tier must demote that call to NumPy and still match.
     for shape in [(window,), (window + 4, 6), (19, 3, 4)]:
         if shape[0] < window:
             continue
@@ -523,8 +538,7 @@ def test_majority_window_tier_identity(rng, tier, dtype, window):
 )
 def test_weighted_smooth_tier_identity(rng, tier, dtype):
     # Bit-identical floats, not merely close ones: accumulation order
-    # and the absence of FMA contraction are part of the contract.
-    # uint64 exercises the accepts-predicate demotion path.
+    # is part of the contract.
     for shape in [(5,), (8, 6), (16, 3, 5)]:
         pixels = (rng.random(shape) * 1000).astype(dtype)
         for weights in (

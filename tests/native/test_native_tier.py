@@ -2,9 +2,9 @@
 
 The byte-identity of the tiers is covered by
 ``tests/core/test_kernel_equivalence.py``; these tests pin down the
-selection machinery itself — env-var parsing, the programmatic knob,
-the accepts-predicate demotion, the explicit-native fallback warning —
-plus the ``repro kernels`` CLI and the loader's failure surface.
+selection machinery itself — env-var parsing, the ``kernel_tier``
+override, routing by tier — plus the ``repro kernels`` CLI and the
+loader's failure surface.
 """
 
 from __future__ import annotations
@@ -23,18 +23,14 @@ from repro.native import (
     kernel_tier,
     loader,
     native_available,
-    set_kernel_tier,
 )
 from repro.native.cli import main as kernels_main
 
 
 @pytest.fixture(autouse=True)
 def _clean_tier_state(monkeypatch):
-    """Every test starts from env/auto selection and leaves no override."""
+    """Every test starts from env/auto selection."""
     monkeypatch.delenv(ENV_VAR, raising=False)
-    set_kernel_tier(None)
-    yield
-    set_kernel_tier(None)
 
 
 @pytest.fixture
@@ -47,14 +43,13 @@ def dummy_kernel():
         numpy_impl=lambda x: calls.append("numpy") or "numpy",
         reference_impl=lambda x: calls.append("reference") or "reference",
         native_impl=lambda x: calls.append("native") or "native",
-        accepts=lambda x: x >= 0,
     )
     yield name, calls
     dispatch._REGISTRY.pop(name, None)
 
 
 def test_tier_constants():
-    assert TIERS == ("native", "numpy", "reference")
+    assert TIERS == ("numpy", "reference")
     assert ENV_VAR == "REPRO_KERNEL_TIER"
 
 
@@ -76,24 +71,37 @@ def test_unknown_env_tier_raises(monkeypatch):
         get_kernel_tier()
 
 
-def test_set_kernel_tier_validates_and_overrides_env(monkeypatch):
+def test_native_tier_value_is_rejected(monkeypatch):
+    # auto already runs the C kernel when the extension loads; there is
+    # no separate value to request it.
+    monkeypatch.setenv(ENV_VAR, "native")
+    with pytest.raises(ConfigurationError) as excinfo:
+        get_kernel_tier()
+    assert str(excinfo.value) == (
+        "unknown kernel tier 'native'; expected one of "
+        "('auto', 'numpy', 'reference')"
+    )
+
+
+def test_kernel_tier_validates_and_overrides_env(monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown kernel tier"):
-        set_kernel_tier("assembler")
+        with kernel_tier("assembler"):
+            pass
     monkeypatch.setenv(ENV_VAR, "numpy")
-    set_kernel_tier("reference")
-    assert get_kernel_tier() == "reference"
-    set_kernel_tier(None)
+    with kernel_tier("reference"):
+        assert get_kernel_tier() == "reference"
     assert get_kernel_tier() == "numpy"
 
 
 def test_kernel_tier_context_restores_previous():
-    set_kernel_tier("numpy")
-    with kernel_tier("reference"):
-        assert get_kernel_tier() == "reference"
-        with kernel_tier(None):
-            assert get_kernel_tier() == "auto"
-        assert get_kernel_tier() == "reference"
-    assert get_kernel_tier() == "numpy"
+    with kernel_tier("numpy"):
+        with kernel_tier("reference"):
+            assert get_kernel_tier() == "reference"
+            with kernel_tier(None):
+                assert get_kernel_tier() == "auto"
+            assert get_kernel_tier() == "reference"
+        assert get_kernel_tier() == "numpy"
+    assert get_kernel_tier() == "auto"
 
 
 def test_call_routes_by_tier(dummy_kernel, monkeypatch):
@@ -103,40 +111,13 @@ def test_call_routes_by_tier(dummy_kernel, monkeypatch):
     with kernel_tier("reference"):
         assert dispatch.call(name, 1) == "reference"
     monkeypatch.setattr(loader, "available", lambda: True)
-    with kernel_tier("native"):
-        assert dispatch.call(name, 1) == "native"
     with kernel_tier("auto"):
         assert dispatch.call(name, 1) == "native"
-
-
-def test_accepts_predicate_demotes_single_calls(dummy_kernel, monkeypatch):
-    name, _calls = dummy_kernel
-    monkeypatch.setattr(loader, "available", lambda: True)
-    with kernel_tier("native"):
-        assert dispatch.call(name, 1) == "native"
-        assert dispatch.call(name, -1) == "numpy"  # accepts() rejected
-
-
-def test_explicit_native_without_extension_warns_once(dummy_kernel, monkeypatch):
-    name, _calls = dummy_kernel
-    monkeypatch.setattr(loader, "available", lambda: False)
-    monkeypatch.setattr(loader, "unavailable_reason", lambda: "test stub")
-    monkeypatch.setattr(dispatch, "_warned_native_missing", False)
-    with kernel_tier("native"):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert dispatch.call(name, 1) == "numpy"
-        # Second call: silent fallback, no warning spam.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert dispatch.call(name, 1) == "numpy"
 
 
 def test_auto_without_extension_is_silent(dummy_kernel, monkeypatch):
     name, _calls = dummy_kernel
     monkeypatch.setattr(loader, "available", lambda: False)
-    monkeypatch.setattr(dispatch, "_warned_native_missing", False)
     import warnings
 
     with kernel_tier("auto"), warnings.catch_warnings():
@@ -159,16 +140,21 @@ def test_resolve_reports_argument_independent_tier(dummy_kernel, monkeypatch):
 
 
 def test_dispatched_results_identical_across_requested_tiers():
-    # End-to-end sanity on a real kernel, whatever tiers this host has.
+    # End-to-end sanity on real kernels, whatever tiers this host has.
     from repro.core import bitops
+    from repro.faults.correlated import correlated_flip_grid
 
     arr = np.arange(96, dtype=np.uint16).reshape(8, 12) * 571
-    outputs = []
-    for tier in ("auto",) + TIERS[1:]:
-        with kernel_tier(tier):
-            outputs.append(bitops.to_bit_planes(arr))
-    for other in outputs[1:]:
-        assert np.array_equal(outputs[0], other)
+    for run in (
+        lambda: bitops.to_bit_planes(arr),
+        lambda: correlated_flip_grid((24, 40), 0.3, np.random.default_rng(5)),
+    ):
+        outputs = []
+        for tier in ("auto",) + TIERS:
+            with kernel_tier(tier):
+                outputs.append(run())
+        for other in outputs[1:]:
+            assert np.array_equal(outputs[0], other)
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +207,32 @@ def test_kernels_cli_json(capsys):
         "otis_band",
     }
     assert expected <= set(info["kernels"])
-    for numpy_only in ("rice_encode", "otis_band"):
-        assert info["kernels"][numpy_only]["has_native_impl"] is False
+    with_native = {
+        name for name, entry in info["kernels"].items() if entry["has_native_impl"]
+    }
+    assert with_native == {"correlated_flip_grid"}
     for entry in info["kernels"].values():
-        assert entry["tier"] in TIERS
+        assert set(entry) == {"tier", "has_native_impl"}
+        assert entry["tier"] in ("native",) + TIERS
 
 
-def test_kernels_cli_require_gate(capsys):
-    set_kernel_tier("numpy")
+def test_kernels_cli_require_gate(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "numpy")
     assert kernels_main(["--require", "numpy"]) == 0
     assert kernels_main(["--require", "native"]) == 1
     assert "--require native failed" in capsys.readouterr().err
 
 
 def test_kernels_cli_require_native_passes_over_numpy_only_kernels(capsys, monkeypatch):
-    # rice_encode has no native tier, so it resolves to numpy even when
-    # the extension loads; that is not a fallback the gate should flag.
+    # Only the correlated scan has a native tier; the other kernels
+    # resolve to numpy even when the extension loads, and that is not a
+    # fallback the gate should flag.
     monkeypatch.setattr(loader, "available", lambda: True)
     assert kernels_main(["--require", "native"]) == 0
     out = capsys.readouterr().out
-    for name in ("rice_encode", "otis_band"):
+    [line] = [line for line in out.splitlines() if "correlated_flip_grid" in line]
+    assert line.endswith("->  native")
+    for name in ("grt", "to_bit_planes", "rice_encode", "otis_band"):
         [line] = [line for line in out.splitlines() if name in line]
         assert line.endswith("->  numpy  (no native impl)")
     assert kernels_main(["--require", "numpy"]) == 1

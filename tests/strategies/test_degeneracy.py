@@ -8,8 +8,9 @@ Gated here:
 * ``selective`` with the all-sensitive default map ≡ ``fixed``;
 * a ``frozen`` :class:`AutotuneVoterStage` ≡ a plain ``VoterStage``.
 
-The suite runs under both kernel tiers in CI (``REPRO_KERNEL_TIER``),
-so each identity is checked against the numpy and native dispatch.
+The suite injects only uncorrelated faults, so no call reaches the C
+correlated scan: CI's NumPy-tier and default-tier runs execute the same
+code.
 """
 
 import numpy as np
