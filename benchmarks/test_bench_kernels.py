@@ -33,6 +33,7 @@ from repro.otis.scan import (
     mosaic,
     scan_scene,
 )
+from repro.stream.source import FrameSeeder, frame_rng
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,14 @@ def test_bench_otis_band(benchmark, otis_band):
 
 def test_bench_otis_band_reference(benchmark, otis_band):
     benchmark(_reference_otis_band, *otis_band)
+
+
+# One 64-frame stream chunk's Generators: the seeder reseeds one
+# Generator per frame, frame_rng builds one per frame.
+def test_bench_frame_seeder(benchmark):
+    seeder = FrameSeeder(2003)
+    benchmark(lambda: [rng.bit_generator for rng in seeder.generators(4096, 64)])
+
+
+def test_bench_frame_seeder_reference(benchmark):
+    benchmark(lambda: [frame_rng(2003, 4096 + j).bit_generator for j in range(64)])

@@ -7,6 +7,8 @@ in memory.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.config import UncorrelatedFaultConfig
@@ -14,12 +16,17 @@ from repro.core import bitops
 from repro.exceptions import ConfigurationError
 
 
-#: Uniform draws per block of bit planes: 32 KiB of float64 per draw.
+#: Uniform draws per block of one frame's bit planes: 32 KiB of float64.
 #: A word array of at least this many elements draws one plane per
 #: block, exactly as the reference does.
 _DRAW_BUDGET = 4096
 
-_SHIFTS = np.arange(64, dtype=np.uint64)
+#: Uniform draws per block of whole frames (512 KiB of float64).  Only
+#: frames whose bits fit ``_DRAW_BUDGET`` share a block; a larger frame
+#: draws alone, in blocks of ``_DRAW_BUDGET``.
+_CHUNK_DRAW_BUDGET = 16 * _DRAW_BUDGET
+
+_WEIGHTS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def _check_mask_args(nbits: int, gamma0: float) -> None:
@@ -27,6 +34,63 @@ def _check_mask_args(nbits: int, gamma0: float) -> None:
         raise ConfigurationError(f"gamma0 must be within [0, 1], got {gamma0}")
     if nbits < 1 or nbits > 64:
         raise ConfigurationError(f"nbits must be within [1, 64], got {nbits}")
+
+
+def _draw_masks(
+    shape: tuple[int, ...],
+    nbits: int,
+    gammas: list[float],
+    rngs,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Flip masks of ``len(gammas)`` frames of *shape*, as *dtype* words.
+
+    Bit plane ``b`` of frame ``j`` is ``rng_j.random(shape) < gammas[j]``,
+    drawn bit-major, so frame ``j`` consumes its Generator exactly as one
+    ``rng_j.random((nbits,) + shape)`` would, however the draws are
+    blocked; a frame with Γ = 0 draws nothing.  *rngs* yields one
+    Generator per frame and is advanced only after the frame's draws.
+
+    Small frames are drawn into one buffer of up to
+    ``_CHUNK_DRAW_BUDGET`` draws, compared against their Γ column and
+    packed together; a frame of more than ``_DRAW_BUDGET`` draws is
+    drawn alone, ``_DRAW_BUDGET // size`` planes at a time.
+    """
+    n = len(gammas)
+    masks = np.zeros((n,) + shape, dtype=dtype)
+    size = max(math.prod(shape), 1)
+    if nbits * size <= _DRAW_BUDGET:
+        planes, frames = nbits, max(1, _CHUNK_DRAW_BUDGET // (nbits * size))
+    else:
+        planes, frames = max(1, _DRAW_BUDGET // size), 1
+    buffer = np.empty((min(frames, n), planes) + shape)
+    column = np.array(gammas, dtype=np.float64).reshape((n, 1) + (1,) * len(shape))
+    weights = _WEIGHTS[:nbits].astype(dtype)
+    rngs = iter(rngs)
+    for lo in range(0, n, frames):
+        hi = min(lo + frames, n)
+        if frames == 1 and gammas[lo] == 0.0:
+            next(rngs)
+            continue
+        # Whole frames share a block (one pass of this loop), or one
+        # large frame keeps its Generator across its blocks of planes.
+        for plane in range(0, nbits, planes):
+            block = buffer[: hi - lo, : min(planes, nbits - plane)]
+            for j in range(lo, hi):
+                if plane == 0:
+                    rng = next(rngs)
+                if gammas[j] == 0.0:
+                    block[j - lo] = 1.0  # never below Γ = 0
+                else:
+                    rng.random(out=block[j - lo])
+            hits = block < column[lo:hi]
+            masks[lo:hi] |= np.einsum(
+                "fp...,p->f...",
+                hits.view(np.uint8),
+                weights[plane : plane + block.shape[1]],
+                dtype=dtype,
+            )
+    return masks
 
 
 def uncorrelated_flip_mask(
@@ -41,22 +105,14 @@ def uncorrelated_flip_mask(
 
     Bit plane ``b`` is ``rng.random(shape) < Γ₀``, drawn bit-major as in
     :func:`_reference_uncorrelated_flip_mask`; a block of planes comes
-    from one ``rng.random((k,) + shape)`` call, which consumes the
-    Generator in the same order.  The result and the Generator's final
-    state are therefore byte-identical to the reference, while a small
-    frame pays for one draw instead of *nbits*.
+    from one ``rng.random`` call, which consumes the Generator in the
+    same order.  The result and the Generator's final state are
+    therefore byte-identical to the reference, while a small frame pays
+    for one draw instead of *nbits*.
     """
     _check_mask_args(nbits, gamma0)
-    if gamma0 == 0.0:
-        return np.zeros(shape, dtype=np.uint64)
-    mask = np.zeros(shape, dtype=np.uint64)
-    per_block = max(1, _DRAW_BUDGET // max(mask.size, 1))
-    for lo in range(0, nbits, per_block):
-        hi = min(lo + per_block, nbits)
-        planes = (rng.random((hi - lo,) + mask.shape) < gamma0).astype(np.uint64)
-        planes <<= _SHIFTS[lo:hi].reshape((hi - lo,) + (1,) * mask.ndim)
-        mask |= planes[0] if hi - lo == 1 else np.bitwise_or.reduce(planes, axis=0)
-    return mask
+    shape = tuple(shape) if np.iterable(shape) else (int(shape),)
+    return _draw_masks(shape, nbits, [gamma0], [rng], np.dtype(np.uint64))[0]
 
 
 def _reference_uncorrelated_flip_mask(
@@ -100,13 +156,38 @@ class UncorrelatedFaultModel:
         float32 input is corrupted through its uint32 bit patterns, as
         faults strike the stored representation, not the value.
         """
-        if data.dtype == np.float32:
-            bits = bitops.float32_to_bits(np.ascontiguousarray(data))
-            mask = uncorrelated_flip_mask(bits.shape, 32, self.config.gamma0, rng)
-            flipped = np.bitwise_xor(bits, mask.astype(np.uint32))
-            return bitops.bits_to_float32(flipped), mask.astype(np.uint32)
-        bitops.require_unsigned(data, "data")
-        nbits = bitops.bit_width(data.dtype)
-        mask = uncorrelated_flip_mask(data.shape, nbits, self.config.gamma0, rng)
-        mask = mask.astype(data.dtype)
-        return np.bitwise_xor(data, mask), mask
+        if not isinstance(data, (np.ndarray, np.generic)):
+            bitops.require_unsigned(data, "data")
+        corrupted, masks = self.corrupt_chunk(np.asarray(data)[np.newaxis], (rng,))
+        return corrupted[0, ...], masks[0, ...]
+
+    def corrupt_chunk(
+        self,
+        frames: np.ndarray,
+        rngs,
+        gammas: "list[float] | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Corrupt each frame of a ``(k,) + shape`` chunk with its own Generator.
+
+        Frame ``j`` comes out byte-identical to ``corrupt(frames[j],
+        rng_j)`` under Γ₀ = ``gammas[j]`` (default: this model's Γ₀ for
+        every frame), but the chunk's small frames are drawn into one
+        buffer and packed together.  *rngs* yields one Generator per
+        frame and is advanced only after the frame's draws, so the
+        reseeded Generator of :class:`repro.stream.FrameSeeder` serves.
+        """
+        k = frames.shape[0]
+        if gammas is None:
+            gammas = [self.config.gamma0] * k
+        elif len(gammas) != k or not all(0.0 <= g <= 1.0 for g in gammas):
+            raise ConfigurationError(
+                f"need {k} gamma values within [0, 1], got {list(gammas)[:8]}"
+            )
+        shape = frames.shape[1:]
+        if frames.dtype == np.float32:
+            bits = bitops.float32_to_bits(np.ascontiguousarray(frames))
+            masks = _draw_masks(shape, 32, gammas, rngs, bits.dtype)
+            return bitops.bits_to_float32(np.bitwise_xor(bits, masks)), masks
+        bitops.require_unsigned(frames, "data")
+        masks = _draw_masks(shape, bitops.bit_width(frames.dtype), gammas, rngs, frames.dtype)
+        return np.bitwise_xor(frames, masks), masks

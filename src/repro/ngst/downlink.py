@@ -117,7 +117,11 @@ class DownlinkReport:
 class ARQDownlink:
     """Stop-and-wait ARQ transfer over the burst channel."""
 
-    def __init__(self, config: DownlinkConfig | None = None, seed: int = 0) -> None:
+    def __init__(
+        self,
+        config: DownlinkConfig | None = None,
+        seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
+    ) -> None:
         self.config = config or DownlinkConfig()
         self._rng = np.random.default_rng(seed)
 

@@ -27,6 +27,7 @@ from repro.stream.autotune_stage import AutotuneVoterStage
 from repro.stream.buffer import BackpressurePolicy
 from repro.stream.pipeline import InjectStage, Stage, VoterStage
 from repro.stream.smoothers import SMOOTHERS, smoother_stage
+from repro.stream.source import check_seed
 
 #: The tenant every fresh registry starts with.
 DEFAULT_TENANT = "default"
@@ -100,6 +101,8 @@ class TenantConfig:
             )
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma must be in [0, 1], got {self.gamma}")
+        check_seed(self.inject_seed, "inject_seed")
+        check_seed(self.autotune_seed, "autotune_seed")
         if self.smoother is not None and self.smoother not in SMOOTHERS:
             raise ConfigurationError(
                 f"unknown smoother {self.smoother!r}; "

@@ -48,6 +48,7 @@ from repro.stream.smoothers import SMOOTHERS, smoother_stage
 from repro.stream.source import (
     ArraySource,
     DownlinkSource,
+    FrameSeeder,
     FrameSource,
     LimitedSource,
     PushFrameSource,
@@ -73,6 +74,7 @@ __all__ = [
     "ChunkCompleted",
     "LambdaAdjusted",
     "DownlinkSource",
+    "FrameSeeder",
     "FrameSource",
     "InjectStage",
     "LimitedSource",

@@ -43,6 +43,7 @@ from repro.core.autotune import DEFAULT_LAMBDA_GRID, autotune_sensitivity
 from repro.exceptions import ConfigurationError
 from repro.stream.checkpoint import decode_array, encode_array
 from repro.stream.pipeline import VoterStage
+from repro.stream.source import check_seed
 from repro.stream.telemetry import LambdaAdjusted, Telemetry
 
 
@@ -103,7 +104,7 @@ class AutotuneVoterStage(VoterStage):
         self.min_delta = float(min_delta)
         self.confirm = int(confirm)
         self.lambda_grid = tuple(float(v) for v in lambda_grid)
-        self.autotune_seed = int(autotune_seed)
+        self.autotune_seed = check_seed(autotune_seed, "autotune_seed")
         self.frozen = bool(frozen)
         self.telemetry = telemetry
         self.label = str(label)

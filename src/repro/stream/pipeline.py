@@ -48,9 +48,10 @@ from repro.exceptions import (
     DataFormatError,
     StreamError,
 )
+from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.stream.buffer import BackpressurePolicy, RingBuffer
 from repro.stream.checkpoint import StreamCheckpoint, decode_array, encode_array
-from repro.stream.source import FrameSource, frame_rng, read_all
+from repro.stream.source import FrameSeeder, FrameSource, read_all
 from repro.stream.telemetry import (
     ChunkCompleted,
     StageStats,
@@ -231,7 +232,11 @@ class InjectStage(Stage):
     Frame *i* is corrupted with ``model.corrupt(frame, rng_i)`` where
     ``rng_i`` is the *i*-th spawn child of *seed* — identical flips for
     identical frame indices, regardless of chunking, and resumable from
-    a bare frame counter.
+    a bare frame counter.  The stage's :class:`FrameSeeder` reseeds one
+    Generator to each ``rng_i`` in turn, and an uncorrelated model
+    corrupts the whole chunk at once
+    (:meth:`~repro.faults.uncorrelated.UncorrelatedFaultModel.corrupt_chunk`);
+    both are byte-identical to the per-frame definition.
 
     Args:
         model: any :mod:`repro.faults` model (``corrupt(data, rng)``).
@@ -261,41 +266,40 @@ class InjectStage(Stage):
             )
         self.model = model
         self.profile = profile
-        self.seed = int(seed)
+        self._seeder = FrameSeeder(seed)
+        self.seed = self._seeder.seed
         self.name = f"inject[{type(model).__name__}]"
+        # The chunk-wide path serves the uncorrelated model itself (not a
+        # subclass that may corrupt differently) and every profile.
+        self._uncorrelated = (
+            UncorrelatedFaultModel() if profile is not None
+            else model if type(model) is UncorrelatedFaultModel
+            else None
+        )
         self._next = 0
         self._template: np.ndarray | None = None
-        self._profiled: tuple[float, object] | None = None
         self.n_bits_flipped = 0
         self.n_words_hit = 0
-
-    def _model_for(self, index: int):
-        if self.profile is None:
-            return self.model
-        from repro.faults.uncorrelated import UncorrelatedFaultModel
-
-        # Only the model for the Γ in force is kept: a profile that moves
-        # Γ every frame must not grow a cache without bound.
-        gamma = float(self.profile.gamma_at(index))
-        if self._profiled is None or self._profiled[0] != gamma:
-            self._profiled = (gamma, UncorrelatedFaultModel(gamma))
-        return self._profiled[1]
 
     def _corrupt_chunk(
         self, frames: np.ndarray, start: int
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Corrupt frames ``start, start + 1, ...``; return them and
         their flip masks (``None`` for an empty chunk)."""
+        k = frames.shape[0]
+        rngs = self._seeder.generators(start, k)
+        if self._uncorrelated is not None:
+            gammas = None
+            if self.profile is not None:
+                gammas = [float(self.profile.gamma_at(start + j)) for j in range(k)]
+            return self._uncorrelated.corrupt_chunk(frames, rngs, gammas)
         out = np.empty_like(frames)
         masks = None
-        for j in range(frames.shape[0]):
-            index = start + j
+        for j, rng in enumerate(rngs):
             # frames[j, ...] keeps a scalar frame a 0-d array.
-            out[j], mask = self._model_for(index).corrupt(
-                frames[j, ...], frame_rng(self.seed, index)
-            )
+            out[j], mask = self.model.corrupt(frames[j, ...], rng)
             if masks is None:
-                masks = np.empty((frames.shape[0],) + mask.shape, dtype=mask.dtype)
+                masks = np.empty((k,) + mask.shape, dtype=mask.dtype)
             masks[j] = mask
         return out, masks
 

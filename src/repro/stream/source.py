@@ -13,7 +13,9 @@ frame from ``SeedSequence(entropy=seed, spawn_key=(i,))`` — the same
 spawn-tree children the trial runtime uses — so ``read(1)`` a thousand
 times and ``read(1000)`` once produce bit-identical frames, and a
 checkpointed source can resume mid-stream from nothing but its saved
-state.
+state.  :func:`frame_rng` builds that Generator for one frame;
+:class:`FrameSeeder` reseeds one Generator to the same states a chunk
+of frames at a time, and is what the sources and stages use.
 
 Three sources cover the paper's workload shapes:
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,6 +56,178 @@ def frame_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     )
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """*seed* as an int, or a :class:`ConfigurationError` if negative."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+#: Frames whose seeding words one block of array work computes: bounds
+#: the seeder's memory when a whole stack is injected at once.
+_SEED_BLOCK = 1024
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _u32(values) -> np.ndarray:
+    """A ``(n, 1)`` uint32 column, for broadcasting over frames."""
+    return np.array(values, dtype=np.uint32).reshape(-1, 1)
+
+
+class FrameSeeder:
+    """:func:`frame_rng` for one seed, a chunk of frames at a time.
+
+    ``generators(start, k)`` yields Generators whose states equal
+    ``frame_rng(seed, start + j)`` for ``j < k``, so every draw is
+    byte-identical, at a fraction of the cost.  numpy derives that
+    state in three steps, each split here by what it depends on:
+
+    * ``SeedSequence`` mixes the seed's uint32 words into a 4-word pool,
+      then the frame index's spawn-key words.  The seed part runs once,
+      here; the spawn-key words (one below 2³², two from 2³² on) are
+      hashed into the pool for all frames of a block as ``(4, n)``
+      uint32 arrays.
+    * ``generate_state`` hashes the pool into 8 words, again as arrays.
+    * PCG64 seeds its 128-bit state from those words with two LCG steps,
+      computed per frame on Python ints.
+
+    The seeder owns one ``PCG64`` and its ``Generator``, and sets the
+    state through ``bit_generator.state`` for each frame.  **A yielded
+    Generator is valid only for its own frame**: requesting the next
+    item reseeds the same object.  Draw everything frame *j* needs
+    before advancing, and never keep the Generator.  A seeder is as
+    stateful as the Generator it owns, so each stage or source needs
+    its own; never share one across threads.
+
+    Args:
+        seed: root entropy of the per-frame spawn tree (any non-negative
+            int; wide seeds mix their extra words in as numpy does).
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = check_seed(seed)
+        entropy = []
+        value = self.seed
+        while True:
+            entropy.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                break
+        # A spawned SeedSequence zero-pads short entropy to the pool size.
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        hash_const = _INIT_A
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = (hash_const * _MULT_A) & _MASK32
+            value = (value * hash_const) & _MASK32
+            return value ^ (value >> 16)
+
+        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # hashmix's (xor, multiply) constants for each pool word, for the
+        # spawn key's first and second word.
+        self._key_consts = []
+        for _ in range(2):
+            xors, mults = [], []
+            for _ in range(_POOL_SIZE):
+                xors.append(hash_const)
+                hash_const = (hash_const * _MULT_A) & _MASK32
+                mults.append(hash_const)
+            self._key_consts.append((_u32(xors), _u32(mults)))
+        self._mixed_pool = _u32([(_MIX_MULT_L * p) & _MASK32 for p in pool])
+        xors, mults, hash_const = [], [], _INIT_B
+        for _ in range(8):
+            xors.append(hash_const)
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            mults.append(hash_const)
+        self._state_consts = (_u32(xors), _u32(mults))
+        self._bit_generator = np.random.PCG64()
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def _seed_words(self, start: int, n: int) -> list[list[int]]:
+        """PCG64's four uint64 seed words for frames ``start .. start+n-1``,
+        as ``[seed_hi, seed_lo, inc_hi, inc_lo]`` lists of n ints."""
+        index = np.arange(start, start + n, dtype=np.uint64)
+        xors, mults = self._key_consts[0]
+        pool = self._absorb(self._mixed_pool, index.astype(np.uint32), xors, mults)
+        if start + n > 2**32:
+            # Frames from 2**32 on carry a second spawn-key word.
+            xors, mults = self._key_consts[1]
+            high = (index >> np.uint64(32)).astype(np.uint32)
+            wide = self._absorb(np.uint32(_MIX_MULT_L) * pool, high, xors, mults)
+            pool = np.where(high > 0, wide, pool)
+        xors, mults = self._state_consts
+        state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xors
+        state *= mults
+        state ^= state >> np.uint32(16)
+        state = state.astype(np.uint64)
+        # generate_state's uint32 words pair up low word first.
+        return (state[0::2] | (state[1::2] << np.uint64(32))).tolist()
+
+    @staticmethod
+    def _absorb(mixed_pool, word, xors, mults) -> np.ndarray:
+        """``mix(pool, hashmix(word))`` for each pool word; *mixed_pool*
+        is ``_MIX_MULT_L * pool``, pre-multiplied."""
+        hashed = (word ^ xors) * mults
+        hashed ^= hashed >> np.uint32(16)
+        hashed *= np.uint32(_MIX_MULT_R)
+        result = mixed_pool - hashed
+        result ^= result >> np.uint32(16)
+        return result
+
+    def generators(self, start: int, k: int) -> Iterator[np.random.Generator]:
+        """Yield the Generator of frames ``start, ..., start + k - 1``.
+
+        Each item is this seeder's one Generator, reseeded to
+        ``frame_rng(seed, start + j)``'s state and valid only until the
+        next item is requested.
+        """
+        if start < 0 or start + k > 2**64:
+            raise ConfigurationError(
+                f"frame indices must lie in [0, 2**64), got {start}..{start + k - 1}"
+            )
+        for lo in range(start, start + k, _SEED_BLOCK):
+            words = self._seed_words(lo, min(_SEED_BLOCK, start + k - lo))
+            for seed_hi, seed_lo, inc_hi, inc_lo in zip(*words):
+                # pcg_setseq_128_srandom_r: inc = 2·initseq + 1, then two
+                # LCG steps from 0 with the initial state added between.
+                inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+                state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
+                self._bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield self._generator
 
 
 class FrameSource:
@@ -120,9 +294,10 @@ class SyntheticWalkSource(FrameSource):
     with ``Θᵢ ~ N(0, σ)``; the float64 walk state is kept unclipped
     (matching :func:`repro.data.ngst.generate_walk`) and each emitted
     frame is the state rounded and clipped into the uint16 range.  The
-    step of frame *i* is drawn from :func:`frame_rng` child *i*, which
-    makes the stream chunk-invariant and the source resumable from a
-    checkpointed ``(index, walk-state)`` pair.
+    step of frame *i* is drawn from :func:`frame_rng` child *i* (through
+    the source's :class:`FrameSeeder`), which makes the stream
+    chunk-invariant and the source resumable from a checkpointed
+    ``(index, walk-state)`` pair.
 
     Args:
         shape: coordinate shape of each frame (``()`` for a scalar pixel).
@@ -143,7 +318,8 @@ class SyntheticWalkSource(FrameSource):
             raise ConfigurationError(f"n_frames must be >= 1, got {n_frames}")
         self.shape = tuple(int(s) for s in shape)
         self.config = config or NGSTDatasetConfig()
-        self.seed = int(seed)
+        self._seeder = FrameSeeder(seed)
+        self.seed = self._seeder.seed
         self.n_frames = n_frames
         self.coord_shape = self.shape
         self.dtype = np.dtype(np.uint16)
@@ -160,12 +336,11 @@ class SyntheticWalkSource(FrameSource):
         # value); one sequential cumsum from the carried state then adds
         # them in exactly the order a frame-by-frame walk would.
         walk = np.empty((k,) + self.shape, dtype=np.float64)
-        for j in range(k):
-            index = self._next + j
-            if index == 0:
+        for j, rng in enumerate(self._seeder.generators(self._next, k)):
+            if self._next + j == 0:
                 walk[j] = float(cfg.initial_value)
             else:
-                walk[j] = frame_rng(self.seed, index).normal(0.0, cfg.sigma, self.shape)
+                walk[j] = rng.normal(0.0, cfg.sigma, self.shape)
         if self._next > 0:
             assert self._walk is not None
             walk[0] += self._walk
@@ -469,7 +644,8 @@ class DownlinkSource(FrameSource):
     ) -> None:
         self.inner = inner
         self.config = config or DownlinkConfig()
-        self.seed = int(seed)
+        self._seeder = FrameSeeder(seed)
+        self.seed = self._seeder.seed
         self.coord_shape = inner.coord_shape
         self.dtype = inner.dtype
         self._next = 0
@@ -481,14 +657,9 @@ class DownlinkSource(FrameSource):
     def _read(self, k: int) -> np.ndarray:
         frames = self.inner.read(k)
         out = np.empty_like(frames)
-        for j in range(frames.shape[0]):
-            link = ARQDownlink(
-                self.config,
-                seed=np.random.SeedSequence(
-                    entropy=self.seed, spawn_key=(self._next + j,)
-                ),
-            )
-            report = link.transmit(frames[j].tobytes())
+        rngs = self._seeder.generators(self._next, frames.shape[0])
+        for j, rng in enumerate(rngs):
+            report = ARQDownlink(self.config, seed=rng).transmit(frames[j].tobytes())
             out[j] = np.frombuffer(report.delivered, dtype=self.dtype).reshape(
                 self.coord_shape
             )

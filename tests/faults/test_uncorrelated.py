@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from repro.config import UncorrelatedFaultConfig
 from repro.core import bitops
 from repro.exceptions import ConfigurationError
+from repro.faults.profile import GammaSineProfile, GammaStepProfile
 from repro.faults.uncorrelated import (
     _DRAW_BUDGET,
     UncorrelatedFaultModel,
     _reference_uncorrelated_flip_mask,
     uncorrelated_flip_mask,
 )
+from repro.stream import FrameSeeder, frame_rng
 
 
 class TestFlipMask:
@@ -159,3 +161,104 @@ class TestUncorrelatedFaultModel:
         rng = np.random.default_rng(3)
         corrupted, mask = UncorrelatedFaultModel(gamma0).corrupt(data, rng)
         assert np.array_equal(corrupted ^ mask, data)
+
+
+def _chunk_frames(dtype, shape, k, seed=0):
+    rng = np.random.default_rng(seed)
+    if np.dtype(dtype) == np.float32:
+        return (rng.standard_normal((k,) + shape) * 300).astype(np.float32)
+    info = np.iinfo(dtype)
+    return rng.integers(0, info.max, (k,) + shape, dtype=dtype, endpoint=True)
+
+
+def _per_frame(frames, gammas, seed, start):
+    """Frame-at-a-time corruption with each frame's own ``frame_rng`` and
+    the one-draw-per-plane reference mask, as ``corrupt`` defines it."""
+    outs, masks = [], []
+    for j, gamma in enumerate(gammas):
+        frame = np.asarray(frames[j, ...])
+        words = frame.view(np.uint32) if frame.dtype == np.float32 else frame
+        mask = _reference_uncorrelated_flip_mask(
+            words.shape, words.dtype.itemsize * 8, gamma, frame_rng(seed, start + j)
+        ).astype(words.dtype)
+        outs.append((words ^ mask).view(frame.dtype))
+        masks.append(mask)
+    if not outs:
+        return frames[:0], None
+    return np.stack(outs), np.stack(masks)
+
+
+def _assert_chunk_matches(frames, gammas, seed=5, start=2**32 - 4, column=True):
+    model = UncorrelatedFaultModel(gammas[0] if gammas else 0.0)
+    rngs = FrameSeeder(seed).generators(start, frames.shape[0])
+    out, masks = model.corrupt_chunk(frames, rngs, list(gammas) if column else None)
+    expected, expected_masks = _per_frame(frames, gammas, seed, start)
+    assert out.dtype == frames.dtype and out.shape == frames.shape
+    assert out.tobytes() == expected.tobytes()
+    if expected_masks is not None:
+        assert masks.dtype == expected_masks.dtype
+        assert masks.tobytes() == expected_masks.tobytes()
+
+
+class TestChunkMatchesPerFrame:
+    """``corrupt_chunk`` with a FrameSeeder equals per-frame corruption
+    with ``frame_rng`` and the reference mask: masks, corrupted words
+    and their dtypes.  The chunk starts just below 2³², so the seeder's
+    two-word spawn keys and the chunk's shared draw buffer are checked
+    together.  (``corrupt`` itself runs a chunk of one frame, so the
+    per-plane reference is the independent side.)"""
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.float32]
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 1e-6, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "shape", [(), (64,), (8, 8), (_DRAW_BUDGET + 1,)], ids=["0d", "64", "8x8", "big"]
+    )
+    def test_static_gamma(self, dtype, gamma, shape):
+        k = 3 if shape == (_DRAW_BUDGET + 1,) else 9
+        frames = _chunk_frames(dtype, shape, k)
+        _assert_chunk_matches(frames, [gamma] * k, column=False)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            GammaStepProfile(base=0.0, elevated=0.3, period=7, duty=0.5),
+            GammaSineProfile(base=0.01, amplitude=0.02, period=11),
+        ],
+        ids=["step", "sine"],
+    )
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    @pytest.mark.parametrize("shape", [(), (64,), (300,)])
+    def test_gamma_changes_inside_the_chunk(self, profile, dtype, shape):
+        start = 2**32 - 20
+        gammas = [profile.gamma_at(start + j) for j in range(40)]
+        assert len(set(gammas)) >= 2 and 0.0 in gammas
+        frames = _chunk_frames(dtype, shape, 40, seed=3)
+        _assert_chunk_matches(frames, gammas, start=start)
+
+    def test_many_frames_span_several_draw_blocks(self):
+        # (64,) uint16 frames: 1,024 draws each, 64 frames per block.
+        frames = _chunk_frames(np.uint16, (64,), 200)
+        gammas = [0.02 * (j % 5) for j in range(200)]
+        _assert_chunk_matches(frames, gammas, start=0)
+
+    def test_empty_chunk(self):
+        out, masks = UncorrelatedFaultModel(0.1).corrupt_chunk(
+            np.zeros((0, 8), np.uint16), iter(())
+        )
+        assert out.shape == masks.shape == (0, 8)
+
+    def test_a_zero_gamma_frame_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        UncorrelatedFaultModel(0.0).corrupt_chunk(np.zeros((1, 64), np.uint16), [rng])
+        assert rng.bit_generator.state == before
+
+    def test_bad_gamma_column_is_refused(self):
+        model = UncorrelatedFaultModel(0.1)
+        frames = np.zeros((2, 4), np.uint16)
+        with pytest.raises(ConfigurationError):
+            model.corrupt_chunk(frames, iter([]), [0.1, 1.5])
+        with pytest.raises(ConfigurationError):
+            model.corrupt_chunk(frames, iter([]), [0.1])

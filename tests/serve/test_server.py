@@ -245,6 +245,33 @@ class TestDrainRestart:
             assert result.result["psi_algorithm"] == oracle.psi_algorithm
 
 
+class _HoldUntilDrain(StreamClient):
+    """A client that, once the server holds *hold_at* of its frames,
+    sends nothing more until the server tells it to drain.
+
+    The hold starts after a welcome or ack, when the server idles on the
+    connection waiting for the next message, so a drain begun while
+    every client holds reaches every stream with frames still unsent
+    (chaos strikes only while a frames message is processed).
+    """
+
+    def __init__(self, *args, hold_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hold_at = hold_at
+        self.holding = asyncio.Event()
+
+    async def _recv(self, reader):
+        message = await super()._recv(reader)
+        received = message.get("received", message.get("resume_frame", -1))
+        if not self.holding.is_set() and received >= self.hold_at:
+            self.holding.set()
+            # Only the drain can answer: this raises the client's
+            # drained signal, and the stream resumes after the restart.
+            unexpected = await super()._recv(reader)
+            raise AssertionError(f"expected a drain, got {unexpected}")
+        return message
+
+
 class TestChaosAcrossDrainRestart:
     """Chaos kills on both sides of a mid-load drain and restart, in one
     run, through a tenant with a windowed smoother: every stream still
@@ -274,17 +301,19 @@ class TestChaosAcrossDrainRestart:
             await server.start()
             port = server.ingest_port
             stacks = [_walk(96, seed=40 + i, shape=(6, 6)) for i in range(3)]
-            tasks = [
-                asyncio.ensure_future(
-                    StreamClient(
-                        "127.0.0.1", port, tenant.name, f"c{i}", stacks[i],
-                        batch_frames=8, max_attempts=400, retry_delay_s=0.02,
-                    ).run()
+            clients = [
+                _HoldUntilDrain(
+                    "127.0.0.1", port, tenant.name, f"c{i}", stacks[i],
+                    batch_frames=8, max_attempts=400, retry_delay_s=0.02,
+                    hold_at=48,
                 )
                 for i in range(3)
             ]
-            while server.metrics.counter("messages") < 6:
-                await asyncio.sleep(0.005)
+            tasks = [asyncio.ensure_future(c.run()) for c in clients]
+            # The drain lands while all three streams hold unsent frames.
+            await asyncio.wait_for(
+                asyncio.gather(*(c.holding.wait() for c in clients)), timeout=60
+            )
             assert await server.drain()
             await server.stop()
             kills = server.chaos.kills

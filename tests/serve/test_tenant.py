@@ -49,6 +49,8 @@ class TestTenantConfig:
             {"chunk_frames": 64, "buffer_frames": 32},
             {"policy": "bogus"},
             {"upsilon": 8, "stack_frames": 3},
+            {"inject_seed": -3},
+            {"autotune_seed": -1},
         ],
     )
     def test_validation_rejects(self, kwargs):

@@ -19,6 +19,7 @@ from repro.core import bitops
 from repro.data.ngst import U16_MAX
 from repro.faults import CorrelatedFaultModel, UncorrelatedFaultModel
 from repro.faults.profile import GammaSineProfile, GammaStepProfile
+from repro.faults.uncorrelated import _reference_uncorrelated_flip_mask
 from repro.stream import InjectStage, StreamingPsi, SyntheticWalkSource
 from repro.stream.pipeline import PSI_CAP, PSI_FLOOR
 from repro.stream.source import frame_rng
@@ -143,6 +144,19 @@ class TestWalkSourceChunks:
         assert source._walk.tobytes() == walk.tobytes()
 
 
+def _reference_corrupt(model, frame, rng):
+    """``model.corrupt``, with an uncorrelated model's mask taken from
+    the one-draw-per-plane reference rather than the chunk code the
+    stage under test shares with ``corrupt``."""
+    if type(model) is not UncorrelatedFaultModel:
+        return model.corrupt(frame, rng)
+    words = frame.view(np.uint32) if frame.dtype == np.float32 else frame
+    mask = _reference_uncorrelated_flip_mask(
+        words.shape, words.dtype.itemsize * 8, model.config.gamma0, rng
+    ).astype(words.dtype)
+    return (words ^ mask).view(frame.dtype), mask
+
+
 def _reference_counters(model, frames, seed, profile=None):
     """Per-frame corrupt, then per-frame popcount/nonzero sums."""
     out, bits, words = np.empty_like(frames), 0, 0
@@ -151,7 +165,7 @@ def _reference_counters(model, frames, seed, profile=None):
             model if profile is None
             else UncorrelatedFaultModel(float(profile.gamma_at(i)))
         )
-        out[i], mask = frame_model.corrupt(frames[i, ...], frame_rng(seed, i))
+        out[i], mask = _reference_corrupt(frame_model, frames[i, ...], frame_rng(seed, i))
         if mask.dtype == np.float32:
             mask = bitops.float32_to_bits(mask)
         bits += int(bitops.popcount(mask).sum())

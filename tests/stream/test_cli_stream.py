@@ -154,6 +154,21 @@ class TestErrorPaths:
         assert rc == 2
         assert "stream failed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--inject-seed", "-3"], "seed"),
+            (["--autotune", "--autotune-seed", "-2"], "autotune_seed"),
+        ],
+    )
+    def test_negative_seed_is_one_line(self, capsys, flag, name):
+        assert stream_main(["--frames", "10"] + flag) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"stream failed: {name} must be a non-negative integer, got {flag[-1]}"
+        ]
+
     def test_unknown_policy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             stream_main(["--policy", "drop-newest"])
