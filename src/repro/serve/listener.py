@@ -198,19 +198,25 @@ class IngestHandler:
         stream = message.get("stream")
         shape = message.get("shape")
         dtype = message.get("dtype")
-        have = int(message.get("have_outputs", 0))
+        have = message.get("have_outputs", 0)
         if not isinstance(tenant_name, str) or not isinstance(stream, str):
             raise ServeError("hello needs string 'tenant' and 'stream'")
         if not isinstance(shape, list) or not all(
-            isinstance(s, int) and s > 0 for s in shape
+            _is_int(s) and s > 0 for s in shape
         ):
             raise ServeError("hello needs 'shape' as a list of positive ints")
+        if not _is_int(have) or have < 0:
+            raise ServeError(
+                f"hello needs 'have_outputs' as a non-negative int, got {have!r}"
+            )
         if self.drain.draining:
             raise DrainingRefusal("server is draining; retry after restart")
         try:
             np_dtype = np.dtype(dtype)
         except (TypeError, ValueError) as exc:
             raise ServeError(f"bad dtype {dtype!r}: {exc}") from None
+        if not np.issubdtype(np_dtype, np.number):
+            raise ServeError(f"bad dtype {dtype!r}: frames must be numeric")
         session = self.sessions.acquire(tenant_name, stream, tuple(shape), np_dtype)
         try:
             resume_frame = await self.run_in_pool(session.open)
@@ -323,6 +329,11 @@ class IngestHandler:
         self.metrics.incr("protocol_errors")
         with contextlib.suppress(ConnectionError):
             await self._send(writer, {"type": "error", "code": code, "error": detail})
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _error_code(exc: ReproError) -> str:

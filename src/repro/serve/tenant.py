@@ -26,7 +26,7 @@ from repro.faults import UncorrelatedFaultModel
 from repro.stream.autotune_stage import AutotuneVoterStage
 from repro.stream.buffer import BackpressurePolicy
 from repro.stream.pipeline import InjectStage, Stage, VoterStage
-from repro.stream.smoothers import SMOOTHERS, smoother_stage
+from repro.stream.smoothers import smoother_stage
 from repro.stream.source import check_seed
 
 #: The tenant every fresh registry starts with.
@@ -103,11 +103,9 @@ class TenantConfig:
             raise ConfigurationError(f"gamma must be in [0, 1], got {self.gamma}")
         check_seed(self.inject_seed, "inject_seed")
         check_seed(self.autotune_seed, "autotune_seed")
-        if self.smoother is not None and self.smoother not in SMOOTHERS:
-            raise ConfigurationError(
-                f"unknown smoother {self.smoother!r}; "
-                f"choose from {sorted(SMOOTHERS)}"
-            )
+        if self.smoother is not None:
+            # The stage's own checks: a known name and an odd window >= 3.
+            smoother_stage(self.smoother, self.window)
         if self.chunk_frames < 1:
             raise ConfigurationError(
                 f"chunk_frames must be >= 1, got {self.chunk_frames}"

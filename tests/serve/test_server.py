@@ -51,6 +51,19 @@ def _client(server, stream, frames, **kwargs):
     )
 
 
+#: Hello fields the ingest listener must refuse with one error line.
+MALFORMED_HELLO_FIELDS = (
+    {"shape": [0]},
+    {"shape": [True, 2]},
+    {"have_outputs": "x"},
+    {"have_outputs": None},
+    {"have_outputs": -5},
+    {"have_outputs": True},
+    {"dtype": "object"},
+    {"dtype": "<U4"},
+)
+
+
 async def _raw_request(port, *messages):
     """Open one ingest connection, send JSON lines, return the replies."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -383,21 +396,24 @@ class TestProtocolRefusals:
                     "shape": [2], "dtype": "<u2",
                 },
             )
-            [bad_shape] = await _raw_request(
-                port,
-                {
+            malformed = []
+            for fields in MALFORMED_HELLO_FIELDS:
+                hello = {
                     "type": "hello", "tenant": TENANT.name, "stream": "s",
-                    "shape": [0], "dtype": "<u2",
-                },
-            )
+                    "shape": [2], "dtype": "<u2", **fields,
+                }
+                malformed += await _raw_request(port, hello)
             [orphan] = await _raw_request(port, {"type": "frames", "count": 0})
             await server.drain()
             await server.stop()
-            return unknown, bad_shape, orphan
+            return unknown, malformed, orphan
 
-        unknown, bad_shape, orphan = asyncio.run(scenario())
+        unknown, malformed, orphan = asyncio.run(scenario())
         assert unknown["code"] == "refused"
-        assert bad_shape["code"] == "refused"
+        # One refused line per malformed hello, none a dropped connection.
+        assert [reply["code"] for reply in malformed] == ["refused"] * len(
+            MALFORMED_HELLO_FIELDS
+        )
         assert orphan["code"] == "refused"
 
     def test_detach_parks_and_reattach_continues(self, tmp_path):

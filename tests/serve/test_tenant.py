@@ -45,6 +45,9 @@ class TestTenantConfig:
             {"gamma": 1.5},
             {"gamma": -0.1},
             {"smoother": "nope"},
+            {"smoother": "median", "window": 0},
+            {"smoother": "median", "window": 4},
+            {"smoother": "mean", "window": -3},
             {"chunk_frames": 0},
             {"chunk_frames": 64, "buffer_frames": 32},
             {"policy": "bogus"},

@@ -4,16 +4,20 @@
   and ends strictly better than the fixed Λ it started from;
 * the selective arm is gated per Γ₀, with no slack: strictly better
   than the fixed arm at Γ₀ = 0.05 and strictly worse at Γ₀ = 0.005,
-  the losing range docs/ADAPTIVE.md reports.
+  the losing range docs/ADAPTIVE.md reports, both arms at Λ = 50;
+* with each arm at its own tuned Λ, selective's one win is gated, again
+  with no slack: strictly better than tuned fixed at Γ_ini = 0.15
+  (correlated faults), and strictly worse at Γ₀ = 0.05, where its
+  Λ = 50 win does not survive tuning.
 """
 
 import numpy as np
 
-from repro.config import NGSTConfig, NGSTDatasetConfig
+from repro.config import CorrelatedFaultConfig, NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.core.strategies import strategy_arm_config
 from repro.data.ngst import generate_walk
-from repro.faults import FaultInjector, UncorrelatedFaultModel
+from repro.faults import CorrelatedFaultModel, FaultInjector, UncorrelatedFaultModel
 from repro.faults.profile import GammaStepProfile
 from repro.metrics import psi
 from repro.stream import InjectStage, StreamPipeline, SyntheticWalkSource, VoterStage
@@ -73,4 +77,51 @@ def test_selective_beats_fixed_at_high_gamma():
 
 def test_selective_loses_to_fixed_at_gamma_0_005():
     psi_fixed, psi_selective = _mean_psi_fixed_and_selective(0.005)
+    assert psi_selective > psi_fixed
+
+
+#: The Λ grid each arm is tuned over (docs/ADAPTIVE.md's retest).
+TUNING_LAMBDAS = tuple(float(lam) for lam in range(10, 101, 10))
+
+
+def _tuned_mean_psi(fault_model, n_tune=8, n_score=8):
+    """Mean Ψ of the fixed and selective arms, each at its own best Λ.
+
+    Fig. 2/4 default size (16x16 coordinates, N = 64, σ = 25).  Each
+    arm's Λ is the grid point with the lowest mean Ψ over the first
+    *n_tune* seeded trials; the arm is scored over the next *n_score*.
+    """
+    dataset = NGSTDatasetConfig(n_variants=64, sigma=25.0)
+    fixed = AlgoNGST(NGSTConfig())
+    selective = [
+        AlgoNGST(strategy_arm_config("selective", sensitivity=lam))
+        for lam in TUNING_LAMBDAS
+    ]
+    rows = {"fixed": [], "selective": []}
+    for trial in range(n_tune + n_score):
+        pristine = generate_walk(dataset, np.random.default_rng(1000 + trial), (16, 16))
+        corrupted, _ = FaultInjector(fault_model, seed=trial).inject(pristine)
+        rows["fixed"].append(
+            [psi(r.corrected, pristine) for r in fixed.sweep(corrupted, TUNING_LAMBDAS)]
+        )
+        rows["selective"].append(
+            [psi(algo(corrupted).corrected, pristine) for algo in selective]
+        )
+    means = {}
+    for name, table in rows.items():
+        table = np.asarray(table)
+        best = int(np.argmin(table[:n_tune].mean(axis=0)))
+        means[name] = float(table[n_tune:, best].mean())
+    return means["fixed"], means["selective"]
+
+
+def test_tuned_selective_beats_tuned_fixed_at_gamma_ini_0_15():
+    psi_fixed, psi_selective = _tuned_mean_psi(
+        CorrelatedFaultModel(CorrelatedFaultConfig(gamma_ini=0.15))
+    )
+    assert psi_selective < psi_fixed
+
+
+def test_tuned_selective_loses_to_tuned_fixed_at_gamma_0_05():
+    psi_fixed, psi_selective = _tuned_mean_psi(UncorrelatedFaultModel(0.05))
     assert psi_selective > psi_fixed

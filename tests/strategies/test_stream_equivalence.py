@@ -161,8 +161,12 @@ class TestKillResume:
 
 class TestFingerprints:
     def test_default_strategy_keeps_historical_fingerprint(self):
+        # The literal string checkpoints have carried since before
+        # strategies existed; any change orphans every fixed checkpoint.
         stage = VoterStage(NGSTConfig(), stack_frames=32)
-        assert "strategy" not in stage.describe()
+        assert stage.describe() == (
+            "algo_ngst[N=32](upsilon=4, sensitivity=50.0, per_coord=True)"
+        )
 
     @pytest.mark.parametrize(
         "config",
