@@ -61,7 +61,6 @@ from repro.stream import (
     VoterStage,
     WindowedStage,
     run_batch,
-    run_stream,
 )
 
 __version__ = "1.0.0"
@@ -102,6 +101,5 @@ __all__ = [
     "make_dataset",
     "psi",
     "run_batch",
-    "run_stream",
     "__version__",
 ]

@@ -8,7 +8,7 @@ Usage::
     repro report [--quick] [--resume] [--plan] [--out REPORT.md]
     repro report --only fig5 --resume     # resume one experiment
     repro dag show [report|fig2] [--dot]
-    repro stream [--frames N] [--chunk-frames K] [--policy P] [--progress]
+    repro stream [--frames N] [--chunk-frames K] [--progress]
     repro serve [--port P] [--control-port C] [--checkpoint-dir DIR]
     repro fig2 --cache-dir .repro-cache   # persist artifacts across runs
     repro cache stats|clear [--cache-dir DIR]

@@ -297,7 +297,6 @@ class IngestHandler:
                     "psi_no_preprocessing": result.psi_no_preprocessing,
                     "psi_algorithm": result.psi_algorithm,
                     "improvement": result.improvement,
-                    "high_water": result.high_water,
                 },
             },
         )

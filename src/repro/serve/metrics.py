@@ -4,8 +4,7 @@
 It is fed from three directions — the ingest listener (connections,
 messages, protocol errors), the session layer (frames, streams), and
 the shared telemetry hub (it is a subscriber, so every
-:class:`~repro.stream.telemetry.ChunkCompleted` and runtime
-:class:`~repro.runtime.telemetry.ShardCompleted` lands here without the
+:class:`~repro.stream.telemetry.ChunkCompleted` lands here without the
 emitters knowing metrics exist).  All mutation is behind one
 ``threading.Lock`` because pipeline work runs on the worker pool's
 threads while the control plane scrapes from the event loop.
@@ -21,7 +20,6 @@ import threading
 from bisect import bisect_left
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.telemetry import RunCompleted, RunStarted, ShardCompleted
 from repro.stream.telemetry import (
     ChunkCompleted,
     LambdaAdjusted,
@@ -130,7 +128,6 @@ COUNTER_NAMES = (
     "backpressure_refusals",
     "chaos_kills",
     "drains",
-    "runtime_shards",
     "lambda_adjustments",
 )
 
@@ -142,10 +139,10 @@ class ServeMetrics:
     """Thread-safe counters and latency histograms for one server.
 
     Subscribe the instance to the shared telemetry hub
-    (``telemetry.subscribe(metrics)``) and every stream chunk and
-    runtime shard event is folded in automatically; the listener and
-    session layers call :meth:`incr` / :meth:`observe` directly for the
-    transport-level numbers the hub never sees.
+    (``telemetry.subscribe(metrics)``) and every stream event is
+    folded in automatically; the listener and session layers call
+    :meth:`incr` / :meth:`observe` directly for the transport-level
+    numbers the hub never sees.
     """
 
     def __init__(self) -> None:
@@ -171,7 +168,7 @@ class ServeMetrics:
             self._histograms[name].record(seconds)
 
     def __call__(self, event: object) -> None:
-        """Telemetry-hub subscriber: fold stream/runtime events in."""
+        """Telemetry-hub subscriber: fold stream events in."""
         if isinstance(event, ChunkCompleted):
             with self._lock:
                 self._counters["chunks"] += 1
@@ -191,10 +188,6 @@ class ServeMetrics:
                 )
         elif isinstance(event, StreamCompleted):
             self.incr("sessions_completed")
-        elif isinstance(event, (RunStarted, RunCompleted)):
-            pass  # campaign bookkeeping; nothing to count per-server
-        elif isinstance(event, ShardCompleted):
-            self.incr("runtime_shards")
 
     def counter(self, name: str) -> int:
         """Current value of the named counter."""

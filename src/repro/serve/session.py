@@ -118,10 +118,8 @@ class StreamSession:
             self.source,
             stages,
             chunk_frames=tenant.chunk_frames,
-            policy=tenant.policy,
             telemetry=telemetry,
             checkpoint=checkpoint,
-            strict_resume=True,
             measure=tenant.measure,
             sink=self._sink,
         )

@@ -6,8 +6,10 @@ windowed smoother, and the transport envelope (chunk size, ingest
 buffer capacity, backpressure policy).  Every stream a client opens
 under a tenant runs exactly the pipeline :meth:`TenantConfig.build_stages`
 describes — the same stages the ``repro stream`` CLI would build from
-the equivalent flags, so checkpoints written by one resume under the
-other.
+the equivalent flags, with equal ``describe()`` strings.  Their
+checkpoints still do not cross over: a pipeline's fingerprint also
+names its source (``serve:<tenant>/<stream>`` here, the walk or file
+there).
 
 :class:`TenantRegistry` holds the live tenant table behind the control
 plane's ``/tenants`` CRUD and persists it as one JSON file, re-read at

@@ -3,12 +3,12 @@
 The batch pipeline materializes a whole ``(T,) + coord_shape`` stack;
 this subsystem runs the same algorithms — ``Algo_NGST``, the §4
 smoothers, inline fault injection, Ψ accounting — over unbounded frame
-sequences in O(chunk + window) memory, with explicit backpressure,
-per-stage telemetry, and crash-safe chunk-boundary checkpoints.
+sequences in O(chunk + window) memory, with per-stage telemetry and
+crash-safe chunk-boundary checkpoints.
 
 The load-bearing contract (see :mod:`repro.stream.pipeline`): for any
-chunk size, backpressure policy, and seed, the streamed outputs and Ψ
-values are bit-identical to the batch pipeline on the same stream.
+chunk size and seed, the streamed outputs and Ψ values are
+bit-identical to the batch pipeline on the same stream.
 
 Quick start::
 
@@ -42,7 +42,6 @@ from repro.stream.pipeline import (
     VoterStage,
     WindowedStage,
     run_batch,
-    run_stream,
 )
 from repro.stream.smoothers import SMOOTHERS, smoother_stage
 from repro.stream.source import (
@@ -98,6 +97,5 @@ __all__ = [
     "frame_rng",
     "read_all",
     "run_batch",
-    "run_stream",
     "smoother_stage",
 ]

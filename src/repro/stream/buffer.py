@@ -1,16 +1,16 @@
 """Bounded frame ring buffers with explicit backpressure policies.
 
-A :class:`RingBuffer` is the staging element between the stream source
-and the stage pipeline: it holds at most ``capacity`` frames in a
+A :class:`RingBuffer` holds at most ``capacity`` frames in a
 preallocated contiguous ring (no per-frame allocations on the steady
 path) and makes the overflow behaviour an explicit, named policy
-instead of an accident:
+instead of an accident.  Two buffers use it: the serve ingest buffer
+inside :class:`~repro.stream.source.PushFrameSource`, under the
+tenant's policy, and the pristine-frame alignment buffer of
+:class:`~repro.stream.pipeline.StreamPipeline`, under ``error``.
 
 * ``block`` — the buffer accepts only what fits and reports how many
-  frames it took; the caller must retry the rest later.  In the
-  pull-based :class:`~repro.stream.pipeline.StreamPipeline` this is the
-  natural backpressure mode: the driver never pulls more frames from
-  the source than the inlet has room for, so nothing is ever refused.
+  frames it took; the caller must retry the rest later (a serve client
+  whose pushes outrun the pipeline).
 * ``drop-oldest`` — the oldest buffered frames are evicted to make
   room; the eviction count is tracked.  This is the lossy real-time
   mode (keep the freshest readouts when downstream stalls).
@@ -19,7 +19,7 @@ instead of an accident:
   bound into a loud failure instead of silent unbounded growth.
 
 Occupancy accounting (``high_water``, pushed/popped/dropped/refused
-counters) feeds the stream telemetry events.
+counters) is exposed as :class:`BufferStats`.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Usage (via the main entry point)::
     repro stream --frames 8192 --resume --limit-chunks 10   # stop early (rc 3)
 
 The pipeline is source → [inject] → Algo_NGST voter → [smoother] → Ψ,
-assembled from the flags below; ``--chunk-frames`` and ``--policy`` are
-transport knobs only — results are bit-identical for every setting (see
+assembled from the flags below; ``--chunk-frames`` is a transport knob
+only — results are bit-identical for every setting (see
 docs/STREAMING.md).  ``--limit-chunks`` stops after N chunks with exit
 code 3 and, with ``--resume``, leaves a checkpoint a later invocation
 picks up — the mid-campaign kill/resume tests drive exactly this path.
@@ -33,7 +33,6 @@ from repro.exceptions import CheckpointMismatchError, ReproError
 from repro.faults import UncorrelatedFaultModel
 from repro.faults.profile import parse_profile
 from repro.stream.autotune_stage import AutotuneVoterStage
-from repro.stream.buffer import BackpressurePolicy
 from repro.stream.checkpoint import StreamCheckpoint
 from repro.stream.pipeline import (
     InjectStage,
@@ -50,7 +49,6 @@ from repro.stream.source import (
     LimitedSource,
     SyntheticWalkSource,
 )
-from repro.runtime.backend import BACKEND_CHOICES
 from repro.stream.telemetry import StreamProgressPrinter, Telemetry
 
 #: Exit code when --limit-chunks stopped the run before exhaustion.
@@ -260,21 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="frames per transport chunk (default %(default)s; results "
         "are bit-identical for every value)",
     )
-    transport.add_argument(
-        "--policy",
-        choices=[p.value for p in BackpressurePolicy],
-        default=BackpressurePolicy.BLOCK.value,
-        help="inlet backpressure policy (default %(default)s)",
-    )
     run = parser.add_argument_group("run control")
-    run.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="serial",
-        help="execution backend (uniform across repro CLIs; the stream "
-        "pipeline is stateful and in-process, so only 'serial' and "
-        "'thread' apply — 'process' is refused with exit code 2)",
-    )
     run.add_argument(
         "--limit-chunks",
         type=int,
@@ -318,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--progress",
         action="store_true",
-        help="print per-chunk telemetry (throughput, queue depth) to stderr",
+        help="print per-chunk telemetry (throughput) to stderr",
     )
     run.add_argument(
         "--progress-every",
@@ -404,7 +388,6 @@ def _result_lines(result: StreamResult) -> list[str]:
         f"frames in/out      {result.n_frames_in}/{result.n_frames_out}",
         f"chunks             {result.n_chunks}",
         f"throughput         {result.frames_per_sec:.1f} frames/s",
-        f"inlet high-water   {result.high_water}",
     ]
     if result.psi_no_preprocessing is not None:
         lines.append(f"psi no-preproc     {result.psi_no_preprocessing:.6g}")
@@ -433,7 +416,6 @@ def _result_json(result: StreamResult) -> dict:
         "improvement": result.improvement,
         "elapsed_s": result.elapsed_s,
         "frames_per_sec": result.frames_per_sec,
-        "high_water": result.high_water,
         "completed": result.completed,
         "stages": [
             {
@@ -452,15 +434,6 @@ def _result_json(result: StreamResult) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro stream``; returns the exit code."""
     args = build_parser().parse_args(argv)
-    if args.backend == "process":
-        print(
-            "repro stream runs a stateful in-process pipeline (voter "
-            "stacks carry frames across chunk boundaries); --backend "
-            "process is not supported — use serial or thread, or run "
-            "batch campaigns across processes with 'repro report --jobs N'",
-            file=sys.stderr,
-        )
-        return 2
     if args.frames < 0:
         print(f"--frames must be >= 0, got {args.frames}", file=sys.stderr)
         return 2
@@ -511,10 +484,8 @@ def main(argv: list[str] | None = None) -> int:
             _build_source(args),
             stages,
             chunk_frames=args.chunk_frames,
-            policy=args.policy,
             telemetry=telemetry,
             checkpoint=checkpoint,
-            strict_resume=True,
         )
         result = pipeline.run(limit_chunks=args.limit_chunks)
     except CheckpointMismatchError as exc:

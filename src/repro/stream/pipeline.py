@@ -582,7 +582,6 @@ class StreamResult:
         elapsed_s: wall-clock seconds spent in this process.
         frames_per_sec: ``n_frames_in / elapsed_s``.
         stages: per-stage totals, pipeline order.
-        high_water: inlet buffer high-water mark.
         completed: False when the run stopped at ``limit_chunks`` with
             the source not yet exhausted (state checkpointed, resume to
             continue).
@@ -596,7 +595,6 @@ class StreamResult:
     elapsed_s: float
     frames_per_sec: float
     stages: tuple[StageStats, ...] = field(default=())
-    high_water: int = 0
     completed: bool = True
 
     @property
@@ -666,13 +664,12 @@ class _StageRunner:
 
 
 class StreamPipeline:
-    """Pull-based streaming engine: source → inlet buffer → stages → Ψ.
+    """Pull-based streaming engine: source → stages → Ψ.
 
-    Each cycle pulls at most ``chunk_frames`` frames from the source
-    (under the ``block`` policy, never more than the inlet has room
-    for — that *is* the backpressure), stages them through the inlet
-    ring buffer, and pushes them through the stage chain.  Pristine
-    frames are parked in a bounded alignment buffer sized to
+    Each cycle reads at most ``chunk_frames`` frames from the source and
+    pushes them through the stage chain.  Every source's ``read``
+    returns a fresh array, so the chunk goes to the stages as it is.
+    Pristine frames are parked in a bounded alignment buffer sized to
     ``chunk_frames + Σ stage lags`` with the ``error`` policy, so the
     documented O(chunk + window) memory bound is enforced at runtime,
     not just claimed.
@@ -689,19 +686,15 @@ class StreamPipeline:
         stages: the stage chain, upstream first (may be empty).
         chunk_frames: transport granularity in frames (>= 1).  Never a
             semantics knob: results are bit-identical for every value.
-        policy: inlet backpressure policy (results identical for all
-            three; they differ only when a buffer actually overflows,
-            which the pull driver never causes).
         telemetry: optional hub for stream events.
         checkpoint: optional :class:`StreamCheckpoint`; when set, every
             chunk boundary records the exact pipeline state and
-            :meth:`run` resumes from the latest matching record.
-        strict_resume: when True, a checkpoint store that holds records
-            but none matching this pipeline's fingerprint raises
+            :meth:`run` resumes from the latest matching record.  A
+            store that holds records but none matching this pipeline's
+            fingerprint raises
             :class:`~repro.exceptions.CheckpointMismatchError` instead
             of silently restarting from frame zero (the stream's
-            configuration changed since the interrupted run).  Default
-            False preserves the permissive restart behaviour.
+            configuration changed since the interrupted run).
         measure: accumulate Ψ metrics (disable for pure throughput runs).
         sink: optional consumer called with every ``(k,) + coord_shape``
             chunk the final stage emits — the stream's output tap (the
@@ -714,10 +707,8 @@ class StreamPipeline:
         source: FrameSource,
         stages: Sequence[Stage] = (),
         chunk_frames: int = 64,
-        policy: "str | BackpressurePolicy" = BackpressurePolicy.BLOCK,
         telemetry: Telemetry | None = None,
         checkpoint: StreamCheckpoint | None = None,
-        strict_resume: bool = False,
         measure: bool = True,
         sink: Callable[[np.ndarray], None] | None = None,
     ) -> None:
@@ -738,14 +729,11 @@ class StreamPipeline:
                 f"corrupting stage {corrupting[0].name} must be lag-free"
             )
         self.chunk_frames = int(chunk_frames)
-        self.policy = BackpressurePolicy.parse(policy)
         self.telemetry = telemetry
         self.checkpoint = checkpoint
-        self.strict_resume = bool(strict_resume)
         self.measure = bool(measure)
         self.sink = sink
         self._runners = [_StageRunner(s) for s in self.stages]
-        self._inlet = RingBuffer(self.chunk_frames, self.policy)
         total_lag = sum(s.lag for s in self.stages)
         self._pending = RingBuffer(
             self.chunk_frames + total_lag, BackpressurePolicy.ERROR
@@ -763,9 +751,9 @@ class StreamPipeline:
     def fingerprint(self) -> str:
         """Stable identity of the stream's *semantics* for checkpoints.
 
-        Deliberately excludes ``chunk_frames`` and ``policy``: the
-        pipeline is chunk-invariant, so a checkpoint written under one
-        transport configuration resumes correctly under another.
+        Deliberately excludes ``chunk_frames``: the pipeline is
+        chunk-invariant, so a checkpoint written under one chunk size
+        resumes correctly under another.
         """
         stages = ",".join(s.describe() for s in self.stages)
         return f"src={self.source.describe()};stages=[{stages}];v1"
@@ -809,17 +797,16 @@ class StreamPipeline:
         if record is not None:
             self._load_state(record["state"])
             return
-        if self.strict_resume:
-            stored = self.checkpoint.fingerprints()
-            if stored:
-                raise CheckpointMismatchError(
-                    f"checkpoint {self.checkpoint.path} holds "
-                    f"{len(stored)} record fingerprint(s) but none match "
-                    f"this pipeline ({fingerprint!r}); the stream "
-                    f"configuration changed since the interrupted run — "
-                    f"restore the original configuration or clear the "
-                    f"checkpoint to start over"
-                )
+        stored = self.checkpoint.fingerprints()
+        if stored:
+            raise CheckpointMismatchError(
+                f"checkpoint {self.checkpoint.path} holds "
+                f"{len(stored)} record fingerprint(s) but none match "
+                f"this pipeline ({fingerprint!r}); the stream "
+                f"configuration changed since the interrupted run — "
+                f"restore the original configuration or clear the "
+                f"checkpoint to start over"
+            )
 
     def resume(self) -> int:
         """Restore checkpointed state, once; returns frames restored.
@@ -884,7 +871,6 @@ class StreamPipeline:
                 source=self.source.describe(),
                 stages=tuple(s.name for s in self.stages),
                 chunk_frames=self.chunk_frames,
-                policy=self.policy.value,
                 resumed_frames=self._restored_frames,
             )
         )
@@ -899,20 +885,10 @@ class StreamPipeline:
         when a checkpoint store is attached, records the exact pipeline
         state at the new chunk boundary.
         """
-        room = (
-            self._inlet.free
-            if self.policy is BackpressurePolicy.BLOCK
-            else self.chunk_frames
-        )
-        pull = min(self.chunk_frames, room)
-        if pull == 0:  # pragma: no cover - inlet is drained every cycle
-            raise StreamError("inlet buffer wedged with zero room")
-        frames = self.source.read(pull)
-        if frames.shape[0] == 0:
+        chunk = self.source.read(self.chunk_frames)
+        if chunk.shape[0] == 0:
             return 0
         t0 = time.perf_counter()
-        self._inlet.push(frames)
-        chunk = self._inlet.pop()
         self._frames_in += chunk.shape[0]
         if self.measure and not self._has_injector:
             self._pending.push(chunk)
@@ -930,8 +906,6 @@ class StreamPipeline:
                 frames_per_sec=(
                     chunk.shape[0] / elapsed if elapsed > 0 else 0.0
                 ),
-                queue_depth=len(self._inlet),
-                high_water=self._inlet.stats.high_water,
             )
         )
         if self.checkpoint is not None:
@@ -983,7 +957,6 @@ class StreamPipeline:
                 self._frames_in / elapsed_s if elapsed_s > 0 else 0.0
             ),
             stages=stats,
-            high_water=self._inlet.stats.high_water,
             completed=completed,
         )
         if completed:
@@ -995,7 +968,6 @@ class StreamPipeline:
                     elapsed_s=elapsed_s,
                     frames_per_sec=result.frames_per_sec,
                     stages=stats,
-                    high_water=self._inlet.stats.high_water,
                 )
             )
         return result
@@ -1038,19 +1010,6 @@ class StreamPipeline:
             self._flush_stages()
         elapsed_total = time.perf_counter() - started_at
         return self._build_result(elapsed_total, completed=exhausted)
-
-
-def run_stream(
-    source: FrameSource,
-    stages: Sequence[Stage] = (),
-    chunk_frames: int = 64,
-    policy: "str | BackpressurePolicy" = BackpressurePolicy.BLOCK,
-    **kwargs,
-) -> StreamResult:
-    """One-shot convenience wrapper around :class:`StreamPipeline`."""
-    return StreamPipeline(
-        source, stages, chunk_frames=chunk_frames, policy=policy, **kwargs
-    ).run()
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 One registry shared by every stage builder — the ``repro stream`` CLI
 and the serve layer's per-tenant pipelines — so a tenant configured
 with ``smoother="median"`` runs exactly the stage the CLI flag would,
-and their checkpoint fingerprints agree.
+with the same ``describe()`` string.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ SMOOTHERS = {
 def smoother_stage(name: str, window: int) -> WindowedStage:
     """A :class:`WindowedStage` over the named centred-window kernel.
 
-    The stage's name is ``f"{name}{window}"`` — stable across CLI and
-    serve so checkpoints written by one resume under the other.
+    The stage's name is ``f"{name}{window}"``, the same under the CLI
+    and serve.
     """
     if name not in SMOOTHERS:
         raise ConfigurationError(

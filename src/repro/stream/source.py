@@ -244,7 +244,10 @@ class FrameSource:
     def read(self, k: int) -> np.ndarray:
         """Return the next ``m <= k`` frames as ``(m,) + coord_shape``.
 
-        ``m == 0`` signals exhaustion.  ``k`` must be >= 1.
+        ``m == 0`` signals exhaustion.  ``k`` must be >= 1.  The array
+        is fresh and the caller owns it: a
+        :class:`~repro.stream.pipeline.StreamPipeline` hands it to its
+        stages without a copy.
         """
         if k < 1:
             raise ConfigurationError(f"read size must be >= 1, got {k}")

@@ -1,18 +1,14 @@
-"""Stream telemetry: per-stage throughput, queue depth, and latency.
+"""Stream telemetry: per-stage throughput and latency.
 
 Extends the :mod:`repro.runtime.telemetry` hub with streaming events —
 the same synchronous pub/sub :class:`~repro.runtime.telemetry.Telemetry`
-class carries them, so one subscriber can watch a trial campaign and a
-stream in the same process.  The pipeline emits one
-:class:`StreamStarted` per run, one :class:`ChunkCompleted` per chunk
-(with inlet queue depth and high-water mark), and one
+class carries them.  The pipeline emits one :class:`StreamStarted` per
+run, one :class:`ChunkCompleted` per chunk, and one
 :class:`StreamCompleted` with the per-stage totals.
 
 :class:`StreamProgressPrinter` is the stock subscriber behind
 ``repro stream --progress``; it renders stream events as one-line
-messages and delegates any runtime event to
-:class:`~repro.runtime.telemetry.ProgressPrinter`, so it can be
-subscribed to a shared hub.
+messages and stays silent on any other event.
 """
 
 from __future__ import annotations
@@ -21,13 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO, Union
 
-from repro.runtime.telemetry import (
-    ProgressPrinter,
-    RunCompleted,
-    RunStarted,
-    ShardCompleted,
-    Telemetry,
-)
+from repro.runtime.telemetry import Telemetry
 
 __all__ = [
     "ChunkCompleted",
@@ -48,7 +38,6 @@ class StreamStarted:
         source: the source's :meth:`~repro.stream.source.FrameSource.describe`.
         stages: stage names, pipeline order.
         chunk_frames: transport chunk size in frames.
-        policy: the inlet buffer's backpressure policy value.
         resumed_frames: frames restored from a checkpoint (0 for a
             fresh run).
     """
@@ -56,7 +45,6 @@ class StreamStarted:
     source: str
     stages: tuple[str, ...]
     chunk_frames: int
-    policy: str
     resumed_frames: int
 
 
@@ -70,8 +58,6 @@ class ChunkCompleted:
         frames_out: frames the final stage emitted during this chunk.
         elapsed_s: wall-clock seconds for the chunk, all stages.
         frames_per_sec: chunk throughput (input frames / elapsed).
-        queue_depth: inlet buffer occupancy after the chunk drained.
-        high_water: inlet buffer high-water mark so far.
     """
 
     chunk_index: int
@@ -79,8 +65,6 @@ class ChunkCompleted:
     frames_out: int
     elapsed_s: float
     frames_per_sec: float
-    queue_depth: int
-    high_water: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +132,6 @@ class StreamCompleted:
             of the run (resumed chunks excluded).
         frames_per_sec: overall throughput over ``elapsed_s``.
         stages: per-stage totals, pipeline order.
-        high_water: inlet buffer high-water mark.
     """
 
     n_frames_in: int
@@ -157,14 +140,13 @@ class StreamCompleted:
     elapsed_s: float
     frames_per_sec: float
     stages: tuple[StageStats, ...]
-    high_water: int
 
 
 StreamEvent = Union[StreamStarted, ChunkCompleted, LambdaAdjusted, StreamCompleted]
 
 
 class StreamProgressPrinter:
-    """Stock subscriber: one line per stream event, runtime events passed on.
+    """Stock subscriber: one line per stream event.
 
     Args:
         stream: output stream (default stderr, keeping stdout clean for
@@ -196,14 +178,12 @@ class StreamProgressPrinter:
             )
             return (
                 f"[stream] start: {' -> '.join(event.stages) or 'passthrough'} "
-                f"over {event.source}; chunk={event.chunk_frames} "
-                f"policy={event.policy}{resumed}"
+                f"over {event.source}; chunk={event.chunk_frames}{resumed}"
             )
         if isinstance(event, ChunkCompleted):
             return (
                 f"[stream] chunk {event.chunk_index}: {event.frames_in} frame(s) "
-                f"in {event.elapsed_s:.3f}s ({event.frames_per_sec:.1f} frames/s; "
-                f"depth {event.queue_depth}, high-water {event.high_water})"
+                f"in {event.elapsed_s:.3f}s ({event.frames_per_sec:.1f} frames/s)"
             )
         if isinstance(event, LambdaAdjusted):
             owner = f"{event.label}: " if event.label else ""
@@ -224,6 +204,4 @@ class StreamProgressPrinter:
                 f"({event.frames_per_sec:.1f} frames/s)"
                 + (f" | {per_stage}" if per_stage else "")
             )
-        if isinstance(event, (RunStarted, ShardCompleted, RunCompleted)):
-            return ProgressPrinter.format(event)  # shared-hub runtime events
         return ""

@@ -124,7 +124,11 @@ class TestRefusedInvocations:
             ["worker"],
             ["report", "--backend", "cluster"],
             ["fig2", "--workers", "127.0.0.1:1"],
+            # repro stream has no --backend or --policy: its pipeline runs
+            # in-process, and only a serve tenant's ingest buffer takes a
+            # backpressure policy.
             ["stream", "--backend", "process"],
+            ["stream", "--policy", "block"],
             ["report", "--quick", "--only", "fig2", "--backend", "serial",
              "--threads", "4"],
             # Per-experiment checkpoints are gone; the report graph

@@ -20,8 +20,6 @@ def _chunk_event(frames_in=16, frames_out=12, elapsed_s=0.002):
         frames_out=frames_out,
         elapsed_s=elapsed_s,
         frames_per_sec=frames_in / elapsed_s,
-        queue_depth=0,
-        high_water=frames_in,
     )
 
 
@@ -90,9 +88,7 @@ class TestServeMetrics:
 
     def test_stream_started_counts_opens_and_resumes(self):
         metrics = ServeMetrics()
-        started = dict(
-            source="s", stages=(), chunk_frames=16, policy="block"
-        )
+        started = dict(source="s", stages=(), chunk_frames=16)
         metrics(StreamStarted(resumed_frames=0, **started))
         metrics(StreamStarted(resumed_frames=48, **started))
         assert metrics.counter("sessions_opened") == 2
@@ -108,7 +104,6 @@ class TestServeMetrics:
                 elapsed_s=0.1,
                 frames_per_sec=640.0,
                 stages=(),
-                high_water=16,
             )
         )
         assert metrics.counter("sessions_completed") == 1

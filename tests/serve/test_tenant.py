@@ -6,6 +6,11 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ServeError
 from repro.serve import DEFAULT_TENANT, TenantConfig, TenantRegistry
+from repro.stream.cli import _build_stages, build_parser
+
+#: The voter flags every CLI/tenant pair below shares.
+VOTER = dict(upsilon=4, sensitivity=60.0, stack_frames=16)
+VOTER_FLAGS = ["--upsilon", "4", "--sensitivity", "60", "--stack-frames", "16"]
 
 
 class TestTenantConfig:
@@ -35,6 +40,49 @@ class TestTenantConfig:
         assert [s.describe() for s in a.build_stages()] == [
             s.describe() for s in b.build_stages()
         ]
+
+    @pytest.mark.parametrize(
+        "tenant, flags",
+        [
+            pytest.param(
+                dict(gamma=0.01, inject_seed=3),
+                ["--gamma", "0.01", "--inject-seed", "3"],
+                id="fixed-inject",
+            ),
+            pytest.param(dict(gamma=0.0), ["--no-inject"], id="fixed-no-inject"),
+            pytest.param(
+                dict(gamma=0.0, strategy="selective", margin=1, header_rows=2,
+                     science_fast=True),
+                ["--no-inject", "--strategy", "selective", "--margin", "1",
+                 "--header-rows", "2", "--science-fast"],
+                id="selective",
+            ),
+            pytest.param(
+                dict(gamma=0.02, inject_seed=5, autotune=True, autotune_window=3,
+                     autotune_interval=2, autotune_min_delta=10.0,
+                     autotune_confirm=1, autotune_seed=4),
+                ["--gamma", "0.02", "--inject-seed", "5", "--autotune",
+                 "--autotune-window", "3", "--autotune-interval", "2",
+                 "--autotune-min-delta", "10", "--autotune-confirm", "1",
+                 "--autotune-seed", "4"],
+                id="autotune",
+            ),
+            pytest.param(
+                dict(gamma=0.01, inject_seed=3, smoother="median", window=3),
+                ["--gamma", "0.01", "--inject-seed", "3", "--smoother",
+                 "median", "--window", "3"],
+                id="median-smoother",
+            ),
+        ],
+    )
+    def test_cli_flags_build_the_same_stages(self, tenant, flags):
+        # Equal stage describe() strings; the checkpoint fingerprints
+        # still differ, because each one also names its source.
+        config = TenantConfig(name="t", **VOTER, **tenant)
+        args = build_parser().parse_args(VOTER_FLAGS + flags)
+        described = [s.describe() for s in config.build_stages()]
+        assert described == [s.describe() for s in _build_stages(args)]
+        assert len(described) == 1 + (config.gamma > 0) + bool(config.smoother)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -79,7 +79,6 @@ def collect(stage_list, chunk, checkpoint=None, limit_chunks=None):
         chunk_frames=chunk,
         sink=lambda c: outs.append(np.array(c, copy=True)),
         checkpoint=checkpoint,
-        strict_resume=checkpoint is not None,
     )
     if checkpoint is not None:
         pipeline.resume()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.exceptions import CheckpointMismatchError
 from repro.faults import UncorrelatedFaultModel
 from repro.stream import (
     InjectStage,
@@ -131,16 +132,16 @@ class TestKillResume:
             make_source(), make_stages(), chunk_frames=16, checkpoint=ck
         ).run(limit_chunks=3)
         # A different injection seed changes the fingerprint: the stale
-        # record is ignored and the run starts from frame zero.
+        # records match nothing, and the run refuses to start over.
         other_stages = [
             InjectStage(UncorrelatedFaultModel(0.01), seed=99),
             VoterStage(stack_frames=24),
             WindowedStage(partial(median_smooth_temporal, window=5), 5, "median5"),
         ]
-        fresh = StreamPipeline(
-            make_source(), other_stages, chunk_frames=16, checkpoint=ck
-        ).run(limit_chunks=1)
-        assert fresh.n_frames_in == 16  # not resumed from frame 48
+        with pytest.raises(CheckpointMismatchError, match="none match"):
+            StreamPipeline(
+                make_source(), other_stages, chunk_frames=16, checkpoint=ck
+            ).run(limit_chunks=1)
 
     def test_resume_without_checkpoint_store_restarts(self):
         partial_run = StreamPipeline(

@@ -3,7 +3,7 @@
 import io
 
 from repro.faults import UncorrelatedFaultModel
-from repro.runtime.telemetry import RunCompleted, Telemetry
+from repro.runtime.telemetry import Telemetry
 from repro.stream import (
     ChunkCompleted,
     InjectStage,
@@ -47,11 +47,13 @@ class TestEventFlow:
         assert [c.chunk_index for c in chunks] == [1, 2, 3]
 
     def test_chunk_events_carry_queue_accounting(self):
-        events, _ = run_with_telemetry()
-        for event in events:
-            if isinstance(event, ChunkCompleted):
-                assert event.queue_depth == 0  # inlet drained every cycle
-                assert 0 < event.high_water <= 32
+        events, result = run_with_telemetry()
+        chunks = [e for e in events if isinstance(e, ChunkCompleted)]
+        assert [c.frames_in for c in chunks] == [32, 32, 32]
+        # Voter stacks of 24 close at frames 24, 48, 72 and 96; nothing
+        # is left for the flush.
+        assert [c.frames_out for c in chunks] == [24, 24, 48]
+        assert sum(c.frames_out for c in chunks) == result.n_frames_out
 
     def test_completion_carries_stage_stats(self):
         events, _ = run_with_telemetry()
@@ -86,17 +88,6 @@ class TestProgressPrinter:
         assert "chunk 2:" in text
         assert "chunk 3:" not in text
         assert "[stream] start:" in text and "[stream] done:" in text
-
-    def test_runtime_events_delegate_to_progress_printer(self):
-        line = StreamProgressPrinter.format(
-            RunCompleted(
-                key="k",
-                n_trials=10,
-                elapsed_s=1.0,
-                trials_per_sec=10.0,
-            )
-        )
-        assert line  # rendered by the runtime ProgressPrinter
 
     def test_foreign_events_are_silent(self):
         assert StreamProgressPrinter.format(object()) == ""
