@@ -28,10 +28,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 figures:
-	PYTHONPATH=src $(PYTHON) -m repro.cli all --json results_full.json | tee results_full.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --json results_full.json | tee results_full.txt
 
 quick-figures:
-	PYTHONPATH=src $(PYTHON) -m repro.cli all --quick
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --quick
 
 # One resumable DAG run over every experiment (docs/ORCHESTRATION.md);
 # kill it anywhere and rerun with the same flags to pick up the frontier.

@@ -1,5 +1,6 @@
-"""Benches for the supporting infrastructure: downlink ARQ, campaign
-statistics, diagnostics and spectra, failure-handling cluster runs."""
+"""Benches for the supporting infrastructure: downlink ARQ, a seeded
+fault-injection trial loop, diagnostics and spectra, failure-handling
+cluster runs."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.diagnostics import sensitivity_profile
 from repro.data.ngst import generate_walk
-from repro.faults.campaign import Campaign
+from repro.experiments.common import seeded_trials
+from repro.faults.injector import FaultInjector
 from repro.faults.transit import GilbertElliottConfig
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
@@ -24,8 +26,6 @@ def corrupted_world():
     pristine = generate_walk(
         NGSTDatasetConfig(n_variants=64, sigma=25.0), rng, (32, 32)
     )
-    from repro.faults.injector import FaultInjector
-
     corrupted, _ = FaultInjector(UncorrelatedFaultModel(0.01), seed=1).inject(
         pristine
     )
@@ -47,17 +47,18 @@ def test_bench_downlink_arq(benchmark, rng):
 
 
 def test_bench_campaign_statistics(benchmark):
-    campaign = Campaign(
-        generate=lambda rng: generate_walk(
-            NGSTDatasetConfig(n_variants=32), rng, (8, 8)
-        ),
-        fault_model=UncorrelatedFaultModel(0.01),
-        metric=psi,
+    model = UncorrelatedFaultModel(0.01)
+
+    def trial(rng):
+        pristine = generate_walk(NGSTDatasetConfig(n_variants=32), rng, (8, 8))
+        injector = FaultInjector(model, seed=int(rng.integers(2**31)))
+        corrupted, _ = injector.inject(pristine)
+        return psi(corrupted, pristine)
+
+    values = benchmark.pedantic(
+        lambda: seeded_trials(trial, 10, seed=3), rounds=2, iterations=1
     )
-    summary = benchmark.pedantic(
-        lambda: campaign.run(n_trials=10, seed=3), rounds=2, iterations=1
-    )
-    assert summary.n_trials == 10
+    assert len(values) == 10
 
 
 def test_bench_sensitivity_profile(benchmark, corrupted_world):

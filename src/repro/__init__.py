@@ -48,11 +48,7 @@ from repro.faults import (
     UncorrelatedFaultModel,
 )
 from repro.metrics import bit_confusion, improvement_factor, psi
-from repro.runtime import (
-    ProcessPoolBackend,
-    SerialBackend,
-    TrialRuntime,
-)
+from repro.runtime import ProcessPoolBackend, SerialBackend
 from repro.stream import (
     InjectStage,
     StreamPipeline,
@@ -89,7 +85,6 @@ __all__ = [
     "StreamPipeline",
     "StreamResult",
     "SyntheticWalkSource",
-    "TrialRuntime",
     "UncorrelatedFaultConfig",
     "UncorrelatedFaultModel",
     "VoterStage",

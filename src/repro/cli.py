@@ -3,8 +3,7 @@
 Usage::
 
     repro list
-    repro fig2 [--quick] [--jobs N] [--progress]
-    repro all [--quick] [--json OUT.json]
+    repro fig2 [--quick] [--jobs N] [--progress] [--json OUT.json]
     repro report [--quick] [--resume] [--plan] [--out REPORT.md]
     repro report --only fig5 --resume     # resume one experiment
     repro dag show [report|fig2] [--dot]
@@ -13,47 +12,45 @@ Usage::
     repro fig2 --cache-dir .repro-cache   # persist artifacts across runs
     repro cache stats|clear [--cache-dir DIR]
     repro kernels [--json] [--require native]
-    repro fig2 --threads 4                # thread-pool shards
 
 ``--quick`` shrinks repeats/grids so every experiment finishes in
 seconds; default parameters match the EXPERIMENTS.md record.
 
-``--jobs N`` runs each experiment's trial loops across N worker
-processes; results are bit-identical to a serial run because every
-trial's seed comes from the same ``SeedSequence`` spawn tree.
-``--progress`` prints per-shard telemetry (timing, trials/sec) to
-stderr.  See docs/RUNTIME.md.  A per-experiment run keeps no state
-between invocations; to make one resumable, run it through the report
-graph instead: ``repro report --only fig5 --resume`` picks up an
-interrupted run from the artifacts already in the store.
+Every batch run is one task graph (:mod:`repro.dag`).  ``repro
+report`` runs all 15 experiments, or an ``--only`` subset, as one
+resumable DAG run; ``repro <id>`` is the same run restricted to one
+experiment, over an in-memory artifact store unless ``--cache-dir`` is
+given.  ``--jobs N`` runs ready graph nodes across N worker processes;
+results are bit-identical to a serial run.  ``--progress`` prints
+per-node telemetry to stderr.  A per-experiment run keeps no state
+between invocations; to make one resumable, run it as ``repro report
+--only fig5 --resume``, which picks up an interrupted run from the
+artifacts already in the store.  Both live in :mod:`repro.dag.cli`
+(docs/ORCHESTRATION.md), as does ``repro dag show``, which inspects
+the graph without running it.
 
 ``repro stream`` runs the bounded-memory streaming pipeline instead of
 a batch experiment; its flags live in :mod:`repro.stream.cli` and its
 semantics in docs/STREAMING.md.  ``repro serve`` starts the always-on
 multi-tenant streaming service (:mod:`repro.serve.cli`, docs/SERVING.md).
-``repro report`` materializes every experiment as one resumable DAG run
-and ``repro dag show`` inspects the graph without running it; both live
-in :mod:`repro.dag.cli` (docs/ORCHESTRATION.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.cache import ArtifactCache
-from repro.config import STRATEGY_CHOICES
-from repro.exceptions import ReproError
-from repro.experiments.registry import REGISTRY, run_experiment
-from repro.runtime import (
-    BACKEND_CHOICES,
-    ProgressPrinter,
-    Telemetry,
-    TrialRuntime,
-    resolve_backend,
+from repro.dag.cli import (
+    add_run_flags,
+    run_report_graph,
+    strategies,
+    strategy_problem,
 )
+from repro.dag.report import build_report_graph
+from repro.exceptions import ReproError
+from repro.experiments.registry import REGISTRY
+from repro.runtime import resolve_backend
 
 #: Parameter overrides applied by --quick, per experiment.
 _QUICK_OVERRIDES: dict[str, dict] = {
@@ -95,11 +92,6 @@ _QUICK_OVERRIDES: dict[str, dict] = {
     "compression": {"n_repeats": 1, "side": 24, "gamma0_grid": (0.0, 0.01, 0.05)},
     "motivation": {"n_repeats": 1, "side": 8, "gamma0_grid": (0.005, 0.025)},
 }
-
-#: Experiments whose ``run`` accepts a ``strategies`` keyword (the
-#: figures ``--strategy`` adds selective arms to).
-_STRATEGY_EXPERIMENTS = frozenset({"fig2", "fig4"})
-
 
 def probe_writable(directory: Path, flag: str) -> str | None:
     """Check that *directory*, given on the command line as *flag*, is
@@ -154,85 +146,37 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro",
         description="Regenerate figures from 'Pre-Processing Input Data to "
         "Augment Fault Tolerance in Space Applications' (DSN 2003).",
-        epilog="A per-experiment run keeps no state between invocations. "
-        "To resume an interrupted batch run, use the report graph: "
-        "'repro report --only <id> --resume'.",
+        epilog="'repro <id>' runs 'repro report --only <id>' and keeps no "
+        "state between invocations. To resume an interrupted batch run, "
+        "use the report graph: 'repro report --only <id> --resume'.",
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'repro list'), 'list', 'all', "
-        "'report' (resumable DAG report run; 'repro report --help'), "
+        help="experiment id (see 'repro list'), 'list', "
+        "'report' (every experiment as one resumable DAG run; "
+        "'repro report --help'), "
         "'dag' (task-graph inspection; 'repro dag --help'), "
         "'stream' (streaming pipeline; 'repro stream --help'), "
         "'serve' (streaming service; 'repro serve --help'), "
         "'cache' (artifact cache maintenance; 'repro cache --help'), "
         "or 'kernels' (kernel-tier diagnostics; 'repro kernels --help')",
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced grids for a fast run"
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", help="also dump results as JSON to PATH"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for trial loops (default 1 = serial; "
-        "results are bit-identical at any N)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads for trial loops instead of processes "
-        "(they overlap only inside NumPy calls and the C correlated "
-        "scan; mutually exclusive with --jobs)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help="execution backend (default: inferred from --jobs/--threads; "
-        "results are bit-identical for every choice)",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print per-shard telemetry (timing, trials/sec) to stderr",
-    )
-    parser.add_argument(
-        "--strategy",
-        action="append",
-        choices=[s for s in STRATEGY_CHOICES if s != "fixed"],
-        default=None,
-        metavar="NAME",
-        help="append a selective Algo_NGST arm to experiments "
-        "that support strategy arms (fig2, fig4); repeatable",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="persist the artifact cache's disk tier here, so pristine "
-        "datasets and fault realizations survive across invocations "
-        "(default: in-memory cache only; see 'repro cache')",
+        help="persist the run's artifacts here, so pristine datasets and "
+        "fault realizations survive across invocations (default: "
+        "in-memory store only; see 'repro cache')",
     )
     args = parser.parse_args(argv)
 
     try:
-        backend = resolve_backend(args.backend, jobs=args.jobs, threads=args.threads)
+        backend = resolve_backend(args.jobs)
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    if args.cache_dir is not None:
-        problem = probe_writable(Path(args.cache_dir), "--cache-dir")
-        if problem:
-            print(problem, file=sys.stderr)
-            return 2
 
     if args.experiment == "list":
         for experiment_id in sorted(REGISTRY):
@@ -250,55 +194,30 @@ def main(argv: list[str] | None = None) -> int:
         print(render_verdicts(verdicts))
         return 0 if all(v.passed for v in verdicts) else 1
 
-    experiment_ids = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
-    if any(e not in REGISTRY for e in experiment_ids):
-        bad = [e for e in experiment_ids if e not in REGISTRY]
-        print(f"unknown experiment(s): {bad}; try 'repro list'", file=sys.stderr)
+    experiment_id = args.experiment
+    if experiment_id not in REGISTRY:
+        print(
+            f"unknown experiment {experiment_id!r}; try 'repro list', or "
+            "'repro report' for every experiment",
+            file=sys.stderr,
+        )
+        return 2
+    problem = strategy_problem(args, [experiment_id])
+    if problem:
+        print(problem, file=sys.stderr)
         return 2
 
-    if args.strategy and args.experiment != "all":
-        unsupported = [
-            e for e in experiment_ids if e not in _STRATEGY_EXPERIMENTS
-        ]
-        if unsupported:
-            print(
-                f"--strategy applies to {sorted(_STRATEGY_EXPERIMENTS)}, "
-                f"not {unsupported}",
-                file=sys.stderr,
-            )
-            return 2
-
-    collected = []
-    for experiment_id in experiment_ids:
-        kwargs = _QUICK_OVERRIDES.get(experiment_id, {}) if args.quick else {}
-        if args.strategy and experiment_id in _STRATEGY_EXPERIMENTS:
-            kwargs = {**kwargs, "strategies": tuple(dict.fromkeys(args.strategy))}
-        runtime = _build_runtime(args, backend)
-        try:
-            results = run_experiment(experiment_id, runtime=runtime, **kwargs)
-        except ReproError as exc:
-            print(f"{experiment_id} failed: {exc}", file=sys.stderr)
-            return 2
-        for result in results:
-            print(result.to_table())
-            print()
-            collected.append(result.to_dict())
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(collected, fh, indent=2)
-        print(f"wrote {len(collected)} result panel(s) to {args.json}")
-    return 0
-
-
-def _build_runtime(args: argparse.Namespace, backend) -> TrialRuntime:
-    """One runtime per experiment, so each numbers its telemetry labels
-    from ``run-0000``.  The *backend* is shared across experiments."""
-    telemetry = None
-    if args.progress:
-        telemetry = Telemetry()
-        telemetry.subscribe(ProgressPrinter())
-    cache = ArtifactCache(directory=args.cache_dir)
-    return TrialRuntime(backend=backend, telemetry=telemetry, cache=cache)
+    try:
+        graph = build_report_graph(
+            [experiment_id], quick=args.quick, strategies=strategies(args)
+        )
+    except ReproError as exc:
+        print(f"{experiment_id} failed: {exc}", file=sys.stderr)
+        return 2
+    code, _ = run_report_graph(
+        graph, args, backend, args.cache_dir, label=experiment_id
+    )
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ subgraphs that replay the canonical trial protocol *exactly*:
   to running each arm as its own trial loop.
 
 Trial seeds come from ``SeedSequence(seed).spawn(n_trials)`` — the
-same spawn tree as :class:`~repro.runtime.TrialPlan` — so a graph run
-is bit-identical to the trial-loop run it replaces.
+same spawn tree as :func:`repro.experiments.common.seeded_trials` — so
+a graph run is bit-identical to the trial loop it replaces.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def aggregate_values(artifact: CachedArtifact) -> dict[str, np.ndarray]:
 
 
 def aggregate_means(artifact: CachedArtifact) -> dict[str, float]:
-    """Per-arm mean values — the classic ``averaged_arms`` result shape."""
+    """Per-arm mean values, keyed by arm name."""
     return {
         arm_name: float(np.mean(values))
         for arm_name, values in aggregate_values(artifact).items()

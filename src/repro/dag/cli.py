@@ -3,9 +3,8 @@
 ``repro report`` materializes the paper — all 15 experiments, or a
 ``--only`` subset — as **one DAG run**:
 
-    repro report [--quick] [--only fig2,fig4] [--jobs N | --threads N]
-                 [--backend serial|thread|process]
-                 [--resume] [--plan] [--progress]
+    repro report [--quick] [--only fig2,fig4] [--jobs N]
+                 [--strategy selective] [--resume] [--plan] [--progress]
                  [--cache-dir DIR] [--out REPORT.md] [--json PANELS.json]
     repro report --from-json PANELS.json --out REPORT.md   # render only
 
@@ -13,7 +12,8 @@
 is purely the filesystem — kill the run anywhere, run again with
 ``--resume``, get byte-identical output); ``--plan`` prints the graph
 and its cache temperature without executing anything; ``--from-json``
-renders an existing panels dump (the legacy ``repro report`` mode).
+renders an existing panels dump.  ``repro <id>`` is the same run
+restricted to one experiment (:func:`run_report_graph`).
 
 ``repro dag show`` inspects any campaign graph without running it:
 
@@ -29,18 +29,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.cache.store import ArtifactCache
-from repro.dag.report import PANELS_NODE, build_report_graph
+from repro.config import STRATEGY_CHOICES
+from repro.dag.graph import TaskGraph
+from repro.dag.report import FINE_GRAINED, PANELS_NODE, build_report_graph
 from repro.dag.scheduler import DagScheduler, DagSurvey
 from repro.exceptions import ReproError
-from repro.runtime import (
-    BACKEND_CHOICES,
-    ProgressPrinter,
-    Telemetry,
-    resolve_backend,
-)
+from repro.runtime import Executor, ProgressPrinter, Telemetry, resolve_backend
 
 #: Default on-disk artifact store, shared with ``repro cache`` and the
 #: experiment commands' ``--cache-dir``.
@@ -89,20 +87,13 @@ def format_plan(survey: DagSurvey, cache_dir: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def report_main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro report``; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro report",
-        description="Reproduce the paper's experiments as one resumable "
-        "DAG run and render the result tables.",
-    )
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every report run takes, ``repro <id>`` included."""
     parser.add_argument(
         "--quick", action="store_true", help="reduced grids for a fast run"
     )
     parser.add_argument(
-        "--only",
-        metavar="IDS",
-        help="comma-separated experiment ids (default: every experiment)",
+        "--json", metavar="PATH", help="also dump the panels as JSON to PATH"
     )
     parser.add_argument(
         "--jobs",
@@ -113,19 +104,95 @@ def report_main(argv: list[str] | None = None) -> int:
         "results are bit-identical at any N)",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads instead of processes (mutually exclusive "
-        "with --jobs)",
+        "--progress",
+        action="store_true",
+        help="print per-node telemetry to stderr",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
+        "--strategy",
+        action="append",
+        choices=[s for s in STRATEGY_CHOICES if s != "fixed"],
         default=None,
-        help="execution backend (default: inferred from --jobs/--threads; "
-        "results are bit-identical for every choice)",
+        metavar="NAME",
+        help=f"append a selective Algo_NGST arm to {', '.join(FINE_GRAINED)}; "
+        "repeatable",
+    )
+
+
+def strategies(args: argparse.Namespace) -> tuple[str, ...]:
+    """The ``--strategy`` values, deduplicated in order."""
+    return tuple(dict.fromkeys(args.strategy or ()))
+
+
+def strategy_problem(args: argparse.Namespace, ids: Sequence[str]) -> str | None:
+    """The one-line refusal when ``--strategy`` reaches no figure taking it."""
+    if args.strategy and not any(eid in FINE_GRAINED for eid in ids):
+        return f"--strategy applies to {sorted(FINE_GRAINED)}, not {list(ids)}"
+    return None
+
+
+def run_report_graph(
+    graph: TaskGraph,
+    args: argparse.Namespace,
+    backend: Executor,
+    cache_dir: str | None,
+    resume: bool = False,
+    label: str = "report",
+) -> tuple[int, list]:
+    """Run *graph* to its panels node, print every table, honour ``--json``.
+
+    *cache_dir* None keeps the artifact store in memory.  Returns the
+    exit code and the panels as ExperimentResults (empty on failure).
+    """
+    if cache_dir is not None:
+        from repro.cli import probe_writable
+
+        problem = probe_writable(Path(cache_dir), "--cache-dir")
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2, []
+    telemetry = None
+    if args.progress:
+        telemetry = Telemetry()
+        telemetry.subscribe(ProgressPrinter())
+    scheduler = DagScheduler(
+        cache=ArtifactCache(directory=cache_dir),
+        backend=backend,
+        telemetry=telemetry,
+    )
+    try:
+        outputs = scheduler.run(graph, targets=(PANELS_NODE,), recover=resume)
+    except ReproError as exc:
+        print(f"{label} failed: {exc}", file=sys.stderr)
+        return 2, []
+
+    from repro.dag.build import json_payload
+    from repro.experiments.common import ExperimentResult
+
+    panels = json_payload(outputs[PANELS_NODE])
+    results = [ExperimentResult.from_dict(panel) for panel in panels]
+    for result in results:
+        print(result.to_table())
+        print()
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(panels, fh, indent=2)
+        print(f"wrote {len(panels)} result panel(s) to {args.json}")
+    return 0, results
+
+
+def report_main(argv: list[str] | None = None) -> int:
+    """Entry point for ``repro report``; returns the process exit code."""
+    parser = argparse.ArgumentParser(
+        prog="repro report",
+        description="Reproduce the paper's experiments as one resumable "
+        "DAG run and render the result tables.",
+    )
+    add_run_flags(parser)
+    parser.add_argument(
+        "--only",
+        metavar="IDS",
+        help="comma-separated experiment ids (default: every experiment)",
     )
     parser.add_argument(
         "--resume",
@@ -141,11 +208,6 @@ def report_main(argv: list[str] | None = None) -> int:
         help="print the graph and cache temperature, execute nothing",
     )
     parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print per-node telemetry to stderr",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=DEFAULT_CACHE_DIR,
@@ -155,14 +217,11 @@ def report_main(argv: list[str] | None = None) -> int:
         "--out", metavar="PATH", help="write the Markdown report to PATH"
     )
     parser.add_argument(
-        "--json", metavar="PATH", help="dump the panels as JSON to PATH"
-    )
-    parser.add_argument(
         "--from-json",
         dest="from_json",
         metavar="PATH",
-        help="render an existing panels dump (a 'repro all --json' or "
-        "'repro report --json' file) to --out without running anything",
+        help="render an existing panels dump (a 'repro report --json' or "
+        "'repro <id> --json' file) to --out without running anything",
     )
     parser.add_argument(
         "--title",
@@ -172,7 +231,7 @@ def report_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        backend = resolve_backend(args.backend, jobs=args.jobs, threads=args.threads)
+        backend = resolve_backend(args.jobs)
     except ReproError as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 2
@@ -194,8 +253,15 @@ def report_main(argv: list[str] | None = None) -> int:
         return 0
 
     only = _parse_only(args.only)
+    if only is not None:
+        problem = strategy_problem(args, only)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
     try:
-        graph = build_report_graph(only, quick=args.quick)
+        graph = build_report_graph(
+            only, quick=args.quick, strategies=strategies(args)
+        )
     except ReproError as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 2
@@ -206,49 +272,17 @@ def report_main(argv: list[str] | None = None) -> int:
         print(format_plan(survey, args.cache_dir))
         return 0
 
-    from repro.cli import probe_writable
-
-    problem = probe_writable(Path(args.cache_dir), "--cache-dir")
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-
-    telemetry = None
-    if args.progress:
-        telemetry = Telemetry()
-        telemetry.subscribe(ProgressPrinter())
-    scheduler = DagScheduler(
-        cache=ArtifactCache(directory=Path(args.cache_dir)),
-        backend=backend,
-        telemetry=telemetry,
+    code, results = run_report_graph(
+        graph, args, backend, args.cache_dir, resume=args.resume
     )
-    try:
-        outputs = scheduler.run(
-            graph, targets=(PANELS_NODE,), recover=args.resume
-        )
-    except ReproError as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 2
+    if code == 0 and args.out:
+        from repro.experiments.report import results_to_markdown
 
-    from repro.dag.build import json_payload
-    from repro.experiments.common import ExperimentResult
-    from repro.experiments.report import results_to_markdown
-
-    panels = json_payload(outputs[PANELS_NODE])
-    results = [ExperimentResult.from_dict(panel) for panel in panels]
-    for result in results:
-        print(result.to_table())
-        print()
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(panels, fh, indent=2)
-        print(f"wrote {len(panels)} result panel(s) to {args.json}")
-    if args.out:
         with open(args.out, "w") as fh:
             fh.write(results_to_markdown(results, title=args.title))
             fh.write("\n")
-        print(f"rendered {len(panels)} panel(s) to {args.out}")
-    return 0
+        print(f"rendered {len(results)} panel(s) to {args.out}")
+    return code
 
 
 def dag_main(argv: list[str] | None = None) -> int:

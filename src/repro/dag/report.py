@@ -5,9 +5,9 @@ into a single :class:`~repro.dag.TaskGraph`.  Figures with graph
 builders (fig2, fig4) expand fine-grained — per-trial dataset/fault
 nodes, per-arm score nodes — so a kill mid-figure resumes mid-figure;
 the remaining experiments run as one coarse ``experiment`` node each
-(their ``run()`` loops are already deterministic and cached
-internally), which still gives per-experiment recovery and cross-
-experiment parallelism under ``--jobs``.  A final ``report/panels``
+(their ``run()`` loops are already deterministic), which still gives
+per-experiment recovery and cross-experiment parallelism under
+``--jobs``.  A final ``report/panels``
 node concatenates every panel, in registry order, into one canonical
 JSON artifact — the content the ``repro report`` CLI renders to
 Markdown.
@@ -25,15 +25,15 @@ from collections.abc import Iterable, Sequence
 from repro.dag.build import json_artifact, json_payload
 from repro.dag.graph import TaskGraph
 from repro.dag.node import TaskNode
-from repro.dag.scheduler import DagScheduler
 from repro.exceptions import ConfigurationError
 
 #: The sink node every report graph ends in.
 PANELS_NODE = "report/panels"
 
 #: Experiments with fine-grained graph builders; everything else runs
-#: as one coarse ``experiment`` node.
-_FINE_GRAINED = ("fig2", "fig4")
+#: as one coarse ``experiment`` node.  These are also the experiments
+#: that take strategy arms.
+FINE_GRAINED = ("fig2", "fig4")
 
 
 def quick_overrides(experiment_id: str) -> dict:
@@ -74,17 +74,22 @@ def _figure_subgraph(experiment_id: str, overrides: dict):
 
 
 def build_report_graph(
-    experiment_ids: Iterable[str] | None = None, quick: bool = False
+    experiment_ids: Iterable[str] | None = None,
+    quick: bool = False,
+    strategies: Sequence[str] = (),
 ) -> TaskGraph:
     """Every requested experiment as one graph ending in :data:`PANELS_NODE`.
 
     Args:
         experiment_ids: which experiments to include, in the given
             order after deduplication; default is every registered
-            experiment in sorted-id order (the ``repro all`` order).
+            experiment in sorted-id order.
         quick: apply the CLI's ``--quick`` parameter overrides; the
             overrides are folded into the experiment nodes' content
             keys, so quick and full artifacts never collide.
+        strategies: Algo_NGST strategy arms appended to the
+            fine-grained figures (fig2, fig4); see
+            :func:`repro.core.strategies.strategy_arm_config`.
     """
     from repro.experiments.registry import REGISTRY
 
@@ -103,7 +108,9 @@ def build_report_graph(
     terminals = []
     for experiment_id in ids:
         overrides = quick_overrides(experiment_id) if quick else {}
-        if experiment_id in _FINE_GRAINED:
+        if experiment_id in FINE_GRAINED:
+            if strategies:
+                overrides["strategies"] = tuple(strategies)
             subgraph, table = _figure_subgraph(experiment_id, overrides)
             graph.merge(subgraph)
             terminals.append(table)
@@ -128,27 +135,3 @@ def build_report_graph(
         )
     )
     return graph
-
-
-def run_report(
-    scheduler: DagScheduler,
-    experiment_ids: Iterable[str] | None = None,
-    quick: bool = False,
-    recover: bool = True,
-) -> "list":
-    """Run the report graph; returns the panels as ExperimentResults."""
-    from repro.experiments.common import ExperimentResult
-
-    graph = build_report_graph(experiment_ids, quick)
-    outputs = scheduler.run(graph, targets=(PANELS_NODE,), recover=recover)
-    return [
-        ExperimentResult.from_dict(panel)
-        for panel in json_payload(outputs[PANELS_NODE])
-    ]
-
-
-def panels_to_results(panels: Sequence[dict]) -> "list":
-    """Decode raw panel dicts into ExperimentResults."""
-    from repro.experiments.common import ExperimentResult
-
-    return [ExperimentResult.from_dict(panel) for panel in panels]

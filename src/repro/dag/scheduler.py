@@ -13,8 +13,8 @@ uninterrupted run — there is no session file to lose or mismatch.
 
 Execution walks the graph in ready-set waves on the existing
 :class:`~repro.runtime.Executor` seam: every node whose dependencies
-are done is dispatched as a one-trial shard, so the serial, thread,
-and process-pool backends run graphs unchanged.  Workers return the
+are done is dispatched as a one-node shard, so the serial and
+process-pool backends run graphs unchanged.  Workers return the
 output artifact's arrays and metadata; **publication happens only in
 the parent**, after the worker result is consumed, so a crash anywhere
 between node start and publication simply re-runs the node — the
@@ -35,8 +35,7 @@ from repro.cache.store import ArtifactCache, CachedArtifact
 from repro.dag.graph import TaskGraph
 from repro.dag.node import TaskContext, TaskNode, normalize_output
 from repro.exceptions import DagError
-from repro.runtime.backend import Executor, SerialBackend
-from repro.runtime.plan import Shard
+from repro.runtime.backend import Executor, SerialBackend, Shard
 from repro.runtime.telemetry import (
     DagCompleted,
     DagStarted,
@@ -211,21 +210,6 @@ class DagScheduler:
         self.backend = backend if backend is not None else SerialBackend()
         self.telemetry = telemetry
 
-    @classmethod
-    def for_runtime(cls, runtime) -> "DagScheduler":
-        """A scheduler sharing a :class:`TrialRuntime`'s seams.
-
-        Reuses the runtime's backend, telemetry hub, and artifact
-        cache (creating a private in-memory cache when the runtime has
-        none), so experiments accept one ``runtime=`` argument whether
-        they run trial plans or task graphs.
-        """
-        return cls(
-            cache=getattr(runtime, "cache", None) or ArtifactCache(),
-            backend=getattr(runtime, "backend", None) or SerialBackend(),
-            telemetry=getattr(runtime, "telemetry", None),
-        )
-
     # -- recovery survey --------------------------------------------------
 
     def survey(
@@ -336,10 +320,7 @@ class DagScheduler:
                 )
                 for index, name in enumerate(ready)
             }
-            shards = [
-                Shard(index=index, start=index, stop=index + 1, seeds=())
-                for index in batch
-            ]
+            shards = [Shard(index) for index in batch]
             failures: list[_NodeFailure] = []
             for result in self.backend.run_shards(
                 _NodeShardFn(batch, self.cache), shards

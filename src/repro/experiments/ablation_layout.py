@@ -38,7 +38,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.layout import InterleavedLayout, PixelMajorLayout, RowMajorLayout
 from repro.faults.transit import GilbertElliottConfig, TransitFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import TrialRuntime
 
 DEFAULT_GAMMA_INI_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
 DEFAULT_BURST_RATE_GRID = (1e-5, 5e-5, 2e-4)
@@ -56,21 +55,20 @@ def run(
     shape: tuple[int, ...] = (16, 16),
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> list[ExperimentResult]:
     """Both layout panels: Eq. 2 memory faults and transit bursts."""
     return [
         _memory_panel(
-            gamma_ini_grid, lambdas, sigma, n_variants, shape, n_repeats, seed, runtime
+            gamma_ini_grid, lambdas, sigma, n_variants, shape, n_repeats, seed
         ),
         _transit_panel(
-            burst_rate_grid, lambdas, sigma, n_variants, shape, n_repeats, seed, runtime
+            burst_rate_grid, lambdas, sigma, n_variants, shape, n_repeats, seed
         ),
     ]
 
 
 def _memory_panel(
-    gamma_ini_grid, lambdas, sigma, n_variants, shape, n_repeats, seed, runtime=None
+    gamma_ini_grid, lambdas, sigma, n_variants, shape, n_repeats, seed
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ablate-layout",
@@ -107,7 +105,6 @@ def _memory_panel(
                     lambda rng: one_point(rng, which, layout),
                     n_repeats,
                     seed,
-                    runtime,
                 )
             )
 
@@ -122,7 +119,7 @@ def _memory_panel(
 
 
 def _transit_panel(
-    burst_rate_grid, lambdas, sigma, n_variants, shape, n_repeats, seed, runtime=None
+    burst_rate_grid, lambdas, sigma, n_variants, shape, n_repeats, seed
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ablate-layout-transit",
@@ -160,7 +157,6 @@ def _transit_panel(
                     lambda rng: one_point(rng, which, layout),
                     n_repeats,
                     seed,
-                    runtime,
                 )
             )
 

@@ -28,7 +28,6 @@ from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
 from repro.otis.quantize import decode_dn
 from repro.otis.spectrometer import Spectrometer, default_bands
-from repro.runtime import TrialRuntime
 
 
 def _scene(side: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,7 +52,6 @@ def run(
     side: int = 32,
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Ψ after spatial vs spectral preprocessing of a sensed DN cube."""
     result = ExperimentResult(
@@ -96,7 +94,7 @@ def run(
 
         for label, which in zip(labels, ("none", "spatial", "spectral")):
             curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed, runtime)
+                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
             )
 
     for label in labels:

@@ -30,7 +30,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
 from repro.otis.quantize import decode_dn, encode_dn
-from repro.runtime import TrialRuntime
 
 
 def run(
@@ -40,7 +39,6 @@ def run(
     cols: int = 48,
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Ψ under each storage representation, raw and preprocessed."""
     result = ExperimentResult(
@@ -86,7 +84,7 @@ def run(
             labels, ("dn-raw", "dn-algo", "f32-raw", "f32-algo")
         ):
             curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed, runtime)
+                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
             )
 
     for label in labels:

@@ -26,7 +26,6 @@ from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import TrialRuntime
 
 VARIANTS = ("full", "no-window-A", "grt-everywhere", "no-window-C")
 
@@ -69,7 +68,6 @@ def run(
     shape: tuple[int, ...] = (16, 16),
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Psi of each window-rule variant across Γ₀."""
     result = ExperimentResult(
@@ -95,11 +93,11 @@ def run(
             return psi(preprocess_variant(corrupted, variant, sensitivity), pristine)
 
         curves["no-preprocessing"].append(
-            averaged(lambda rng: one_point(rng, None), n_repeats, seed, runtime)
+            averaged(lambda rng: one_point(rng, None), n_repeats, seed)
         )
         for variant in VARIANTS:
             curves[variant].append(
-                averaged(lambda rng: one_point(rng, variant), n_repeats, seed, runtime)
+                averaged(lambda rng: one_point(rng, variant), n_repeats, seed)
             )
 
     for label, ys in curves.items():

@@ -2,7 +2,7 @@
 
 EXPERIMENTS.md records paper-vs-measured verdicts as prose; this module
 encodes each verdict as an executable check over the result panels, so
-a full regeneration (``repro all --json results.json``) can be verified
+a full regeneration (``repro report --json results.json``) can be verified
 mechanically (``repro claims --json results.json``).  A claim failing
 after a code change means the change altered a reproduced shape.
 

@@ -1,6 +1,6 @@
-"""Shared experiment machinery: result containers, averaging sweeps,
-DAG-scheduled multi-arm sweeps, optimal-sensitivity search, and ASCII
-rendering."""
+"""Shared experiment machinery: result containers, the seeded trial
+loop, DAG-scheduled multi-arm sweeps, optimal-sensitivity search, and
+ASCII rendering."""
 
 from __future__ import annotations
 
@@ -9,21 +9,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache import ArtifactCache
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.dag import (
     DagScheduler,
     TaskGraph,
     TaskNode,
-    add_arm_sweep,
     aggregate_means,
     json_artifact,
 )
 from repro.data.ngst import generate_walk
 from repro.exceptions import ConfigurationError
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, DatasetSpec, TrialRuntime
+from repro.runtime import DatasetSpec
 
 
 @dataclass
@@ -124,37 +122,36 @@ def _fmt(value: float) -> str:
     return f"{value:.5f}"
 
 
+def _trial_value(value: object) -> float | list[float]:
+    """Coerce one trial's value to a float, or a list of floats."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [float(v) for v in value]
+    return float(value)  # type: ignore[arg-type]
+
+
+def seeded_trials(
+    trial: Callable[[np.random.Generator], object], n_trials: int, seed: int
+) -> list:
+    """Run *n_trials* independently seeded trials; values in trial order.
+
+    Trial *i* draws from ``default_rng`` of the *i*-th
+    ``SeedSequence(seed).spawn(n_trials)`` child, the same spawn tree
+    the task-graph sweeps (:func:`repro.dag.add_arm_sweep`) use.  Each
+    value is a float, or a list of floats for a multi-statistic trial.
+    """
+    if n_trials < 1:
+        raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
+    return [
+        _trial_value(trial(np.random.default_rng(child)))
+        for child in np.random.SeedSequence(seed).spawn(n_trials)
+    ]
+
+
 def averaged(
-    runner: Callable[[np.random.Generator], float],
-    n_repeats: int,
-    seed: int,
-    runtime: TrialRuntime | None = None,
+    runner: Callable[[np.random.Generator], float], n_repeats: int, seed: int
 ) -> float:
-    """Mean of *runner* over ``n_repeats`` independently seeded runs.
-
-    Delegates the repeat loop to :class:`repro.runtime.TrialRuntime`,
-    so passing a runtime with a process-pool backend parallelises the
-    repeats without changing the result: per-repeat seeds are the
-    ``SeedSequence.spawn`` children of *seed* on every backend.
-    """
-    if n_repeats < 1:
-        raise ConfigurationError(f"n_repeats must be >= 1, got {n_repeats}")
-    runtime = runtime if runtime is not None else TrialRuntime()
-    return float(np.mean(runtime.run(runner, n_repeats, seed)))
-
-
-def experiment_runtime(runtime: TrialRuntime | None = None) -> TrialRuntime:
-    """The runtime an experiment sweep should use.
-
-    Passes a caller-provided runtime through untouched; otherwise
-    builds a serial runtime with a fresh in-memory
-    :class:`~repro.cache.ArtifactCache`, so every grid point of the
-    sweep shares pristine datasets (identical across fault-parameter
-    points of the same seed) instead of regenerating them.
-    """
-    if runtime is not None:
-        return runtime
-    return TrialRuntime(cache=ArtifactCache())
+    """Mean of *runner* over ``n_repeats`` :func:`seeded_trials`."""
+    return float(np.mean(seeded_trials(runner, n_repeats, seed)))
 
 
 def walk_dataset(
@@ -165,49 +162,6 @@ def walk_dataset(
         build=lambda rng: generate_walk(config, rng, shape),
         key_parts=("ngst_walk", config, tuple(shape)),
     )
-
-
-def averaged_arms(
-    arms: Sequence[Arm],
-    dataset: DatasetSpec,
-    fault,
-    n_repeats: int,
-    seed: int,
-    runtime: TrialRuntime | None = None,
-) -> dict[str, float]:
-    """Mean of every arm over ``n_repeats`` shared-artifact trials.
-
-    The DAG counterpart of calling :func:`averaged` once per arm: the
-    sweep becomes a dataset → fault → per-arm score → aggregate task
-    graph (:func:`repro.dag.add_arm_sweep`) scheduled on the runtime's
-    backend, so generation and injection run **once per trial** and
-    every arm evaluates the same read-only arrays.  Values — and
-    therefore the means — are bit-identical to the per-arm
-    :func:`averaged` calls, because the dataset/fault nodes replay the
-    canonical trial protocol exactly (same ``SeedSequence`` children,
-    same captured-RNG-state handoff).
-
-    Args:
-        arms: the arms to evaluate; names key the returned dict.
-        dataset: pristine-dataset spec (see :func:`walk_dataset`).
-        fault: a :class:`~repro.runtime.FaultSpec`, a fault model
-            exposing ``cache_key_parts()``, or None to run arms on
-            pristine data.
-        n_repeats: trials per arm (>= 1).
-        seed: root seed shared by every arm.
-        runtime: execution runtime; defaults to
-            :func:`experiment_runtime`'s cached serial runtime.
-    """
-    if n_repeats < 1:
-        raise ConfigurationError(f"n_repeats must be >= 1, got {n_repeats}")
-    runtime = experiment_runtime(runtime)
-    graph = TaskGraph("arm-sweep")
-    aggregate = add_arm_sweep(
-        graph, "sweep", arms, dataset, fault, n_repeats, seed
-    )
-    scheduler = DagScheduler.for_runtime(runtime)
-    outputs = scheduler.run(graph, targets=(aggregate,))
-    return aggregate_means(outputs[aggregate])
 
 
 def add_result_table(
@@ -278,17 +232,12 @@ def add_result_table(
     return name
 
 
-def run_figure_graph(
-    graph: TaskGraph,
-    table: str,
-    runtime: TrialRuntime | None = None,
-) -> ExperimentResult:
-    """Execute a figure graph and decode its table node's panel."""
+def run_figure_graph(graph: TaskGraph, table: str) -> ExperimentResult:
+    """Execute a figure graph serially over a fresh in-memory store and
+    decode its table node's panel."""
     from repro.dag.build import json_payload
 
-    runtime = experiment_runtime(runtime)
-    scheduler = DagScheduler.for_runtime(runtime)
-    outputs = scheduler.run(graph, targets=(table,))
+    outputs = DagScheduler().run(graph, targets=(table,))
     (panel,) = json_payload(outputs[table])
     return ExperimentResult.from_dict(panel)
 

@@ -21,7 +21,6 @@ from repro.experiments.common import ExperimentResult, averaged
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.ngst.rice import compression_ratio
-from repro.runtime import TrialRuntime
 
 
 def run(
@@ -32,7 +31,6 @@ def run(
     side: int = 48,
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Rice compression ratio vs Γ₀, raw vs preprocessed readouts."""
     result = ExperimentResult(
@@ -71,7 +69,7 @@ def run(
 
         for label, which in zip(labels, ("clean", "corrupted", "preprocessed")):
             curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed, runtime)
+                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
             )
 
     for label in labels:

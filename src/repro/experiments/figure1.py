@@ -23,7 +23,6 @@ from repro.core.preprocessor import NGSTPreprocessor
 from repro.experiments.common import ExperimentResult
 from repro.ngst.cluster import ClusterConfig, CRRejectionPipeline
 from repro.ngst.ramp import RampModel
-from repro.runtime import TrialRuntime
 
 
 def run(
@@ -33,15 +32,8 @@ def run(
     tile: int = 64,
     n_readouts: int = 16,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
-    """Makespan vs worker count, with/without preprocessing.
-
-    ``runtime`` is accepted for interface uniformity with the other
-    experiments but unused: the discrete-event simulation is a single
-    deterministic pass per grid point, with no trial loop to shard.
-    """
-    del runtime
+    """Makespan vs worker count, with/without preprocessing."""
     rng = np.random.default_rng(seed)
     ramp = RampModel(n_readouts=n_readouts)
     flux = rng.uniform(1.0, 10.0, size=(frame_side, frame_side))

@@ -32,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, TrialRuntime
+from repro.runtime import Arm
 
 #: The table node every fig2 graph ends in.
 TABLE_NODE = "fig2/table"
@@ -146,7 +146,6 @@ def run(
     seed: int = 2003,
     strategies: Sequence[str] = (),
     strategy_lambda: float = 50.0,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 2 curves by running :func:`graph`."""
     figure_graph = graph(
@@ -161,4 +160,4 @@ def run(
         strategies=strategies,
         strategy_lambda=strategy_lambda,
     )
-    return run_figure_graph(figure_graph, TABLE_NODE, runtime)
+    return run_figure_graph(figure_graph, TABLE_NODE)

@@ -21,7 +21,6 @@ from repro.experiments.common import ExperimentResult
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.overhead import time_callable
-from repro.runtime import TrialRuntime
 
 
 def run(
@@ -32,15 +31,8 @@ def run(
     gamma0: float = 0.01,
     repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
-    """Regenerate the Figure 3 overhead curve (milliseconds per stack).
-
-    ``runtime`` is accepted for interface uniformity but unused: this is
-    a wall-clock timing experiment, and running timed repeats across a
-    shared process pool would contaminate the measurement.
-    """
-    del runtime
+    """Regenerate the Figure 3 overhead curve (milliseconds per stack)."""
     rng = np.random.default_rng(seed)
     pristine = generate_walk(
         NGSTDatasetConfig(n_variants=n_variants, sigma=sigma), rng, shape

@@ -32,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.faults.correlated import CorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, TrialRuntime
+from repro.runtime import Arm
 
 DEFAULT_GAMMA_INI_GRID = (0.005, 0.01, 0.025, 0.05, 0.1, 0.15, 0.2)
 
@@ -144,7 +144,6 @@ def run(
     seed: int = 2003,
     strategies: Sequence[str] = (),
     strategy_lambda: float = 50.0,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 4 comparison by running :func:`graph`."""
     figure_graph = graph(
@@ -158,4 +157,4 @@ def run(
         strategies=strategies,
         strategy_lambda=strategy_lambda,
     )
-    return run_figure_graph(figure_graph, TABLE_NODE, runtime)
+    return run_figure_graph(figure_graph, TABLE_NODE)

@@ -25,7 +25,6 @@ from repro.experiments.common import (
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import TrialRuntime
 
 
 def run(
@@ -36,7 +35,6 @@ def run(
     n_variants: int = 64,
     n_datasets: int = 20,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 5 gamut sweep.
 
@@ -75,7 +73,7 @@ def run(
 
         for label, which in zip(labels, ("none", "algo", "median", "majority")):
             curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_datasets, seed, runtime)
+                averaged(lambda rng: one_point(rng, which), n_datasets, seed)
             )
 
     for label in labels:

@@ -29,7 +29,6 @@ from repro.experiments.common import (
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import TrialRuntime
 
 DEFAULT_SIGMA_GRID = (0.0, 25.0, 250.0, 8000.0)
 DEFAULT_GAMMA0_GRID = (0.001, 0.0025, 0.005, 0.01, 0.02, 0.04, 0.08)
@@ -44,7 +43,6 @@ def run(
     shape: tuple[int, ...] = (12, 12),
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> list[ExperimentResult]:
     """Regenerate the Figure 6 panel grid: one result per σ.
 
@@ -75,12 +73,12 @@ def run(
                 return best_sensitivity(corrupted, pristine, lambdas, upsilon)[1]
 
             none_curve.append(
-                averaged(lambda rng: one_point(rng, None), n_repeats, seed, runtime)
+                averaged(lambda rng: one_point(rng, None), n_repeats, seed)
             )
             for upsilon in upsilons:
                 curves[f"upsilon={upsilon}"].append(
                     averaged(
-                        lambda rng: one_point(rng, upsilon), n_repeats, seed, runtime
+                        lambda rng: one_point(rng, upsilon), n_repeats, seed
                     )
                 )
         result.add("no-preprocessing", list(gamma0_grid), none_curve)

@@ -24,7 +24,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
 from repro.otis.quantize import decode_dn, encode_dn
-from repro.runtime import TrialRuntime
 
 DEFAULT_GAMMA0_GRID = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1)
 DEFAULT_OTIS_LAMBDAS = (20.0, 40.0, 60.0, 80.0, 100.0)
@@ -38,7 +37,6 @@ def run(
     cols: int = 64,
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> list[ExperimentResult]:
     """Regenerate the Figure 7 panels: one result per OTIS dataset.
 
@@ -82,7 +80,7 @@ def run(
             for label, which in zip(labels, ("none", "algo", "median", "majority")):
                 curves[label].append(
                     averaged(
-                        lambda rng: one_point(rng, which), n_repeats, seed, runtime
+                        lambda rng: one_point(rng, which), n_repeats, seed
                     )
                 )
 

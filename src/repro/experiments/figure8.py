@@ -15,8 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.data.otis import DATASET_NAMES, make_dataset
-from repro.experiments.common import ExperimentResult
-from repro.runtime import TrialRuntime
+from repro.experiments.common import ExperimentResult, seeded_trials
 
 
 def _centre_band_concentration(field: np.ndarray) -> float:
@@ -38,10 +37,8 @@ def run(
     cols: int = 64,
     n_repeats: int = 5,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Morphology statistics per dataset (x axis indexes the datasets)."""
-    runtime = runtime if runtime is not None else TrialRuntime()
     result = ExperimentResult(
         experiment_id="fig8",
         title="OTIS dataset morphologies (Blob / Stripe / Spots)",
@@ -67,7 +64,7 @@ def run(
                 float(np.mean(np.abs(field - median) > 10.0)),
             ]
 
-        trials = runtime.run(one_field, n_repeats, seed)
+        trials = seeded_trials(one_field, n_repeats, seed)
         for key, column in zip(stat_keys, zip(*trials)):
             stats[key].append(float(np.mean(column)))
     xs = list(range(1, len(datasets) + 1))

@@ -22,7 +22,6 @@ from repro.faults.correlated import CorrelatedFaultModel
 from repro.faults.injector import FaultInjector
 from repro.metrics.relative_error import psi
 from repro.otis.quantize import decode_dn, encode_dn
-from repro.runtime import TrialRuntime
 
 DEFAULT_GAMMA_INI_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4)
 DEFAULT_OTIS_LAMBDAS = (20.0, 40.0, 60.0, 80.0, 100.0)
@@ -36,7 +35,6 @@ def run(
     cols: int = 48,
     n_repeats: int = 2,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> list[ExperimentResult]:
     """Regenerate the Figure 9 panels: one result per OTIS dataset."""
     results = []
@@ -91,12 +89,12 @@ def run(
             for label, which in zip(labels, ("none", "algo", "median", "majority")):
                 curves[label].append(
                     averaged(
-                        lambda rng: one_point(rng, which), n_repeats, seed, runtime
+                        lambda rng: one_point(rng, which), n_repeats, seed
                     )
                 )
             curves.setdefault("Algo_OTIS pseudo-corr fraction", []).append(
                 averaged(
-                    lambda rng: one_point(rng, "fp-ratio"), n_repeats, seed, runtime
+                    lambda rng: one_point(rng, "fp-ratio"), n_repeats, seed
                 )
             )
 

@@ -27,12 +27,11 @@ import numpy as np
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.data.ngst import generate_walk
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, seeded_trials
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.ft.abft import abft_matmul
 from repro.ft.nvp import NVPVoter
-from repro.runtime import TrialRuntime
 
 
 def _calibration_matrix(size: int) -> np.ndarray:
@@ -54,15 +53,12 @@ def run(
     side: int = 16,
     n_repeats: int = 3,
     seed: int = 2003,
-    runtime: TrialRuntime | None = None,
 ) -> ExperimentResult:
     """Certified-output error of ABFT / NVP with raw vs preprocessed input.
 
     Each trial returns ``[error, certified]`` so the certification
-    verdicts travel with the trial values — they survive process-pool
-    workers, unlike an accumulator side effect.
+    verdicts travel with the trial values.
     """
-    runtime = runtime if runtime is not None else TrialRuntime()
     result = ExperimentResult(
         experiment_id="motivation",
         title="Input faults defeat computation-level FT (ABFT/NVP)",
@@ -120,7 +116,7 @@ def run(
             labels,
             (("abft", False), ("abft", True), ("nvp", False), ("nvp", True)),
         ):
-            trials = runtime.run(
+            trials = seeded_trials(
                 lambda rng: one_point(rng, scheme, pre), n_repeats, seed
             )
             curves[label].append(float(np.mean([error for error, _ in trials])))

@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.exceptions import ConfigurationError
-from repro.runtime import TrialRuntime
 from repro.experiments import (
     ablation_layout,
     ablation_locality,
@@ -48,19 +47,11 @@ REGISTRY: dict[str, Callable] = {
 }
 
 
-def run_experiment(
-    experiment_id: str,
-    runtime: TrialRuntime | None = None,
-    **kwargs,
-) -> list[ExperimentResult]:
+def run_experiment(experiment_id: str, **kwargs) -> list[ExperimentResult]:
     """Run one registered experiment; returns its result panels.
 
     Args:
         experiment_id: a key of :data:`REGISTRY`.
-        runtime: optional :class:`repro.runtime.TrialRuntime` that the
-            experiment's trial loops run on — the hook through which
-            ``--jobs``/``--threads`` parallelise every figure.  Serial
-            in-process execution when omitted.
         **kwargs: forwarded to the experiment's ``run``.
     """
     try:
@@ -69,8 +60,6 @@ def run_experiment(
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; choose from {sorted(REGISTRY)}"
         ) from None
-    if runtime is not None:
-        kwargs = {**kwargs, "runtime": runtime}
     outcome = runner(**kwargs)
     if isinstance(outcome, ExperimentResult):
         return [outcome]

@@ -1,8 +1,7 @@
 """Fault models of §2.2: uncorrelated (Γ₀) and run-correlated (Γ_ini)
-bit-flips, memory-layout mapping, and seeded injection campaigns.
+bit-flips, transit bursts, memory-layout mapping, and seeded injection.
 """
 
-from repro.faults.campaign import Campaign, CampaignSummary
 from repro.faults.correlated import CorrelatedFaultModel, correlated_flip_grid
 from repro.faults.injector import FaultInjector, InjectionReport
 from repro.faults.layout import (
@@ -15,8 +14,6 @@ from repro.faults.transit import GilbertElliottConfig, TransitFaultModel
 from repro.faults.uncorrelated import UncorrelatedFaultModel, uncorrelated_flip_mask
 
 __all__ = [
-    "Campaign",
-    "CampaignSummary",
     "CorrelatedFaultModel",
     "FaultInjector",
     "GilbertElliottConfig",

@@ -29,7 +29,7 @@ import threading
 from pathlib import Path
 
 #: Module-level singleton state; guarded by :data:`_LOCK` so concurrent
-#: first calls (thread-pool shards) trigger at most one build attempt.
+#: first calls (serve worker threads) trigger at most one build attempt.
 _LOCK = threading.Lock()
 _ATTEMPTED = False
 _LIB = None

@@ -1,17 +1,18 @@
-"""Execution backends: where a plan's shards actually run.
+"""Execution backends: where the DAG scheduler's shards actually run.
 
 Every backend implements the one-method :class:`Executor` interface —
 take a shard function and a list of shards, yield a
 :class:`ShardResult` per shard as each completes (possibly out of
 order) — so everything above them (telemetry, result assembly) is
-backend-agnostic.
+backend-agnostic.  The scheduler (:mod:`repro.dag.scheduler`)
+dispatches each ready graph node as one shard.
 
 :class:`ProcessPoolBackend` prefers a fork-context ``multiprocessing``
 pool and passes the shard function to workers through the pool
-initializer, which fork inherits rather than pickles.  Campaign trial
-functions are typically closures over lambdas (dataset generators,
+initializer, which fork inherits rather than pickles.  Graph nodes
+typically run closures over lambdas (dataset generators,
 preprocessing arms) that could never cross a pickle boundary; fork
-inheritance lets exactly the same campaign objects run serially or in
+inheritance lets exactly the same graph run serially or in
 parallel.  Where fork is unavailable (macOS with threads, Windows) the
 backend falls back to the platform's spawn context, which pickles the
 initializer arguments — shard functions must then be picklable
@@ -31,14 +32,24 @@ import time
 import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.plan import Shard
 
-#: A shard function: runs every trial in a shard, returns their values
-#: in trial order.
+
+@dataclass(frozen=True)
+class Shard:
+    """One unit of work handed to a backend.
+
+    Attributes:
+        index: the shard's position in its batch; results come back
+            tagged with it.
+    """
+
+    index: int
+
+
+#: A shard function: runs one shard, returns its values in order.
 ShardFn = Callable[[Shard], list]
 
 
@@ -47,8 +58,8 @@ class ShardResult:
     """One completed shard.
 
     Attributes:
-        index: the shard's position in its plan.
-        values: per-trial results in trial order.
+        index: the shard's position in its batch.
+        values: the shard function's results, in order.
         elapsed_s: wall-clock seconds spent running the shard (measured
             inside the worker, so it excludes queueing).
     """
@@ -91,7 +102,7 @@ def _timed_shard(shard_fn: ShardFn, shard: Shard) -> ShardResult:
 
 
 class SerialBackend(Executor):
-    """Runs every shard in the calling process, in plan order."""
+    """Runs every shard in the calling process, in batch order."""
 
     jobs = 1
 
@@ -100,62 +111,6 @@ class SerialBackend(Executor):
     ) -> Iterator[ShardResult]:
         for shard in shards:
             yield _timed_shard(shard_fn, shard)
-
-
-class ThreadPoolBackend(Executor):
-    """Runs shards (or ad-hoc jobs) across a persistent thread pool.
-
-    Threads share the calling process, so shard functions need no
-    pickling and shared state (caches, pipelines) needs no IPC; the
-    GIL is the ceiling, but the hot kernels are NumPy calls that
-    release it, so CPU-bound shards still overlap usefully.  This is
-    the backend the serve layer multiplexes its per-tenant stream
-    sessions onto: :meth:`submit` exposes the pool for one-off jobs
-    (an asyncio loop bridges them with ``asyncio.wrap_future``), while
-    :meth:`run_shards` keeps the backend drop-in compatible with the
-    trial runtime.
-
-    The pool is created lazily on first use and persists across calls
-    (a long-running service must not pay thread startup per chunk);
-    call :meth:`shutdown` when done.
-
-    Args:
-        jobs: number of worker threads (>= 1).
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: ThreadPoolExecutor | None = None
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The lazily created executor backing this backend."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-worker"
-            )
-        return self._pool
-
-    def submit(self, fn: Callable, /, *args, **kwargs) -> "Future":
-        """Run ``fn(*args, **kwargs)`` on the pool; returns its future."""
-        return self.pool.submit(fn, *args, **kwargs)
-
-    def run_shards(
-        self, shard_fn: ShardFn, shards: Sequence[Shard]
-    ) -> Iterator[ShardResult]:
-        futures = [
-            self.pool.submit(_timed_shard, shard_fn, shard) for shard in shards
-        ]
-        for future in as_completed(futures):
-            yield future.result()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool (idempotent); a later use recreates it."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-            self._pool = None
 
 
 #: Worker-process slot for the inherited shard function; set by
@@ -189,62 +144,20 @@ def default_start_method() -> str:
     return "fork" if "fork" in available else "spawn"
 
 
-#: Backend names accepted by every repro CLI's ``--backend`` flag.
-BACKEND_CHOICES = ("serial", "thread", "process")
+def resolve_backend(jobs: int = 1) -> Executor:
+    """The backend for a batch CLI's ``--jobs`` flag.
 
-
-def resolve_backend(
-    name: str | None = None, jobs: int = 1, threads: int = 0
-) -> Executor:
-    """Build an :class:`Executor` from the uniform CLI flags.
-
-    Every repro CLI exposes the same surface — ``--backend
-    {serial,thread,process}`` plus the sizing flags ``--jobs``
-    (processes) and ``--threads`` (threads) — and resolves it here, so
-    flag semantics cannot drift between entry points.
-
-    Args:
-        name: explicit backend choice; None infers one from the sizing
-            flags (``--threads N`` → thread, ``--jobs N>1`` → process,
-            otherwise serial).
-        jobs: worker count for the process backend, and for the thread
-            backend when ``threads`` is 0.
-        threads: worker-thread count for the thread backend.
+    ``--jobs 1`` runs in-process (:class:`SerialBackend`); any larger
+    count runs graph nodes across that many worker processes
+    (:class:`ProcessPoolBackend`).
 
     Raises:
-        ConfigurationError: unknown name, invalid sizing, or a sizing
-            flag the chosen backend would ignore (``--threads`` with
-            serial or process, ``--jobs > 1`` with serial).
+        ConfigurationError: ``jobs < 1``.
     """
     if jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if threads < 0:
-        raise ConfigurationError(f"--threads must be >= 1, got {threads}")
-    if threads and jobs > 1:
-        raise ConfigurationError("--threads and --jobs are mutually exclusive")
-    if name is None:
-        if threads:
-            name = "thread"
-        elif jobs > 1:
-            name = "process"
-        else:
-            name = "serial"
-    if name not in BACKEND_CHOICES:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose one of {', '.join(BACKEND_CHOICES)}"
-        )
-    if threads and name != "thread":
-        raise ConfigurationError(
-            f"--threads only applies to the thread backend, not {name!r}"
-        )
-    if name == "serial":
-        if jobs > 1:
-            raise ConfigurationError(
-                f"--jobs {jobs} does not apply to the serial backend"
-            )
+    if jobs == 1:
         return SerialBackend()
-    if name == "thread":
-        return ThreadPoolBackend(threads or jobs)
     return ProcessPoolBackend(jobs)
 
 
@@ -300,7 +213,7 @@ class ProcessPoolBackend(Executor):
                         f"{self.start_method!r} start method "
                         f"({type(exc).__name__}: {exc}); falling back to "
                         f"in-process serial execution — use the fork start "
-                        f"method or a picklable (module-level) trial "
+                        f"method or a picklable (module-level) shard "
                         f"function for parallel speedup",
                         RuntimeWarning,
                         stacklevel=2,

@@ -1,12 +1,10 @@
-"""Runtime telemetry: progress and throughput events for subscribers.
+"""Runtime telemetry: progress events for subscribers.
 
-The runtime emits one :class:`RunStarted` per ``TrialRuntime.run``
-call, one :class:`ShardCompleted` per shard, and one
-:class:`RunCompleted` at the end.  The DAG scheduler
-(:mod:`repro.dag`) emits the parallel family :class:`DagStarted` /
-:class:`NodeCompleted` / :class:`DagCompleted`, where restoration is
-flagged per node (``from_store``): a resumed run detects completed
-work from the artifact store.  Experiments, the CLI, tests and
+The DAG scheduler (:mod:`repro.dag`) emits one :class:`DagStarted`
+per run, one :class:`NodeCompleted` per node, and one
+:class:`DagCompleted` at the end.  Restoration is flagged per node
+(``from_store``): a resumed run detects completed work from the
+artifact store.  Experiments, the CLI, tests and
 benchmarks subscribe callbacks on a :class:`Telemetry` hub;
 :class:`ProgressPrinter` is the stock subscriber that renders events
 as one-line progress messages.
@@ -18,59 +16,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TextIO, Union
-
-
-@dataclass(frozen=True)
-class RunStarted:
-    """Emitted when a trial run begins, before any shard executes.
-
-    Attributes:
-        key: the run's telemetry label (``run-NNNN``).
-        n_trials: total trials in the plan.
-        n_shards: total shards in the plan.
-        backend: human-readable backend description.
-    """
-
-    key: str
-    n_trials: int
-    n_shards: int
-    backend: str
-
-
-@dataclass(frozen=True)
-class ShardCompleted:
-    """Emitted as each shard finishes.
-
-    Attributes:
-        key: the run's telemetry label (``run-NNNN``).
-        shard_index: which shard completed.
-        n_trials: trials in this shard.
-        elapsed_s: worker-side wall-clock seconds.
-        trials_per_sec: shard throughput.
-    """
-
-    key: str
-    shard_index: int
-    n_trials: int
-    elapsed_s: float
-    trials_per_sec: float
-
-
-@dataclass(frozen=True)
-class RunCompleted:
-    """Emitted once per run after every shard's values are assembled.
-
-    Attributes:
-        key: the run's telemetry label (``run-NNNN``).
-        n_trials: total trials aggregated.
-        elapsed_s: end-to-end wall-clock seconds for the run call.
-        trials_per_sec: overall throughput.
-    """
-
-    key: str
-    n_trials: int
-    elapsed_s: float
-    trials_per_sec: float
 
 
 @dataclass(frozen=True)
@@ -135,14 +80,7 @@ class DagCompleted:
     elapsed_s: float
 
 
-TelemetryEvent = Union[
-    RunStarted,
-    ShardCompleted,
-    RunCompleted,
-    DagStarted,
-    NodeCompleted,
-    DagCompleted,
-]
+TelemetryEvent = Union[DagStarted, NodeCompleted, DagCompleted]
 
 
 class Telemetry:
@@ -186,17 +124,6 @@ class ProgressPrinter:
     @staticmethod
     def format(event: TelemetryEvent) -> str:
         """The one-line rendering of *event*."""
-        if isinstance(event, RunStarted):
-            return (
-                f"[{event.key}] start: {event.n_trials} trial(s) in "
-                f"{event.n_shards} shard(s) on {event.backend}"
-            )
-        if isinstance(event, ShardCompleted):
-            return (
-                f"[{event.key}] shard {event.shard_index}: "
-                f"{event.n_trials} trial(s) in {event.elapsed_s:.3f}s "
-                f"({event.trials_per_sec:.1f} trials/s)"
-            )
         if isinstance(event, DagStarted):
             suffix = (
                 f", {event.n_restored} node(s) restored from store"
@@ -222,10 +149,5 @@ class ProgressPrinter:
                 f"[{event.dag}] done: {event.n_nodes} node(s) in "
                 f"{event.elapsed_s:.3f}s ({event.n_run} run, "
                 f"{event.n_restored} restored)"
-            )
-        if isinstance(event, RunCompleted):
-            return (
-                f"[{event.key}] done: {event.n_trials} trial(s) in "
-                f"{event.elapsed_s:.3f}s ({event.trials_per_sec:.1f} trials/s)"
             )
         return repr(event)

@@ -5,10 +5,9 @@ The serve layer turns the bounded-memory streaming engine
 concurrent frame streams arrive over a newline-delimited JSON TCP
 protocol, each bound to a per-tenant pipeline (inline Γ₀ fault
 injection, the Υ/Λ-configured ``Algo_NGST`` voter, an optional §4
-smoother), multiplexed onto one shared
-:class:`~repro.runtime.ThreadPoolBackend` worker pool.  An HTTP control
-plane exposes health, Prometheus metrics, tenant CRUD, and graceful
-drain; durable streams checkpoint every chunk boundary, so a drained or
+smoother), multiplexed onto one shared ``concurrent.futures`` thread
+pool.  An HTTP control plane exposes health, Prometheus metrics,
+tenant CRUD, and graceful drain; durable streams checkpoint every chunk boundary, so a drained or
 killed server resumes every stream **byte-identically** after restart.
 
 Quick start (one process, in-code)::

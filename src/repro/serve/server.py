@@ -3,9 +3,9 @@
 :class:`ReproServer` assembles the subsystem: a TCP ingest listener
 (:mod:`repro.serve.listener`) and an HTTP control plane
 (:mod:`repro.serve.control`) on the asyncio event loop, a
-:class:`~repro.runtime.ThreadPoolBackend` worker pool all pipeline work
-is bridged onto (``asyncio.wrap_future`` around ``pool.submit``, so a
-slow chunk never blocks the loop), a :class:`SessionManager` mapping
+``concurrent.futures`` thread pool all pipeline work is bridged onto
+(``asyncio.wrap_future`` around ``pool.submit``, so a slow chunk never
+blocks the loop), a :class:`SessionManager` mapping
 ``tenant/stream`` pairs to live :class:`~repro.serve.session.StreamSession`
 objects, and one shared telemetry hub whose events feed
 :class:`~repro.serve.metrics.ServeMetrics`.
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import asyncio
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ServeError
-from repro.runtime.backend import ThreadPoolBackend
 from repro.serve.control import ControlPlane
 from repro.serve.drain import DrainController
 from repro.serve.listener import MAX_LINE_BYTES, BusyStreamError, IngestHandler
@@ -68,6 +68,8 @@ class ServerConfig:
     drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 <= self.chaos_kill_rate < 1.0:
             raise ConfigurationError(
                 f"chaos_kill_rate must be in [0, 1), got {self.chaos_kill_rate}"
@@ -215,7 +217,9 @@ class ReproServer:
         self.metrics = ServeMetrics()
         self.telemetry = telemetry or Telemetry()
         self.telemetry.subscribe(self.metrics)
-        self.backend = ThreadPoolBackend(self.config.jobs)
+        self.pool = ThreadPoolExecutor(
+            max_workers=self.config.jobs, thread_name_prefix="repro-worker"
+        )
         self.drainer = DrainController()
         self.chaos = (
             ChaosMonkey(self.config.chaos_kill_rate, self.config.chaos_seed)
@@ -241,7 +245,7 @@ class ReproServer:
 
     async def run_in_pool(self, fn, /, *args, **kwargs):
         """Run blocking pipeline work on the pool; await its result."""
-        return await asyncio.wrap_future(self.backend.submit(fn, *args, **kwargs))
+        return await asyncio.wrap_future(self.pool.submit(fn, *args, **kwargs))
 
     # -- lifecycle --------------------------------------------------------
 
@@ -293,7 +297,7 @@ class ReproServer:
                     await listener.wait_closed()
                 except Exception:
                     pass
-        self.backend.shutdown(wait=True)
+        self.pool.shutdown(wait=True)
         self._stopped.set()
 
     async def serve_forever(self) -> None:

@@ -6,7 +6,7 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.dag import DagScheduler, TaskGraph, TaskNode
 from repro.exceptions import ConfigurationError, DagError
-from repro.runtime import Telemetry, ThreadPoolBackend, TrialRuntime
+from repro.runtime import ProcessPoolBackend, Telemetry
 from repro.runtime.telemetry import DagCompleted, DagStarted, NodeCompleted
 
 
@@ -62,13 +62,13 @@ class TestExecution:
         with pytest.raises(ConfigurationError, match="no node named"):
             DagScheduler().run(graph, targets=("ghost",))
 
-    def test_thread_backend_matches_serial(self):
-        serial_graph, threaded_graph = TaskGraph("g"), TaskGraph("g")
+    def test_process_backend_matches_serial(self):
+        serial_graph, pooled_graph = TaskGraph("g"), TaskGraph("g")
         diamond(serial_graph)
-        diamond(threaded_graph)
+        diamond(pooled_graph)
         serial = DagScheduler().run(serial_graph)
-        threaded = DagScheduler(backend=ThreadPoolBackend(4)).run(threaded_graph)
-        assert np.array_equal(serial["d"].arrays["x"], threaded["d"].arrays["x"])
+        pooled = DagScheduler(backend=ProcessPoolBackend(2)).run(pooled_graph)
+        assert np.array_equal(serial["d"].arrays["x"], pooled["d"].arrays["x"])
 
     def test_seeded_node_rng_is_deterministic(self):
         def build():
@@ -180,15 +180,3 @@ class TestSurvey:
         DagScheduler(cache=cache, telemetry=telemetry).run(graph)
         started = [e for e in events if isinstance(e, DagStarted)][0]
         assert started.n_nodes == 4 and started.n_restored == 2
-
-
-class TestForRuntime:
-    def test_shares_runtime_seams(self):
-        cache = ArtifactCache()
-        telemetry = Telemetry()
-        backend = ThreadPoolBackend(2)
-        runtime = TrialRuntime(backend=backend, telemetry=telemetry, cache=cache)
-        scheduler = DagScheduler.for_runtime(runtime)
-        assert scheduler.cache is cache
-        assert scheduler.backend is backend
-        assert scheduler.telemetry is telemetry

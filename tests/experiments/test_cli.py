@@ -86,8 +86,8 @@ class TestRuntimeFlags:
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_parallel_pool_output_byte_identical(self, tmp_path, capsys):
-        """fig5 --quick has multi-trial campaigns (n_datasets=3), so
-        --jobs 2 genuinely fans out to worker processes."""
+        """fig5 is one coarse graph node, so --jobs 2 keeps it on the
+        serial path; the output must not depend on the flag either way."""
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
         assert main(["fig5", "--quick", "--json", str(serial_path)]) == 0
@@ -100,8 +100,41 @@ class TestRuntimeFlags:
     def test_progress_prints_telemetry_to_stderr(self, tmp_path, capsys):
         assert main(["fig5", "--quick", "--progress"]) == 0
         captured = capsys.readouterr()
-        assert "trial(s)" in captured.err
-        assert "done:" in captured.err
+        assert "[report] node 1/2 fig5/experiment (experiment) in" in captured.err
+        assert "[report] done: 2 node(s)" in captured.err
+        assert "[report]" not in captured.out
+
+
+class TestAliasOfReport:
+    """`repro <id>` is `repro report --only <id>` over an in-memory store."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, extra",
+        [("fig2", ["--strategy", "selective"]), ("fig5", [])],
+    )
+    def test_panels_decode_equal(self, experiment_id, extra, tmp_path, capsys):
+        alias = tmp_path / "alias.json"
+        report = tmp_path / "report.json"
+        assert main([experiment_id, "--quick", *extra, "--json", str(alias)]) == 0
+        argv = [
+            "report", "--quick", "--only", experiment_id, *extra,
+            "--cache-dir", str(tmp_path / "store"), "--json", str(report),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert json.loads(alias.read_text()) == json.loads(report.read_text())
+
+    def test_keeps_no_store_without_cache_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig5", "--quick"]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_persists_the_graph_artifacts(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["fig5", "--quick", "--cache-dir", str(store)]) == 0
+        capsys.readouterr()
+        assert any(store.iterdir())
 
 
 def _message_lines(stderr: str) -> list[str]:
@@ -135,6 +168,15 @@ class TestRefusedInvocations:
             # (`repro report --only fig5 --resume`) is the one resume.
             ["fig5", "--resume"],
             ["fig5", "--checkpoint-dir", "d"],
+            # `repro report` is the one run over every experiment; the
+            # thread backend and the --backend spelling of --jobs are gone.
+            ["all", "--quick"],
+            ["fig2", "--threads", "2"],
+            ["report", "--threads", "2"],
+            ["fig2", "--backend", "process"],
+            # Only fig2 and fig4 take strategy arms.
+            ["fig5", "--strategy", "selective"],
+            ["report", "--quick", "--only", "fig5", "--strategy", "selective"],
             # The adaptive strategy and its stream knobs are retired.
             ["fig2", "--strategy", "adaptive"],
             ["stream", "--coherence-beta", "0"],
@@ -154,6 +196,11 @@ class TestRefusedInvocations:
         assert _refused_message(argv, tmp_path).startswith(
             "--cache-dir /dev/null/store is not writable"
         )
+
+    def test_serve_refuses_zero_jobs(self, tmp_path):
+        message = _refused_message(["serve", "--jobs", "0"], tmp_path)
+        assert message == "repro-serve: jobs must be >= 1, got 0"
+        assert list(tmp_path.iterdir()) == []
 
 
 def _refused_message(argv: list[str], cwd) -> str:

@@ -9,6 +9,7 @@ from repro.experiments.common import (
     Series,
     averaged,
     best_sensitivity,
+    seeded_trials,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
@@ -54,6 +55,38 @@ class TestExperimentResult:
         result.add("a", [1e-6], [1e9])
         table = result.to_table()
         assert "e-06" in table or "e-6" in table
+
+
+def _spawn_loop(trial, n_trials, seed):
+    """The reference: one Generator per ``SeedSequence(seed).spawn`` child."""
+    return [
+        trial(np.random.default_rng(child))
+        for child in np.random.SeedSequence(seed).spawn(n_trials)
+    ]
+
+
+class TestSeededTrials:
+    def test_scalar_trials_match_spawn_loop(self):
+        def trial(rng):
+            return rng.normal()
+
+        values = seeded_trials(trial, 7, seed=2003)
+        expected = [float(v) for v in _spawn_loop(trial, 7, 2003)]
+        assert values == expected
+        assert all(type(v) is float for v in values)
+
+    def test_list_trials_match_spawn_loop(self):
+        def trial(rng):
+            return np.array([rng.random(), rng.integers(10)])
+
+        values = seeded_trials(trial, 4, seed=11)
+        expected = [[float(x) for x in v] for v in _spawn_loop(trial, 4, 11)]
+        assert values == expected
+        assert all(type(x) is float for v in values for x in v)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            seeded_trials(lambda rng: 0.0, 0, seed=1)
 
 
 class TestAveraged:

@@ -1,11 +1,10 @@
 """End-to-end bit-identity of shared-artifact arm sweeps run as task graphs.
 
-The contract every Λ sweep rests on: for every backend (serial, thread
-pool, fork process pool) and every store state (no disk store, cold
-store, warm store, disk-backed store), each arm's per-trial score values
-from :func:`repro.dag.add_arm_sweep` are **byte-identical** to running
-that arm as its own :meth:`repro.runtime.TrialRuntime.run` plan with the
-canonical trial protocol.  The content keys of the shared dataset and
+The contract every Λ sweep rests on: for every backend (serial, fork
+process pool) and every store state (no disk store, cold store, warm
+store, disk-backed store), each arm's per-trial score values from
+:func:`repro.dag.add_arm_sweep` are **byte-identical** to running that
+arm as its own seeded trial loop with the canonical trial protocol.  The content keys of the shared dataset and
 fault artifacts are pinned too, so existing stores stay warm.
 """
 
@@ -30,14 +29,7 @@ from repro.experiments.common import walk_dataset
 from repro.faults.correlated import CorrelatedFaultModel
 from repro.faults.injector import FaultInjector, derive_injector_seed
 from repro.metrics.relative_error import psi
-from repro.runtime import (
-    Arm,
-    FaultSpec,
-    ProcessPoolBackend,
-    Telemetry,
-    ThreadPoolBackend,
-    TrialRuntime,
-)
+from repro.runtime import Arm, FaultSpec, ProcessPoolBackend, Telemetry
 from repro.runtime.telemetry import NodeCompleted
 
 needs_fork = pytest.mark.skipif(
@@ -74,19 +66,19 @@ def _fixture():
 
 
 def _per_arm_reference(dataset, model, arms):
-    """Each arm as its own serial trial plan, canonical trial protocol."""
+    """Each arm as its own serial spawn loop, canonical trial protocol."""
     results = {}
     for arm in arms:
-
-        def trial(rng, arm=arm):
+        values = []
+        for child in np.random.SeedSequence(SEED).spawn(N_TRIALS):
+            rng = np.random.default_rng(child)
             pristine = dataset.build(rng)
             corrupted = pristine
             if model is not None:
                 injector = FaultInjector(model, seed=derive_injector_seed(rng))
                 corrupted, _ = injector.inject(pristine)
-            return arm.evaluate(corrupted, pristine)
-
-        results[arm.name] = TrialRuntime().run(trial, N_TRIALS, seed=SEED)
+            values.append(float(arm.evaluate(corrupted, pristine)))
+        results[arm.name] = values
     return results
 
 
@@ -120,15 +112,7 @@ def _assert_identical(swept, reference):
 def _backend(kind):
     if kind == "serial":
         return None
-    if kind == "thread":
-        return ThreadPoolBackend(2)
     return ProcessPoolBackend(2, start_method="fork")
-
-
-def _close(backend):
-    shutdown = getattr(backend, "shutdown", None)
-    if callable(shutdown):
-        shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +123,6 @@ def reference():
 
 BACKENDS = [
     "serial",
-    "thread",
     pytest.param("process", marks=needs_fork),
 ]
 
@@ -149,10 +132,7 @@ class TestStoreStates:
     def test_no_disk_store(self, reference, backend_kind):
         dataset, model, arms = _fixture()
         backend = _backend(backend_kind)
-        try:
-            swept, events = _sweep(arms, dataset, model, backend=backend)
-        finally:
-            _close(backend)
+        swept, events = _sweep(arms, dataset, model, backend=backend)
         _assert_identical(swept, reference)
         assert not any(e.from_store for e in events)
 
@@ -160,10 +140,7 @@ class TestStoreStates:
         dataset, model, arms = _fixture()
         cache = ArtifactCache(directory=tmp_path)
         backend = _backend(backend_kind)
-        try:
-            swept, events = _sweep(arms, dataset, model, cache, backend)
-        finally:
-            _close(backend)
+        swept, events = _sweep(arms, dataset, model, cache, backend)
         _assert_identical(swept, reference)
         assert not any(e.from_store for e in events)
         assert cache.stats().n_disk_entries == len(events)
@@ -174,10 +151,7 @@ class TestStoreStates:
         cache = ArtifactCache()
         _sweep(arms[:1], dataset, model, cache)
         backend = _backend(backend_kind)
-        try:
-            swept, events = _sweep(arms, dataset, model, cache, backend)
-        finally:
-            _close(backend)
+        swept, events = _sweep(arms, dataset, model, cache, backend)
         _assert_identical(swept, reference)
         assert _restored(events, "dataset") == N_TRIALS
         assert _restored(events, "fault") == N_TRIALS
@@ -187,12 +161,9 @@ class TestStoreStates:
         dataset, model, arms = _fixture()
         _sweep(arms[:1], dataset, model, ArtifactCache(directory=tmp_path))
         backend = _backend(backend_kind)
-        try:
-            swept, events = _sweep(
-                arms, dataset, model, ArtifactCache(directory=tmp_path), backend
-            )
-        finally:
-            _close(backend)
+        swept, events = _sweep(
+            arms, dataset, model, ArtifactCache(directory=tmp_path), backend
+        )
         _assert_identical(swept, reference)
         assert _restored(events, "dataset") == N_TRIALS
         assert _restored(events, "fault") == N_TRIALS

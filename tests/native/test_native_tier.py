@@ -244,12 +244,3 @@ def test_kernels_cli_routed_from_main(capsys):
     assert repro_main(["kernels", "--json"]) == 0
     info = json.loads(capsys.readouterr().out)
     assert "kernels" in info
-
-
-def test_threads_flag_validation(capsys):
-    from repro.cli import main as repro_main
-
-    assert repro_main(["fig2", "--threads", "-2"]) == 2
-    assert repro_main(["fig2", "--threads", "2", "--jobs", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "mutually exclusive" in err

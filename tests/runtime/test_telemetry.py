@@ -3,34 +3,33 @@
 import io
 
 from repro.runtime.telemetry import (
+    DagCompleted,
+    DagStarted,
+    NodeCompleted,
     ProgressPrinter,
-    RunCompleted,
-    RunStarted,
-    ShardCompleted,
     Telemetry,
 )
 
 
 def _started():
-    return RunStarted(key="run-0000", n_trials=10, n_shards=4, backend="serial")
+    return DagStarted(dag="report", n_nodes=3, n_restored=0, backend="serial")
 
 
-def _shard():
-    return ShardCompleted(
-        key="run-0000",
-        shard_index=2,
-        n_trials=3,
+def _node():
+    return NodeCompleted(
+        dag="report",
+        name="fig5/experiment",
+        kind="experiment",
+        index=1,
+        n_nodes=3,
         elapsed_s=0.5,
-        trials_per_sec=6.0,
+        from_store=False,
     )
 
 
 def _completed():
-    return RunCompleted(
-        key="run-0000",
-        n_trials=10,
-        elapsed_s=2.0,
-        trials_per_sec=5.0,
+    return DagCompleted(
+        dag="report", n_nodes=3, n_run=2, n_restored=1, elapsed_s=2.0
     )
 
 
@@ -40,7 +39,7 @@ class TestTelemetry:
         seen_a, seen_b = [], []
         hub.subscribe(seen_a.append)
         hub.subscribe(seen_b.append)
-        events = [_started(), _shard(), _completed()]
+        events = [_started(), _node(), _completed()]
         for event in events:
             hub.emit(event)
         assert seen_a == events
@@ -64,22 +63,20 @@ class TestProgressPrinter:
     def test_writes_one_line_per_event(self):
         stream = io.StringIO()
         printer = ProgressPrinter(stream)
-        for event in (_started(), _shard(), _completed()):
+        for event in (_started(), _node(), _completed()):
             printer(event)
         lines = stream.getvalue().splitlines()
         assert len(lines) == 3
-        assert all(line.startswith("[run-0000]") for line in lines)
+        assert all(line.startswith("[report]") for line in lines)
 
-    def test_format_run_started(self):
+    def test_format_dag_started(self):
         line = ProgressPrinter.format(_started())
-        assert line == "[run-0000] start: 10 trial(s) in 4 shard(s) on serial"
+        assert line == "[report] start: 3 node(s) on serial"
 
-    def test_format_shard_completed(self):
-        line = ProgressPrinter.format(_shard())
-        assert "shard 2" in line
-        assert "3 trial(s)" in line
-        assert "6.0 trials/s" in line
+    def test_format_node_completed(self):
+        line = ProgressPrinter.format(_node())
+        assert line == "[report] node 1/3 fig5/experiment (experiment) in 0.500s"
 
-    def test_format_run_completed(self):
+    def test_format_dag_completed(self):
         line = ProgressPrinter.format(_completed())
-        assert line == "[run-0000] done: 10 trial(s) in 2.000s (5.0 trials/s)"
+        assert line == "[report] done: 3 node(s) in 2.000s (2 run, 1 restored)"

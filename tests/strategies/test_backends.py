@@ -2,8 +2,8 @@
 
 A figure 2 campaign carrying the selective arm must
 produce byte-identical table artifacts whether its task graph runs
-serially, on a thread pool, or on a process pool — the same contract
-the fixed arms already hold.
+serially or on a process pool — the same contract the fixed arms
+already hold.
 The comparison is on canonical JSON of the panel artifact, which
 carries every Ψ value at full float precision.
 """
@@ -17,18 +17,12 @@ from repro.cache import ArtifactCache
 from repro.dag.build import json_payload
 from repro.dag.scheduler import DagScheduler
 from repro.experiments import figure2, figure4
-from repro.runtime.backend import ProcessPoolBackend, ThreadPoolBackend
+from repro.runtime.backend import ProcessPoolBackend
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
-
-
-def _close(backend):
-    shutdown = getattr(backend, "shutdown", None)
-    if callable(shutdown):
-        shutdown()
 
 
 STRATEGIES = ("selective",)
@@ -50,22 +44,11 @@ def fig2_table(backend=None):
 
 
 class TestAdaptiveArmsAcrossBackends:
-    def test_thread_pool_matches_serial(self):
-        reference = fig2_table()
-        backend = ThreadPoolBackend(jobs=2)
-        try:
-            assert fig2_table(backend) == reference
-        finally:
-            _close(backend)
-
     @needs_fork
     def test_process_pool_matches_serial(self):
         reference = fig2_table()
         backend = ProcessPoolBackend(jobs=2, start_method="fork")
-        try:
-            assert fig2_table(backend) == reference
-        finally:
-            _close(backend)
+        assert fig2_table(backend) == reference
 
     def test_strategy_arm_labels_present(self):
         panels = json.loads(fig2_table())
@@ -73,7 +56,8 @@ class TestAdaptiveArmsAcrossBackends:
         for strategy in STRATEGIES:
             assert f"Algo_NGST {strategy} L=50" in labels
 
-    def test_fig4_strategy_arms_match_serial_on_threads(self):
+    @needs_fork
+    def test_fig4_strategy_arms_match_serial_on_processes(self):
         graph_kwargs = dict(
             gamma_ini_grid=(0.02, 0.1),
             lambdas=(50.0, 100.0),
@@ -93,8 +77,5 @@ class TestAdaptiveArmsAcrossBackends:
             return json.dumps(panels, sort_keys=True)
 
         reference = table()
-        backend = ThreadPoolBackend(jobs=2)
-        try:
-            assert table(backend) == reference
-        finally:
-            _close(backend)
+        backend = ProcessPoolBackend(jobs=2, start_method="fork")
+        assert table(backend) == reference

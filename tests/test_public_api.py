@@ -61,6 +61,20 @@ class TestPublicSurface:
         for name in ("pristine_key", "realization_key"):
             assert name in repro.dag.__all__
 
+    def test_runtime_exports_only_the_dag_seams(self):
+        """Batch runs are task graphs: ``repro.runtime`` carries the
+        backends the scheduler dispatches to, the sweep specs and the
+        DAG telemetry, and no trial runtime of its own."""
+        import repro.runtime
+
+        assert set(repro.runtime.__all__) == {
+            "Arm", "DagCompleted", "DagStarted", "DatasetSpec", "Executor",
+            "FaultSpec", "NodeCompleted", "ProcessPoolBackend",
+            "ProgressPrinter", "SerialBackend", "Shard", "ShardResult",
+            "Telemetry", "default_start_method", "resolve_backend",
+        }
+        assert {"ProcessPoolBackend", "SerialBackend"} <= set(repro.__all__)
+
     def test_quickstart_snippet_from_readme(self):
         """The README quickstart must keep working verbatim-ish."""
         rng = np.random.default_rng(7)

@@ -8,9 +8,10 @@ them:
 1. start ``repro serve`` and parse its ``repro-serve listening`` line;
 2. register a tenant over ``PUT /tenants/<name>`` and check
    ``GET /healthz`` and the Prometheus ``GET /metrics`` exposition;
-3. stream frames with :class:`repro.serve.StreamClient`, and — after
-   the first ack — ``POST /drain`` so the server checkpoints and exits
-   mid-stream;
+3. stream frames with a :class:`repro.serve.StreamClient` that holds
+   its stream open once the server has :data:`HOLD_AT` frames, and
+   ``POST /drain`` while it holds, so the server checkpoints and exits
+   with frames still unsent;
 4. restart the server on the same port and checkpoint directory; the
    still-retrying client resumes and finishes;
 5. assert the collected output and Ψ are byte-identical to the batch
@@ -52,6 +53,36 @@ from repro.stream import ArraySource, SyntheticWalkSource, read_all, run_batch  
 _LISTENING = re.compile(
     r"repro-serve listening ingest=(\S+):(\d+) control=(\S+):(\d+)"
 )
+
+#: Frames the server holds when the client stops sending until the
+#: drain: 4 of the stream's 16 messages.
+HOLD_AT = 32
+
+
+class _HoldUntilDrain(StreamClient):
+    """A client that, once the server holds *hold_at* of its frames,
+    sends nothing more until the server tells it to drain.
+
+    The hold starts after an ack, when the server idles on the
+    connection waiting for the next message, so the drain always finds
+    the stream with frames still unsent.
+    """
+
+    def __init__(self, *args, hold_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hold_at = hold_at
+        self.holding = asyncio.Event()
+
+    async def _recv(self, reader):
+        message = await super()._recv(reader)
+        received = message.get("received", message.get("resume_frame", -1))
+        if not self.holding.is_set() and received >= self.hold_at:
+            self.holding.set()
+            # Only the drain can answer: this raises the client's
+            # drained signal, and the stream resumes after the restart.
+            unexpected = await super()._recv(reader)
+            raise AssertionError(f"expected a drain, got {unexpected}")
+        return message
 
 
 def _free_port() -> int:
@@ -106,15 +137,9 @@ def _http(method: str, url: str, body: "dict | None" = None):
         return status, raw
 
 
-async def _drain_after_first_ack(control_url: str) -> None:
-    """POST /drain as soon as the server has processed one message."""
-    while True:
-        _, snapshot = await asyncio.to_thread(
-            _http, "GET", control_url + "/metrics.json"
-        )
-        if snapshot["counters"]["messages"] >= 1:
-            break
-        await asyncio.sleep(0.02)
+async def _drain_while_holding(client: _HoldUntilDrain, control_url: str) -> None:
+    """POST /drain once *client* holds its stream open."""
+    await asyncio.wait_for(client.holding.wait(), timeout=30)
     status, payload = await asyncio.to_thread(
         _http, "POST", control_url + "/drain"
     )
@@ -149,7 +174,7 @@ async def _smoke() -> int:
             assert status == 200, status
             assert "repro_serve_messages_total" in exposition, exposition[:200]
 
-            client = StreamClient(
+            client = _HoldUntilDrain(
                 "127.0.0.1",
                 ingest_port,
                 "smoke",
@@ -158,9 +183,10 @@ async def _smoke() -> int:
                 batch_frames=8,
                 max_attempts=200,
                 retry_delay_s=0.05,
+                hold_at=HOLD_AT,
             )
             run = asyncio.ensure_future(client.run())
-            await _drain_after_first_ack(control_url)
+            await _drain_while_holding(client, control_url)
             assert proc.wait(timeout=30) == 0, "server exit code after drain"
 
             # Same port, same checkpoint dir: the retrying client resumes.
