@@ -1,10 +1,13 @@
 """Bench for the §9 overhead claim — integrated vs layered preprocessing.
 
 The claim is a wall-clock comparison, so it runs here rather than in the
-unit suite: on a shared host whose vCPUs change speed in spells, a 2%
-bound on a timing ratio fails now and then however the timing is taken.
-The science-output equality of the two paths stays in
-``tests/ngst/test_integrated.py``.
+unit suite.  It is gated on a paired statistic: each round times one
+call of each path back to back, and the gate is the median over
+:data:`ROUNDS` rounds of the per-round ratio integrated/layered.  A
+slow spell on a shared host lands on both calls of a round and cancels
+in its ratio, so no host-speed reference is needed, and the median
+ignores the rounds a spell splits.  The science-output equality of the
+two paths stays in ``tests/ngst/test_integrated.py``.
 """
 
 import gc
@@ -13,15 +16,18 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.e2e.speed import kernel_s
 from repro.config import NGSTConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.ngst.integrated import integrated_run, layered_run, make_transport
 from repro.ngst.ramp import RampModel
 
-#: Timed calls of each callable per comparison.
-REPEATS = 25
+#: Paired rounds per comparison.  Odd, so the median is one round's
+#: ratio.  The gate fails only when 21 or more of the 41 rounds are
+#: slower.  If integration is slower in a share p = 0.18 of rounds,
+#: above the share measured at Λ = 0 (docs/PERFORMANCE.md), that has
+#: probability 1.5e-6.
+ROUNDS = 41
 
 
 @pytest.fixture(scope="module")
@@ -34,60 +40,59 @@ def transport_world():
     return ramp, flux, make_transport(corrupted)
 
 
-def best_of_interleaved(first, second, repeats):
-    """Best-of-*repeats* times of two callables, timed in alternation.
+def paired_ratios(first, second, rounds):
+    """Per-round time ratios *second* / *first* of two callables.
 
-    Each round times one call of each, so a slow spell on a shared host
-    lands on both callables instead of on one timing block.  The order
-    within a round alternates too, so neither callable always runs in
-    the other's wake.  Each call's time is divided by the mean of two
-    host-speed references (:func:`benchmarks.e2e.speed.kernel_s`) taken
-    just before and just after it, so a call that falls in a slow spell
-    is not read as a slow call.  The results are therefore in units of
-    the reference kernel, and only their ratio means anything.  One
-    untimed warm-up call each precedes the rounds and the cyclic garbage
-    collector is paused while they run.
+    Each round times one call of each.  The order within a round
+    alternates, so neither callable always runs in the other's wake.
+    One untimed warm-up call each precedes the rounds and the cyclic
+    garbage collector is paused while they run.
     """
     first()
     second()
-    best = [float("inf"), float("inf")]
+    ratios = np.empty(rounds)
     gc.collect()
     gc.disable()
     try:
-        for round_index in range(repeats):
+        for round_index in range(rounds):
+            elapsed = [0.0, 0.0]
             order = (0, 1) if round_index % 2 == 0 else (1, 0)
             for index in order:
                 fn = (first, second)[index]
-                before = kernel_s()
                 start = time.perf_counter()
                 fn()
-                elapsed = time.perf_counter() - start
-                reference = (before + kernel_s()) / 2
-                best[index] = min(best[index], elapsed / reference)
+                elapsed[index] = time.perf_counter() - start
+            ratios[round_index] = elapsed[1] / elapsed[0]
     finally:
         gc.enable()
-    return best
+    return ratios
 
 
-def _layered_and_integrated_s(benchmark, blob, ramp, config):
-    return benchmark.pedantic(
-        lambda: best_of_interleaved(
+def _median_integrated_over_layered(benchmark, blob, ramp, config):
+    ratios = benchmark.pedantic(
+        lambda: paired_ratios(
             lambda: layered_run(blob, ramp, config),
             lambda: integrated_run(blob, ramp, config),
-            repeats=REPEATS,
+            rounds=ROUNDS,
         ),
         rounds=1,
         iterations=1,
     )
+    p5, median, p95 = np.percentile(ratios, [5, 50, 95])
+    benchmark.extra_info.update(
+        ratio_p5=p5, ratio_median=median, ratio_p95=p95,
+        integrated_faster=float(np.mean(ratios < 1.0)),
+    )
+    return median
 
 
 def test_bench_integrated_no_slower_at_full_sensitivity(benchmark, transport_world):
     """At Λ > 0 the algorithm dominates; integration must not cost."""
     ramp, _, blob = transport_world
-    layered_s, integrated_s = _layered_and_integrated_s(
+    median = _median_integrated_over_layered(
         benchmark, blob, ramp, NGSTConfig(sensitivity=80)
     )
-    assert integrated_s < layered_s * 1.10
+    assert median < 1.0, f"median integrated/layered ratio {median:.3f}"
 
 
 def test_bench_integrated_faster_at_header_only(benchmark, transport_world):
@@ -95,9 +100,7 @@ def test_bench_integrated_faster_at_header_only(benchmark, transport_world):
     layer's FITS re-encode/decode round-trip is the dominant cost,
     and the integrated path skips it entirely."""
     ramp, _, blob = transport_world
-    layered_s, integrated_s = _layered_and_integrated_s(
+    median = _median_integrated_over_layered(
         benchmark, blob, ramp, NGSTConfig(sensitivity=0)
     )
-    # A small tolerance: the structural saving must show through
-    # scheduler noise.
-    assert integrated_s < layered_s * 1.02
+    assert median < 1.0, f"median integrated/layered ratio {median:.3f}"

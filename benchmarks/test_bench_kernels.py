@@ -26,13 +26,6 @@ from repro.faults.correlated import (
     _reference_correlated_flip_grid,
     correlated_flip_grid,
 )
-from repro.otis.scan import (
-    ScanConfig,
-    _reference_cross_frame_preprocess,
-    cross_frame_preprocess,
-    mosaic,
-    scan_scene,
-)
 from repro.stream.source import FrameSeeder, frame_rng
 
 
@@ -59,14 +52,6 @@ def otis_band():
     band[hit] ^= np.left_shift(np.uint16(1), rng.integers(0, 16, hit.sum()).astype(np.uint16))
     band[5:7, 9:11] = 65000
     return band, OTISConfig(tile=16, upsilon=4)
-
-
-@pytest.fixture(scope="module")
-def swath():
-    rng = np.random.default_rng(12)
-    config = ScanConfig(frame_rows=32, frame_cols=128, step_rows=8)
-    scene = rng.integers(0, 2**16, size=(512, 128), dtype=np.uint16)
-    return scan_scene(scene, config), config
 
 
 def test_bench_correlated_grid(benchmark):
@@ -109,21 +94,6 @@ def test_bench_majority_window(benchmark, stack_u16):
 
 def test_bench_majority_window_reference(benchmark, stack_u16):
     benchmark(_reference_majority_vote_window, stack_u16, 5)
-
-
-def test_bench_cross_frame(benchmark, swath):
-    frames, config = swath
-    benchmark(cross_frame_preprocess, frames, config)
-
-
-def test_bench_cross_frame_reference(benchmark, swath):
-    frames, config = swath
-    benchmark(_reference_cross_frame_preprocess, frames, config)
-
-
-def test_bench_mosaic(benchmark, swath):
-    frames, config = swath
-    benchmark(mosaic, frames, config)
 
 
 def test_bench_otis_band(benchmark, otis_band):

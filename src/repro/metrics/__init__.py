@@ -4,16 +4,12 @@ confusion accounting, and execution-overhead timing."""
 from repro.metrics.confusion import BitConfusion, bit_confusion
 from repro.metrics.overhead import OverheadTimer, time_callable
 from repro.metrics.relative_error import improvement_factor, psi
-from repro.metrics.spectrum import BitSpectrum, bit_spectrum, residual_attribution
 
 __all__ = [
     "BitConfusion",
-    "BitSpectrum",
     "OverheadTimer",
     "bit_confusion",
-    "bit_spectrum",
     "improvement_factor",
     "psi",
-    "residual_attribution",
     "time_callable",
 ]

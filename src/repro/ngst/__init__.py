@@ -12,7 +12,11 @@ path end to end:
 * :mod:`repro.ngst.rice` — the Rice entropy codec used for downlink;
 * :mod:`repro.ngst.fragment` — 1024²→128² fragmentation / reassembly;
 * :mod:`repro.ngst.cluster` — the master/worker pipeline of Figure 1 on
-  the :mod:`repro.sim` discrete-event substrate.
+  the :mod:`repro.sim` discrete-event substrate;
+* :mod:`repro.ngst.downlink` — the packetised, CRC-16 protected ARQ
+  downlink that carries the compressed baseline to the ground;
+* :mod:`repro.ngst.integrated` — preprocessing fused into the
+  application (§9): one FITS decode, no re-encode.
 """
 
 from repro.ngst.cluster import ClusterConfig, CRRejectionPipeline, PipelineReport

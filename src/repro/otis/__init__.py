@@ -22,7 +22,6 @@ from repro.otis.alft import ALFTExecutor, ALFTOutcome, LogicGrid
 from repro.otis.bounds import arctic_bounds, default_bounds, tropical_bounds
 from repro.otis.planck import brightness_temperature, planck_radiance
 from repro.otis.quantize import decode_dn, encode_dn
-from repro.otis.scan import ScanConfig, cross_frame_preprocess, mosaic, scan_scene
 from repro.otis.spectrometer import Band, Spectrometer, default_bands
 from repro.otis.temperature import emissivity_cube, temperature_map
 
@@ -31,19 +30,15 @@ __all__ = [
     "ALFTOutcome",
     "Band",
     "LogicGrid",
-    "ScanConfig",
     "Spectrometer",
     "arctic_bounds",
     "brightness_temperature",
-    "cross_frame_preprocess",
     "decode_dn",
     "default_bands",
     "default_bounds",
     "emissivity_cube",
     "encode_dn",
-    "mosaic",
     "planck_radiance",
-    "scan_scene",
     "temperature_map",
     "tropical_bounds",
 ]

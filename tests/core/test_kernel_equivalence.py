@@ -1,9 +1,9 @@
 """Property tests: every vectorized kernel is bit-identical to its
 ``_reference_*`` oracle.
 
-PR 2 rewrote the hot-path kernels (correlated flip grid, voter
-combiners, bitops, sliding-window baselines, OTIS scan gather/scatter)
-as vectorized NumPy with the explicit contract that outputs match the
+The hot-path kernels (correlated flip grid, voter combiners, bitops,
+sliding-window baselines, the Rice encoder, the OTIS band) are
+vectorized NumPy with the explicit contract that outputs match the
 original implementations bit for bit.  The originals are kept as
 ``_reference_*`` functions; these tests sweep randomized shapes, dtypes
 and seeds against them so any drift in the fast paths is caught exactly,
@@ -32,7 +32,6 @@ from repro.faults.correlated import (
 )
 from repro.native import dispatch, kernel_tier, native_available
 from repro.ngst import rice
-from repro.otis import scan
 
 UNSIGNED_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
 
@@ -361,83 +360,6 @@ def test_weighted_window_smooth_matches_reference(rng, dtype):
             ref = smoothing._reference_weighted_window_smooth(pixels, weights)
             assert fast.dtype == ref.dtype
             assert np.array_equal(fast, ref)
-
-
-# ---------------------------------------------------------------------------
-# OTIS scan gather/scatter
-# ---------------------------------------------------------------------------
-
-SCAN_CONFIGS = [
-    scan.ScanConfig(frame_rows=12, frame_cols=20, step_rows=4),
-    scan.ScanConfig(frame_rows=9, frame_cols=5, step_rows=3),
-    scan.ScanConfig(frame_rows=7, frame_cols=11, step_rows=2),
-    scan.ScanConfig(frame_rows=6, frame_cols=4, step_rows=3),
-]
-
-
-def _corrupted_frames(config, scene_rows, seed):
-    r = np.random.default_rng(seed)
-    scene = (r.random((scene_rows, config.frame_cols)) * 60000).astype(np.uint16)
-    frames = scan.scan_scene(scene, config)
-    out = []
-    for f in frames:
-        dn = f.dn.copy()
-        mask = r.random(dn.shape) < 0.02
-        bits = r.integers(0, 16, size=int(mask.sum()), dtype=np.uint16)
-        dn[mask] ^= (np.uint16(1) << bits).astype(np.uint16)
-        out.append(scan.Frame(origin_row=f.origin_row, dn=dn))
-    return out
-
-
-@pytest.mark.parametrize("config", SCAN_CONFIGS)
-def test_observation_stacks_match_reference(config):
-    for seed, scene_rows in enumerate(
-        (config.frame_rows, config.frame_rows + 3 * config.step_rows)
-    ):
-        frames = _corrupted_frames(config, scene_rows, seed)
-        n_rows = max(f.origin_row + config.frame_rows for f in frames)
-        stack, counts = scan._observation_stacks(frames, config, n_rows)
-        ref_stack, ref_counts = scan._reference_observation_stacks(
-            frames, config, n_rows
-        )
-        assert np.array_equal(stack, ref_stack)
-        assert np.array_equal(counts, ref_counts)
-
-
-@pytest.mark.parametrize("config", SCAN_CONFIGS)
-def test_cross_frame_preprocess_matches_reference(config):
-    if config.revisits < 3:
-        pytest.skip("needs >= 3 revisits")
-    for seed, scene_rows in enumerate(
-        (config.frame_rows, config.frame_rows * 3 + 1)
-    ):
-        frames = _corrupted_frames(config, scene_rows, seed + 10)
-        for min_margin in (1, 2):
-            fast = scan.cross_frame_preprocess(frames, config, min_margin)
-            ref = scan._reference_cross_frame_preprocess(frames, config, min_margin)
-            assert len(fast) == len(ref)
-            for fa, fb in zip(fast, ref):
-                assert fa.origin_row == fb.origin_row
-                assert np.array_equal(fa.dn, fb.dn)
-
-
-@pytest.mark.parametrize("config", SCAN_CONFIGS)
-def test_mosaic_matches_reference(config):
-    for seed, scene_rows in enumerate(
-        (config.frame_rows, config.frame_rows * 4 + 1)
-    ):
-        frames = _corrupted_frames(config, scene_rows, seed + 20)
-        assert np.array_equal(
-            scan.mosaic(frames, config), scan._reference_mosaic(frames, config)
-        )
-
-
-def test_observation_stacks_unobserved_row_error():
-    config = scan.ScanConfig(frame_rows=4, frame_cols=3, step_rows=2)
-    frames = [scan.Frame(origin_row=6, dn=np.zeros((4, 3), np.uint16))]
-    for fn in (scan._observation_stacks, scan._reference_observation_stacks):
-        with pytest.raises(Exception, match="ground row 0 never observed"):
-            fn(frames, config, 10)
 
 
 # ---------------------------------------------------------------------------

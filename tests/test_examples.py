@@ -62,13 +62,3 @@ class TestExamplesRun:
         out = run_example("fault_campaign.py", capsys)
         assert "uncorrelated" in out
         assert "transit burst" in out
-
-    def test_window_diagnostics(self, capsys):
-        out = run_example("window_diagnostics.py", capsys)
-        assert "sensitivity profile" in out
-        assert "bit-position attribution" in out
-
-    def test_swath_scanning(self, capsys):
-        out = run_example("swath_scanning.py", capsys)
-        assert "cross-frame consensus" in out
-        assert "mosaic Psi" in out
