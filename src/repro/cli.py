@@ -114,6 +114,17 @@ def probe_writable(directory: Path, flag: str) -> str | None:
     return None
 
 
+def probe_output(path: str, flag: str) -> str | None:
+    """:func:`probe_writable` for the output file *path* given as *flag*,
+    except that its directory must already exist (nothing is created)."""
+    target = Path(path)
+    if target.is_dir():
+        return f"{flag} {path} is a directory"
+    if not target.parent.is_dir():
+        return f"{flag} {path}: no such directory {target.parent}"
+    return probe_writable(target.parent, flag)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]

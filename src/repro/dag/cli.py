@@ -144,13 +144,14 @@ def run_report_graph(
     *cache_dir* None keeps the artifact store in memory.  Returns the
     exit code and the panels as ExperimentResults (empty on failure).
     """
-    if cache_dir is not None:
-        from repro.cli import probe_writable
+    from repro.cli import probe_output, probe_writable
 
+    problem = probe_output(args.json, "--json") if args.json else None
+    if problem is None and cache_dir is not None:
         problem = probe_writable(Path(cache_dir), "--cache-dir")
-        if problem:
-            print(problem, file=sys.stderr)
-            return 2, []
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2, []
     telemetry = None
     if args.progress:
         telemetry = Telemetry()
@@ -235,6 +236,14 @@ def report_main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 2
+
+    if args.out:
+        from repro.cli import probe_output
+
+        problem = probe_output(args.out, "--out")
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
 
     if args.from_json:
         from repro.experiments.report import write_report

@@ -116,14 +116,16 @@ def parse_profile(spec: str) -> GammaProfile:
     kwargs: dict[str, float | int] = {}
     if rest:
         for pair in rest.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"malformed profile parameter {pair!r}; expected key=value"
+            # A pair without "=" leaves value empty, which never parses.
+            key, _, value = pair.partition("=")
+            try:
+                kwargs[key.strip()] = (
+                    int(value) if key.strip() == "period" else float(value)
                 )
-            kwargs[key.strip()] = (
-                int(value) if key.strip() == "period" else float(value)
-            )
+            except ValueError:
+                raise ConfigurationError(
+                    f"malformed profile parameter {pair!r}; expected key=number"
+                ) from None
     try:
         return kinds[kind](**kwargs)
     except TypeError as exc:

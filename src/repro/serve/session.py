@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.exceptions import ServeError
 from repro.serve.tenant import TenantConfig
-from repro.stream.autotune_stage import AutotuneVoterStage
 from repro.stream.checkpoint import StreamCheckpoint, decode_array, encode_array
 from repro.stream.pipeline import StreamPipeline, StreamResult
 from repro.stream.source import PushFrameSource
@@ -107,20 +106,12 @@ class StreamSession:
             base = Path(checkpoint_dir) / tenant.name
             checkpoint = StreamCheckpoint(base / f"{stream}.jsonl")
             self._output_log = base / f"{stream}.outputs.jsonl"
-        stages = tenant.build_stages()
-        for stage in stages:
-            # The tuner emits LambdaAdjusted events itself (they happen
-            # at stack boundaries inside process(), which the pipeline
-            # cannot see), so it needs the shared hub directly.
-            if isinstance(stage, AutotuneVoterStage):
-                stage.telemetry = telemetry
         self.pipeline = StreamPipeline(
             self.source,
-            stages,
+            tenant.build_stages(telemetry, label=tenant.name),
             chunk_frames=tenant.chunk_frames,
             telemetry=telemetry,
             checkpoint=checkpoint,
-            measure=tenant.measure,
             sink=self._sink,
         )
         self._pending: list[np.ndarray] = []

@@ -25,6 +25,8 @@ Quick start::
     ).run()
     print(result.psi_no_preprocessing, result.psi_algorithm)
 
+``StreamSpec(gamma=0.01, inject_seed=11).build_stages()`` builds such a
+chain from one declared contract, as ``repro serve`` tenants do.
 Or from the command line: ``repro stream --frames 4096 --chunk-frames
 128 --progress``.
 """
@@ -44,6 +46,7 @@ from repro.stream.pipeline import (
     run_batch,
 )
 from repro.stream.smoothers import SMOOTHERS, smoother_stage
+from repro.stream.spec import StreamSpec
 from repro.stream.source import (
     ArraySource,
     DownlinkSource,
@@ -87,6 +90,7 @@ __all__ = [
     "StreamPipeline",
     "StreamProgressPrinter",
     "StreamResult",
+    "StreamSpec",
     "StreamStarted",
     "StreamingPsi",
     "SyntheticWalkSource",

@@ -4,13 +4,16 @@ Usage (via the main entry point)::
 
     repro stream --frames 4096 --chunk-frames 128 --progress
     repro stream --frames 100000 --gamma 0.01 --smoother median --window 5
-    repro stream --input frames.npy --no-inject --smoother majority
+    repro stream --input frames.npy --gamma 0 --upsilon 0 --smoother majority
     repro stream --frames 8192 --resume --checkpoint-dir .repro-checkpoints
     repro stream --frames 8192 --resume --limit-chunks 10   # stop early (rc 3)
 
-The pipeline is source → [inject] → Algo_NGST voter → [smoother] → Ψ,
-assembled from the flags below; ``--chunk-frames`` is a transport knob
-only — results are bit-identical for every setting (see
+The pipeline is source → [inject] → [Algo_NGST voter] → [smoother] → Ψ.
+The stage flags parse into one :class:`~repro.stream.spec.StreamSpec`,
+field for flag, which builds the stages exactly as it does for a
+``repro serve`` tenant: ``--gamma 0`` (with no ``--profile``) drops the
+injector and ``--upsilon 0`` the voter.  ``--chunk-frames`` is a
+transport knob only — results are bit-identical for every setting (see
 docs/STREAMING.md).  ``--limit-chunks`` stops after N chunks with exit
 code 3 and, with ``--resume``, leaves a checkpoint a later invocation
 picks up — the mid-campaign kill/resume tests drive exactly this path.
@@ -24,24 +27,16 @@ different stream configuration exits with code 4
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from repro.config import NGSTConfig, NGSTDatasetConfig, STRATEGY_CHOICES
+from repro.config import NGSTDatasetConfig, STRATEGY_CHOICES
 from repro.exceptions import CheckpointMismatchError, ReproError
-from repro.faults import UncorrelatedFaultModel
-from repro.faults.profile import parse_profile
-from repro.stream.autotune_stage import AutotuneVoterStage
 from repro.stream.checkpoint import StreamCheckpoint
-from repro.stream.pipeline import (
-    InjectStage,
-    Stage,
-    StreamPipeline,
-    StreamResult,
-    VoterStage,
-)
-from repro.stream.smoothers import SMOOTHERS, smoother_stage
+from repro.stream.pipeline import StreamPipeline, StreamResult
+from repro.stream.smoothers import SMOOTHERS
 from repro.stream.source import (
     ArraySource,
     DownlinkSource,
@@ -49,6 +44,7 @@ from repro.stream.source import (
     LimitedSource,
     SyntheticWalkSource,
 )
+from repro.stream.spec import StreamSpec
 from repro.stream.telemetry import StreamProgressPrinter, Telemetry
 
 #: Exit code when --limit-chunks stopped the run before exhaustion.
@@ -120,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         metavar="G",
         help="uncorrelated bit-flip probability Γ for the inline "
-        "injector (default %(default)s)",
+        "injector (default %(default)s; 0 without --profile skips "
+        "injection)",
     )
     stages.add_argument(
         "--inject-seed",
@@ -128,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="S",
         help="fault-injection seed (default %(default)s)",
-    )
-    stages.add_argument(
-        "--no-inject",
-        action="store_true",
-        help="skip fault injection (measure smoothing distortion only)",
     )
     stages.add_argument(
         "--profile",
@@ -148,11 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="temporal variants per Algo_NGST voter stack "
-        "(default %(default)s; 0 disables the voter stage)",
+        help="temporal variants per Algo_NGST voter stack, > Υ/2 "
+        "(default %(default)s)",
     )
     stages.add_argument(
-        "--upsilon", type=int, default=4, help="voter Υ (default %(default)s)"
+        "--upsilon",
+        type=int,
+        default=4,
+        help="voter Υ (default %(default)s; 0 skips the voter stage)",
     )
     stages.add_argument(
         "--sensitivity",
@@ -344,43 +339,11 @@ def _build_source(args: argparse.Namespace) -> FrameSource:
     return source
 
 
-def _build_stages(args: argparse.Namespace) -> list[Stage]:
-    stages: list[Stage] = []
-    if not args.no_inject:
-        profile = parse_profile(args.profile) if args.profile else None
-        stages.append(
-            InjectStage(
-                UncorrelatedFaultModel(args.gamma),
-                seed=args.inject_seed,
-                profile=profile,
-            )
-        )
-    if args.stack_frames:
-        config = NGSTConfig(
-            upsilon=args.upsilon,
-            sensitivity=args.sensitivity,
-            strategy=args.strategy,
-            margin=args.margin,
-            header_rows=args.header_rows,
-            science_fast=args.science_fast,
-        )
-        if args.autotune:
-            stages.append(
-                AutotuneVoterStage(
-                    config,
-                    stack_frames=args.stack_frames,
-                    window_stacks=args.autotune_window,
-                    interval_stacks=args.autotune_interval,
-                    min_delta=args.autotune_min_delta,
-                    confirm=args.autotune_confirm,
-                    autotune_seed=args.autotune_seed,
-                )
-            )
-        else:
-            stages.append(VoterStage(config, stack_frames=args.stack_frames))
-    if args.smoother:
-        stages.append(smoother_stage(args.smoother, args.window))
-    return stages
+def stream_spec(args: argparse.Namespace) -> StreamSpec:
+    """The :class:`StreamSpec` the parsed flags name, field for flag."""
+    return StreamSpec(
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(StreamSpec)}
+    )
 
 
 def _result_lines(result: StreamResult) -> list[str]:
@@ -391,8 +354,7 @@ def _result_lines(result: StreamResult) -> list[str]:
     ]
     if result.psi_no_preprocessing is not None:
         lines.append(f"psi no-preproc     {result.psi_no_preprocessing:.6g}")
-    if result.psi_algorithm is not None:
-        lines.append(f"psi algorithm      {result.psi_algorithm:.6g}")
+    lines.append(f"psi algorithm      {result.psi_algorithm:.6g}")
     improvement = result.improvement
     if improvement is not None:
         lines.append(f"improvement        {improvement:.3g}x")
@@ -445,23 +407,24 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.limit_chunks is not None and args.limit_chunks < 1:
-        print(
-            f"--limit-chunks must be >= 1, got {args.limit_chunks}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.max_chunks is not None and args.max_chunks < 1:
-        print(
-            f"--max-chunks must be >= 1, got {args.max_chunks}",
-            file=sys.stderr,
-        )
-        return 2
+    for flag, value in (
+        ("--limit-chunks", args.limit_chunks),
+        ("--max-chunks", args.max_chunks),
+        ("--progress-every", args.progress_every),
+    ):
+        if value is not None and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
 
+    from repro.cli import probe_output, probe_writable
+
+    if args.json:
+        problem = probe_output(args.json, "--json")
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
     checkpoint = None
     if args.resume:
-        from repro.cli import probe_writable
-
         problem = probe_writable(Path(args.checkpoint_dir), "--checkpoint-dir")
         if problem:
             print(problem, file=sys.stderr)
@@ -474,16 +437,11 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.subscribe(StreamProgressPrinter(every=args.progress_every))
 
     try:
-        stages = _build_stages(args)
-        for stage in stages:
-            # The tuner emits LambdaAdjusted itself (at stack boundaries
-            # inside process()), so it needs the hub directly.
-            if isinstance(stage, AutotuneVoterStage):
-                stage.telemetry = telemetry
+        spec = stream_spec(args)
         pipeline = StreamPipeline(
             _build_source(args),
-            stages,
-            chunk_frames=args.chunk_frames,
+            spec.build_stages(telemetry),
+            chunk_frames=spec.chunk_frames,
             telemetry=telemetry,
             checkpoint=checkpoint,
         )

@@ -575,10 +575,9 @@ class StreamResult:
         n_frames_out: frames emitted by the final stage.
         n_chunks: transport chunks processed (counting resumed ones).
         psi_no_preprocessing: Ψ of the corrupted stream against the
-            pristine one (None when the pipeline has no inject stage or
-            measurement is off).
+            pristine one (None when the pipeline has no inject stage).
         psi_algorithm: Ψ of the pipeline output against the pristine
-            stream (None when measurement is off).
+            stream.
         elapsed_s: wall-clock seconds spent in this process.
         frames_per_sec: ``n_frames_in / elapsed_s``.
         stages: per-stage totals, pipeline order.
@@ -591,7 +590,7 @@ class StreamResult:
     n_frames_out: int
     n_chunks: int
     psi_no_preprocessing: float | None
-    psi_algorithm: float | None
+    psi_algorithm: float
     elapsed_s: float
     frames_per_sec: float
     stages: tuple[StageStats, ...] = field(default=())
@@ -600,7 +599,7 @@ class StreamResult:
     @property
     def improvement(self) -> float | None:
         """Ψ_NoPreprocessing / Ψ_Algorithm, the paper's gain measure."""
-        if self.psi_no_preprocessing is None or self.psi_algorithm is None:
+        if self.psi_no_preprocessing is None:
             return None
         if self.psi_algorithm == 0.0:
             return float("inf") if self.psi_no_preprocessing > 0 else 1.0
@@ -695,7 +694,6 @@ class StreamPipeline:
             :class:`~repro.exceptions.CheckpointMismatchError` instead
             of silently restarting from frame zero (the stream's
             configuration changed since the interrupted run).
-        measure: accumulate Ψ metrics (disable for pure throughput runs).
         sink: optional consumer called with every ``(k,) + coord_shape``
             chunk the final stage emits — the stream's output tap (the
             equivalence tests use it to collect frames for byte-for-byte
@@ -709,7 +707,6 @@ class StreamPipeline:
         chunk_frames: int = 64,
         telemetry: Telemetry | None = None,
         checkpoint: StreamCheckpoint | None = None,
-        measure: bool = True,
         sink: Callable[[np.ndarray], None] | None = None,
     ) -> None:
         if chunk_frames < 1:
@@ -731,7 +728,6 @@ class StreamPipeline:
         self.chunk_frames = int(chunk_frames)
         self.telemetry = telemetry
         self.checkpoint = checkpoint
-        self.measure = bool(measure)
         self.sink = sink
         self._runners = [_StageRunner(s) for s in self.stages]
         total_lag = sum(s.lag for s in self.stages)
@@ -841,7 +837,7 @@ class StreamPipeline:
         """Push *frames* through ``runners[first:]``, with Ψ accounting."""
         data = frames
         for runner in self._runners[first:]:
-            if runner.stage.corrupts and self.measure:
+            if runner.stage.corrupts:
                 self._pending.push(data)
                 pristine = data
                 data = runner.run(data)
@@ -854,9 +850,8 @@ class StreamPipeline:
         if data.shape[0] == 0:
             return
         self._frames_out += data.shape[0]
-        if self.measure:
-            reference = self._pending.pop(data.shape[0])
-            self._psi_algo.update(data, reference)
+        reference = self._pending.pop(data.shape[0])
+        self._psi_algo.update(data, reference)
         if self.sink is not None:
             self.sink(data)
 
@@ -890,7 +885,7 @@ class StreamPipeline:
             return 0
         t0 = time.perf_counter()
         self._frames_in += chunk.shape[0]
-        if self.measure and not self._has_injector:
+        if not self._has_injector:
             self._pending.push(chunk)
         out = self._through_stages(chunk)
         self._account_output(out)
@@ -947,11 +942,9 @@ class StreamPipeline:
             n_frames_out=self._frames_out,
             n_chunks=self._chunk_index,
             psi_no_preprocessing=(
-                self._psi_nopre.value
-                if self.measure and self._has_injector
-                else None
+                self._psi_nopre.value if self._has_injector else None
             ),
-            psi_algorithm=self._psi_algo.value if self.measure else None,
+            psi_algorithm=self._psi_algo.value,
             elapsed_s=elapsed_s,
             frames_per_sec=(
                 self._frames_in / elapsed_s if elapsed_s > 0 else 0.0

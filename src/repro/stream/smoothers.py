@@ -1,9 +1,8 @@
 """The named centred-window smoother kernels behind ``--smoother``.
 
-One registry shared by every stage builder — the ``repro stream`` CLI
-and the serve layer's per-tenant pipelines — so a tenant configured
-with ``smoother="median"`` runs exactly the stage the CLI flag would,
-with the same ``describe()`` string.
+The registry behind :class:`~repro.stream.spec.StreamSpec`'s
+``smoother`` field, which ``repro stream`` and every ``repro serve``
+tenant build their stages from.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ Three sources cover the paper's workload shapes:
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Callable, Iterator
@@ -320,6 +321,10 @@ class SyntheticWalkSource(FrameSource):
         if n_frames is not None and n_frames < 1:
             raise ConfigurationError(f"n_frames must be >= 1, got {n_frames}")
         self.shape = tuple(int(s) for s in shape)
+        if any(s < 1 for s in self.shape):
+            raise ConfigurationError(
+                f"shape dimensions must be >= 1, got {list(self.shape)}"
+            )
         self.config = config or NGSTDatasetConfig()
         self._seeder = FrameSeeder(seed)
         self.seed = self._seeder.seed
@@ -468,8 +473,10 @@ class LimitedSource(FrameSource):
             )
         if max_frames is not None and max_frames < 1:
             raise ConfigurationError(f"max_frames must be >= 1, got {max_frames}")
-        if max_seconds is not None and max_seconds <= 0:
-            raise ConfigurationError(f"max_seconds must be > 0, got {max_seconds}")
+        if max_seconds is not None and not 0 < max_seconds < math.inf:
+            raise ConfigurationError(
+                f"max_seconds must be finite and > 0, got {max_seconds}"
+            )
         self.inner = inner
         self.max_frames = None if max_frames is None else int(max_frames)
         self.max_seconds = None if max_seconds is None else float(max_seconds)

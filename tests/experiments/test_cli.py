@@ -180,10 +180,29 @@ class TestRefusedInvocations:
             # The adaptive strategy and its stream knobs are retired.
             ["fig2", "--strategy", "adaptive"],
             ["stream", "--coherence-beta", "0"],
+            # --gamma 0 is the one way to skip injection.
+            ["stream", "--no-inject"],
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path):
         _refused_message(argv, tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--frames", "8", "--json", "absent/x.json"],
+            ["fig5", "--quick", "--json", "absent/x.json"],
+            ["report", "--quick", "--only", "fig5", "--json", "absent/x.json"],
+            ["report", "--quick", "--only", "fig5", "--out", "absent/x.md"],
+            ["report", "--from-json", "p.json", "--out", "absent/x.md"],
+        ],
+    )
+    def test_missing_output_directory_names_the_flag(self, argv, tmp_path):
+        # Refused before anything runs, and nothing is created.
+        flag = argv[-2]
+        message = _refused_message(argv, tmp_path)
+        assert message == f"{flag} {argv[-1]}: no such directory absent"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

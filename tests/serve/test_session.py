@@ -45,6 +45,20 @@ class TestIngestFinish:
         assert result.psi_algorithm == oracle.psi_algorithm
         assert result.n_frames_in == 80
 
+    def test_profile_tenant_matches_batch_oracle(self, tmp_path):
+        tenant = TenantConfig(
+            name="p", gamma=0.001, inject_seed=4, stack_frames=8,
+            chunk_frames=16, profile="step:elevated=0.08,period=32,duty=0.5",
+        )
+        frames = _walk(80)
+        session = StreamSession(tenant, "s", (4, 4), np.uint16, tmp_path)
+        session.open()
+        result, outputs = _drive(session, frames)
+        oracle = run_batch(ArraySource(frames), tenant.build_stages())
+        assert outputs.tobytes() == oracle.output.tobytes()
+        assert result.psi_no_preprocessing == oracle.psi_no_preprocessing
+        assert result.psi_algorithm == oracle.psi_algorithm
+
     def test_clean_finish_deletes_durable_state(self, tmp_path):
         session = StreamSession(TENANT, "s", (4, 4), np.uint16, tmp_path)
         session.open()

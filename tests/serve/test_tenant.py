@@ -1,16 +1,26 @@
 """Tenant configs and the persisted tenant registry."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ServeError
 from repro.serve import DEFAULT_TENANT, TenantConfig, TenantRegistry
-from repro.stream.cli import _build_stages, build_parser
+from repro.stream import StreamSpec
+from repro.stream.cli import build_parser, main as stream_main, stream_spec
 
-#: The voter flags every CLI/tenant pair below shares.
-VOTER = dict(upsilon=4, sensitivity=60.0, stack_frames=16)
+#: The fields every CLI/tenant pair below shares, and their flags; the
+#: CLI's own --inject-seed default is 1.
+VOTER = dict(inject_seed=1, upsilon=4, sensitivity=60.0, stack_frames=16)
 VOTER_FLAGS = ["--upsilon", "4", "--sensitivity", "60", "--stack-frames", "16"]
+
+
+def spec_of(tenant: TenantConfig) -> StreamSpec:
+    """The stream spec a tenant holds, without its transport envelope."""
+    return StreamSpec(
+        **{f.name: getattr(tenant, f.name) for f in dataclasses.fields(StreamSpec)}
+    )
 
 
 class TestTenantConfig:
@@ -49,11 +59,11 @@ class TestTenantConfig:
                 ["--gamma", "0.01", "--inject-seed", "3"],
                 id="fixed-inject",
             ),
-            pytest.param(dict(gamma=0.0), ["--no-inject"], id="fixed-no-inject"),
+            pytest.param(dict(gamma=0.0), ["--gamma", "0"], id="fixed-no-inject"),
             pytest.param(
                 dict(gamma=0.0, strategy="selective", margin=1, header_rows=2,
                      science_fast=True),
-                ["--no-inject", "--strategy", "selective", "--margin", "1",
+                ["--gamma", "0", "--strategy", "selective", "--margin", "1",
                  "--header-rows", "2", "--science-fast"],
                 id="selective",
             ),
@@ -76,13 +86,57 @@ class TestTenantConfig:
         ],
     )
     def test_cli_flags_build_the_same_stages(self, tenant, flags):
-        # Equal stage describe() strings; the checkpoint fingerprints
+        # The flags parse into a spec equal to the tenant's, and one
+        # builder turns both into stages.  The checkpoint fingerprints
         # still differ, because each one also names its source.
-        config = TenantConfig(name="t", **VOTER, **tenant)
-        args = build_parser().parse_args(VOTER_FLAGS + flags)
+        config = TenantConfig(name="t", **{**VOTER, **tenant})
+        spec = stream_spec(build_parser().parse_args(VOTER_FLAGS + flags))
+        assert spec == spec_of(config)
         described = [s.describe() for s in config.build_stages()]
-        assert described == [s.describe() for s in _build_stages(args)]
+        assert described == [s.describe() for s in spec.build_stages()]
         assert len(described) == 1 + (config.gamma > 0) + bool(config.smoother)
+
+    @pytest.mark.parametrize(
+        "bad, flags",
+        [
+            (dict(gamma=1.5), ["--gamma", "1.5"]),
+            (dict(upsilon=3), ["--upsilon", "3"]),
+            (dict(stack_frames=2), ["--stack-frames", "2"]),
+            (dict(stack_frames=0), ["--stack-frames", "0"]),
+            (dict(smoother="median", window=4),
+             ["--smoother", "median", "--window", "4"]),
+            (dict(autotune=True, autotune_window=0),
+             ["--autotune", "--autotune-window", "0"]),
+            (dict(autotune=True, autotune_min_delta=-1.0),
+             ["--autotune", "--autotune-min-delta", "-1"]),
+            (dict(inject_seed=-3), ["--inject-seed", "-3"]),
+            (dict(autotune_seed=-2), ["--autotune-seed", "-2"]),
+            (dict(profile="step:elevated"), ["--profile", "step:elevated"]),
+            (dict(profile="step:period=x"), ["--profile", "step:period=x"]),
+            (dict(chunk_frames=0), ["--chunk-frames", "0"]),
+        ],
+        ids=[
+            "gamma", "upsilon", "stack-frames", "stack-frames-zero",
+            "even-window", "autotune-window", "min-delta", "inject-seed",
+            "autotune-seed", "profile-pair", "profile-value", "chunk-frames",
+        ],
+    )
+    def test_one_message_per_refusal(self, capsys, bad, flags):
+        # A tenant and the CLI refuse a bad value with the same line.
+        with pytest.raises(ConfigurationError) as excinfo:
+            TenantConfig(**bad)
+        assert stream_main(["--frames", "8", "--shape", "2"] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"stream failed: {excinfo.value}"
+        ]
+
+    def test_a_profile_keeps_the_injector_at_gamma_zero(self):
+        stages = TenantConfig(gamma=0.0, profile="sine:base=0.01").build_stages()
+        assert [s.name for s in stages] == [
+            "inject[UncorrelatedFaultModel]",
+            "algo_ngst[N=16]",
+        ]
+        assert "+profile(" in stages[0].describe()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -198,6 +252,23 @@ class TestTenantRegistry:
         # The control plane still refuses the retired keys on the wire.
         with pytest.raises(ConfigurationError, match="unknown tenant config key"):
             TenantConfig.from_dict(legacy_entry())
+
+    def test_loads_a_registry_with_the_retired_measure_key(self, tmp_path):
+        # Entries written after the adaptive keys left, but while every
+        # tenant persisted a "measure" flag, load without it.
+        entry = {
+            key: value
+            for key, value in legacy_entry(name="lab", gamma=0.02).items()
+            if key not in ("coherence_beta", "coherence_prune_ratio")
+        }
+        assert entry["measure"] is True
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps({"tenants": [entry]}))
+        assert TenantRegistry(path).get("lab") == TenantConfig(
+            name="lab", gamma=0.02
+        )
+        with pytest.raises(ConfigurationError, match="unknown tenant config key"):
+            TenantConfig.from_dict({"name": "lab", "measure": True})
 
     def test_refuses_a_persisted_adaptive_tenant_by_name(self, tmp_path):
         path = tmp_path / "tenants.json"

@@ -45,14 +45,34 @@ class TestBasicRuns:
         rc, data = run_json(
             tmp_path,
             [
-                "--frames", "80", "--shape", "4", "--no-inject",
-                "--stack-frames", "0", "--smoother", "median", "--window", "3",
+                "--frames", "80", "--shape", "4", "--gamma", "0",
+                "--upsilon", "0", "--smoother", "median", "--window", "3",
             ],
         )
         assert rc == 0
         assert data["psi_no_preprocessing"] is None
         assert data["psi_algorithm"] >= 0
         assert [s["name"] for s in data["stages"]] == ["median3"]
+
+    def test_upsilon_zero_builds_no_voter(self, tmp_path):
+        rc, data = run_json(
+            tmp_path, ["--frames", "32", "--shape", "4", "--upsilon", "0"]
+        )
+        assert rc == 0
+        assert [s["name"] for s in data["stages"]] == [
+            "inject[UncorrelatedFaultModel]"
+        ]
+
+    def test_gamma_zero_builds_no_injector(self, tmp_path):
+        # No inject stage, so there is no Ψ_NoPreprocessing to report
+        # (not a meaningless 0.0) and no improvement ratio.
+        rc, data = run_json(
+            tmp_path, ["--frames", "32", "--shape", "4", "--gamma", "0"]
+        )
+        assert rc == 0
+        assert [s["name"] for s in data["stages"]] == ["algo_ngst[N=64]"]
+        assert data["psi_no_preprocessing"] is None
+        assert data["improvement"] is None
 
     def test_replay_an_npy_file(self, tmp_path):
         frames = np.arange(600, dtype=np.uint16).reshape(100, 6)
@@ -158,7 +178,7 @@ class TestErrorPaths:
         "flag, name",
         [
             (["--seed", "-1"], "seed"),
-            (["--inject-seed", "-3"], "seed"),
+            (["--inject-seed", "-3"], "inject_seed"),
             (["--autotune", "--autotune-seed", "-2"], "autotune_seed"),
         ],
     )
@@ -168,6 +188,25 @@ class TestErrorPaths:
         assert err.splitlines() == [
             f"stream failed: {name} must be a non-negative integer, got {flag[-1]}"
         ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shape", "-3"], "shape dimensions must be >= 1, got [-3]"),
+            (["--shape", "4", "0"], "shape dimensions must be >= 1, got [4, 0]"),
+        ],
+    )
+    def test_bad_shape_is_one_line(self, capsys, flags, message):
+        assert stream_main(["--frames", "8"] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"stream failed: {message}"
+        ]
+
+    def test_zero_progress_every_is_refused(self, capsys):
+        assert stream_main(["--frames", "8", "--progress-every", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["--progress-every must be >= 1, got 0"]
+        assert captured.out == ""
 
     def test_unknown_policy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

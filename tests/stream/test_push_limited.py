@@ -159,7 +159,9 @@ class TestLimitedSource:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"max_frames": 0}, {"max_seconds": 0.0}, {"max_seconds": -1.0}],
+        [{}, {"max_frames": 0}, {"max_seconds": 0.0}, {"max_seconds": -1.0},
+         # Only constructed: a source that accepted these would never end.
+         {"max_seconds": float("nan")}, {"max_seconds": float("inf")}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
