@@ -26,6 +26,7 @@ from repro.faults.correlated import (
     _reference_correlated_flip_grid,
     correlated_flip_grid,
 )
+from repro.faults.layout import RowMajorLayout, _reference_flip_mask_from_grid
 from repro.stream.source import FrameSeeder, frame_rng
 
 
@@ -54,6 +55,18 @@ def otis_band():
     return band, OTISConfig(tile=16, upsilon=4)
 
 
+@pytest.fixture(scope="module")
+def fig4_flip_grid():
+    """Fig. 4's correlated flip grid: a (64, 16, 16) uint16 stack in the
+    default row-major layout at Γ_ini 0.3."""
+    layout = RowMajorLayout()
+    n_words, nbits = 64 * 16 * 16, 16
+    grid = correlated_flip_grid(
+        layout.grid_shape(n_words, nbits), 0.3, np.random.default_rng(0)
+    )
+    return layout, grid, n_words, nbits
+
+
 def test_bench_correlated_grid(benchmark):
     benchmark(correlated_flip_grid, (256, 256), 0.3, np.random.default_rng(0))
 
@@ -62,6 +75,15 @@ def test_bench_correlated_grid_reference(benchmark):
     benchmark(
         _reference_correlated_flip_grid, (256, 256), 0.3, np.random.default_rng(0)
     )
+
+
+def test_bench_flip_mask_from_grid(benchmark, fig4_flip_grid):
+    layout, grid, n_words, nbits = fig4_flip_grid
+    benchmark(layout.flip_mask_from_grid, grid, n_words, nbits)
+
+
+def test_bench_flip_mask_from_grid_reference(benchmark, fig4_flip_grid):
+    benchmark(_reference_flip_mask_from_grid, *fig4_flip_grid)
 
 
 def test_bench_grt(benchmark, grt_voters):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import DataFormatError
+from repro.exceptions import ConfigurationError, DataFormatError
 from repro.native import dispatch as _dispatch
 
 #: Number of bits per supported unsigned dtype.
@@ -267,6 +267,25 @@ _dispatch.register(
     numpy_impl=_numpy_from_bit_planes,
     reference_impl=_reference_from_bit_planes,
 )
+
+
+def pack_words(bits: np.ndarray, nbits: int) -> np.ndarray:
+    """Pack an MSB-first bit stream into unsigned words of *nbits* bits.
+
+    Stream bit ``s * nbits + j`` becomes bit ``j`` (0 = MSB) of word
+    ``s``: ``np.packbits`` fills bytes MSB-first, and a big-endian view
+    of those bytes keeps the stream order within each word.  *bits* is a
+    bool stream whose length is a multiple of *nbits*; the words come
+    back in the native unsigned dtype of that width.
+    """
+    if nbits not in (8, 16, 32, 64):
+        raise ConfigurationError(f"nbits must be 8, 16, 32 or 64, got {nbits}")
+    if bits.size % nbits:
+        raise DataFormatError(
+            f"a stream of {bits.size} bits is not a whole number of {nbits}-bit words"
+        )
+    nbytes = nbits // 8
+    return np.packbits(bits).view(f">u{nbytes}").astype(f"u{nbytes}")
 
 
 def flip_bits(arr: np.ndarray, flip_mask: np.ndarray) -> np.ndarray:

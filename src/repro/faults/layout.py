@@ -21,7 +21,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.core import bitops
+from repro.exceptions import ConfigurationError, DataFormatError
 
 
 class MemoryLayout(ABC):
@@ -65,11 +66,33 @@ class MemoryLayout(ABC):
     def flip_mask_from_grid(
         self, flip_grid: np.ndarray, n_words: int, nbits: int
     ) -> np.ndarray:
-        """Collapse a boolean flip grid into per-word uint64 XOR masks."""
-        rows, cols = self.bit_positions(n_words, nbits)
-        flips = flip_grid[rows, cols]
-        weights = np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return (flips.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
+        """Collapse a boolean flip grid into per-word uint64 XOR masks.
+
+        Physical slot ``s`` holds raster bits ``s * nbits`` to
+        ``s * nbits + nbits - 1`` of the grid, so the raster stream packs
+        straight into slot words, and logical word ``w`` takes slot
+        ``word_permutation(n_words)[w]``.  *flip_grid* must be a bool
+        array of shape ``grid_shape(n_words, nbits)``.
+        """
+        shape = self.grid_shape(n_words, nbits)
+        if flip_grid.dtype != np.bool_ or flip_grid.shape != shape:
+            raise DataFormatError(
+                f"flip grid must be bool of shape {shape}, "
+                f"got {flip_grid.dtype} of shape {flip_grid.shape}"
+            )
+        stream = flip_grid.reshape(-1)[: n_words * nbits]
+        slot_words = bitops.pack_words(stream, nbits)
+        return slot_words[self.word_permutation(n_words)].astype(np.uint64)
+
+
+def _reference_flip_mask_from_grid(
+    layout: MemoryLayout, flip_grid: np.ndarray, n_words: int, nbits: int
+) -> np.ndarray:
+    """Per-bit gather oracle for :meth:`MemoryLayout.flip_mask_from_grid`."""
+    rows, cols = layout.bit_positions(n_words, nbits)
+    flips = flip_grid[rows, cols]
+    weights = np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    return (flips.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
 
 
 class RowMajorLayout(MemoryLayout):

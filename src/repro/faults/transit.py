@@ -127,17 +127,11 @@ class TransitFaultModel:
         bitops.require_unsigned(data, "data")
         nbits = bitops.bit_width(data.dtype)
         stream = burst_flip_stream(data.size * nbits, self.config, rng)
-        per_slot = stream.reshape(data.size, nbits)
-        weights = np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        slot_masks = (per_slot.astype(np.uint64) * weights[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
+        word_masks = bitops.pack_words(stream, nbits)
         if self.layout is not None:
             # slot s of the stream carries logical word w where
             # permutation[w] == s.
             permutation = np.asarray(self.layout.word_permutation(data.size))
-            word_masks = slot_masks[permutation]
-        else:
-            word_masks = slot_masks
-        mask = word_masks.astype(data.dtype).reshape(data.shape)
+            word_masks = word_masks[permutation]
+        mask = word_masks.reshape(data.shape)
         return np.bitwise_xor(data, mask), mask

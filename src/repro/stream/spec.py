@@ -10,11 +10,14 @@ one rule decides each stage: inject iff ``gamma != 0`` or a
 ``profile`` is set, the voter iff ``upsilon != 0``, a smoother iff
 ``smoother`` is set.  Construction builds the stages once, so the stage
 constructors are the one validation path and a bad value gets one
-message, from a flag or from tenant JSON alike.
+message, from a flag or from tenant JSON alike; a refusal that names a
+constructor parameter is re-worded to name the spec field instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.config import NGSTConfig
@@ -26,6 +29,20 @@ from repro.stream.pipeline import InjectStage, Stage, VoterStage
 from repro.stream.smoothers import smoother_stage
 from repro.stream.source import check_seed
 from repro.stream.telemetry import Telemetry
+
+
+@contextmanager
+def _field_names(**fields: str) -> Iterator[None]:
+    """Re-word a stage constructor's refusal that starts with one of its
+    parameter names (the keywords) to start with the spec field (the
+    value) that set it, e.g. ``gamma0 must be …`` → ``gamma must be …``."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        param, _, rest = str(exc).partition(" ")
+        if param not in fields:
+            raise
+        raise ConfigurationError(f"{fields[param]} {rest}") from None
 
 
 @dataclass(frozen=True)
@@ -98,13 +115,9 @@ class StreamSpec:
         stages: list[Stage] = []
         if self.gamma != 0 or self.profile is not None:
             profile = None if self.profile is None else parse_profile(self.profile)
-            stages.append(
-                InjectStage(
-                    UncorrelatedFaultModel(self.gamma),
-                    seed=self.inject_seed,
-                    profile=profile,
-                )
-            )
+            with _field_names(gamma0="gamma"):
+                model = UncorrelatedFaultModel(self.gamma)
+            stages.append(InjectStage(model, seed=self.inject_seed, profile=profile))
         if self.upsilon != 0:
             config = NGSTConfig(
                 upsilon=self.upsilon,
@@ -115,8 +128,13 @@ class StreamSpec:
                 science_fast=self.science_fast,
             )
             if self.autotune:
-                stages.append(
-                    AutotuneVoterStage(
+                with _field_names(
+                    window_stacks="autotune_window",
+                    interval_stacks="autotune_interval",
+                    min_delta="autotune_min_delta",
+                    confirm="autotune_confirm",
+                ):
+                    tuner = AutotuneVoterStage(
                         config,
                         stack_frames=self.stack_frames,
                         window_stacks=self.autotune_window,
@@ -127,7 +145,7 @@ class StreamSpec:
                         telemetry=telemetry,
                         label=label,
                     )
-                )
+                stages.append(tuner)
             else:
                 stages.append(VoterStage(config, stack_frames=self.stack_frames))
         if self.smoother is not None:

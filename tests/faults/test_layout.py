@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
-from repro.faults.layout import InterleavedLayout, RowMajorLayout
+from repro.config import CorrelatedFaultConfig
+from repro.exceptions import ConfigurationError, DataFormatError
+from repro.faults.correlated import CorrelatedFaultModel, correlated_flip_grid
+from repro.faults.layout import (
+    InterleavedLayout,
+    PixelMajorLayout,
+    RowMajorLayout,
+    _reference_flip_mask_from_grid,
+)
+from repro.faults.transit import (
+    GilbertElliottConfig,
+    TransitFaultModel,
+    burst_flip_stream,
+)
+
+WORD_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class TestRowMajorLayout:
@@ -96,6 +110,145 @@ class TestFlipMaskFromGrid:
             for b in range(nbits):
                 bit = (int(masks[w]) >> (nbits - 1 - b)) & 1
                 assert bit == int(grid[rows[w, b], cols[w, b]])
+
+    def test_refuses_a_short_grid(self):
+        layout = RowMajorLayout(row_words=2)
+        grid = np.zeros((2, 32), dtype=bool)  # 6 words need 3 rows
+        with pytest.raises(DataFormatError, match=r"shape \(3, 32\)"):
+            layout.flip_mask_from_grid(grid, 6, 16)
+
+    def test_refuses_a_grid_of_another_row_width(self):
+        layout = RowMajorLayout(row_words=2)
+        grid = np.zeros((2, 48), dtype=bool)  # right bit count, wrong rows
+        with pytest.raises(DataFormatError, match="shape"):
+            layout.flip_mask_from_grid(grid, 6, 16)
+
+    def test_refuses_a_non_bool_grid(self):
+        layout = RowMajorLayout(row_words=2)
+        grid = np.zeros(layout.grid_shape(6, 16), dtype=np.uint8)
+        with pytest.raises(DataFormatError, match="bool"):
+            layout.flip_mask_from_grid(grid, 6, 16)
+
+    def test_refuses_a_word_width_that_is_not_whole_bytes(self):
+        layout = RowMajorLayout(row_words=2)
+        grid = np.zeros(layout.grid_shape(6, 12), dtype=bool)
+        with pytest.raises(ConfigurationError, match="nbits must be 8, 16, 32 or 64"):
+            layout.flip_mask_from_grid(grid, 6, 12)
+
+
+LAYOUT_KINDS = ("row-major", "interleaved", "interleaved-stride", "pixel-major")
+
+
+def _layout(kind, row_words, n_variants):
+    if kind == "row-major":
+        return RowMajorLayout(row_words=row_words)
+    if kind == "interleaved":
+        return InterleavedLayout(row_words=row_words)
+    if kind == "interleaved-stride":
+        return InterleavedLayout(row_words=row_words, stride=5)
+    return PixelMajorLayout(n_variants=n_variants, row_words=row_words)
+
+
+class TestPackedMatchesReference:
+    """The ``np.packbits`` word packer against the per-bit gather oracle."""
+
+    @given(
+        kind=st.sampled_from(LAYOUT_KINDS),
+        nbits=st.sampled_from((8, 16, 32, 64)),
+        row_words=st.sampled_from((1, 3, 64)),
+        n_variants=st.integers(min_value=1, max_value=6),
+        per_variant=st.integers(min_value=1, max_value=40),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_byte_identical(
+        self, kind, nbits, row_words, n_variants, per_variant, density, seed
+    ):
+        layout = _layout(kind, row_words, n_variants)
+        n_words = n_variants * per_variant
+        shape = layout.grid_shape(n_words, nbits)
+        grid = np.random.default_rng(seed).random(shape) < density
+        # Cells past the last word (a partial last row) belong to no word.
+        grid.reshape(-1)[n_words * nbits :] = True
+        packed = layout.flip_mask_from_grid(grid, n_words, nbits)
+        reference = _reference_flip_mask_from_grid(layout, grid, n_words, nbits)
+        assert packed.dtype == reference.dtype == np.uint64
+        assert packed.tobytes() == reference.tobytes()
+
+    def test_partial_last_row_padding_is_ignored(self):
+        layout = InterleavedLayout(row_words=3)
+        grid = np.zeros(layout.grid_shape(7, 16), dtype=bool)
+        assert grid.size > 7 * 16
+        grid.reshape(-1)[7 * 16 :] = True
+        assert not layout.flip_mask_from_grid(grid, 7, 16).any()
+
+    @pytest.mark.parametrize("dtype", WORD_DTYPES + (np.float32,))
+    @pytest.mark.parametrize(
+        "layout", [RowMajorLayout(row_words=3), InterleavedLayout()]
+    )
+    def test_correlated_corrupt(self, dtype, layout):
+        data = _words(dtype, (6, 5, 7))
+        config = CorrelatedFaultConfig(gamma_ini=0.3)
+        model = CorrelatedFaultModel(config, layout=layout)
+        rng = np.random.default_rng(21)
+        corrupted, mask = model.corrupt(data, rng)
+
+        oracle_rng = np.random.default_rng(21)
+        words = _as_words(data)
+        nbits = words.dtype.itemsize * 8
+        grid = correlated_flip_grid(
+            layout.grid_shape(words.size, nbits),
+            config.gamma_ini,
+            oracle_rng,
+            config.max_run_terms,
+        )
+        expected = _reference_flip_mask_from_grid(layout, grid, words.size, nbits)
+        _assert_same_corruption(data, corrupted, mask, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", WORD_DTYPES + (np.float32,))
+    @pytest.mark.parametrize("layout", [None, InterleavedLayout()])
+    def test_transit_corrupt(self, dtype, layout):
+        data = _words(dtype, (6, 5, 7))
+        config = GilbertElliottConfig(
+            p_good_to_bad=0.01, p_bad_to_good=0.1, flip_prob_good=0.01
+        )
+        model = TransitFaultModel(config, layout=layout)
+        rng = np.random.default_rng(22)
+        corrupted, mask = model.corrupt(data, rng)
+
+        oracle_rng = np.random.default_rng(22)
+        words = _as_words(data)
+        nbits = words.dtype.itemsize * 8
+        stream = burst_flip_stream(words.size * nbits, config, oracle_rng)
+        # One word per grid row makes the grid the serial stream itself.
+        serial = RowMajorLayout(row_words=1)
+        slots = _reference_flip_mask_from_grid(
+            serial, stream.reshape(words.size, nbits), words.size, nbits
+        )
+        if layout is not None:
+            slots = slots[layout.word_permutation(words.size)]
+        _assert_same_corruption(data, corrupted, mask, slots)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _words(dtype, shape):
+    rng = np.random.default_rng(3)
+    if dtype == np.float32:
+        return rng.normal(100.0, 5.0, shape).astype(np.float32)
+    return rng.integers(0, np.iinfo(dtype).max, shape, dtype=dtype, endpoint=True)
+
+
+def _as_words(data):
+    return data.view(np.uint32) if data.dtype == np.float32 else data
+
+
+def _assert_same_corruption(data, corrupted, mask, expected_mask):
+    words = _as_words(data)
+    expected = expected_mask.astype(words.dtype).reshape(words.shape)
+    assert mask.dtype == words.dtype and mask.tobytes() == expected.tobytes()
+    assert corrupted.dtype == data.dtype
+    assert corrupted.tobytes() == np.bitwise_xor(words, expected).tobytes()
 
 
 class TestPixelMajorLayout:

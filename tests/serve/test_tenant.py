@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -114,17 +115,27 @@ class TestTenantConfig:
             (dict(profile="step:elevated"), ["--profile", "step:elevated"]),
             (dict(profile="step:period=x"), ["--profile", "step:period=x"]),
             (dict(chunk_frames=0), ["--chunk-frames", "0"]),
+            (dict(autotune=True, autotune_interval=0),
+             ["--autotune", "--autotune-interval", "0"]),
+            (dict(autotune=True, autotune_confirm=0),
+             ["--autotune", "--autotune-confirm", "0"]),
         ],
         ids=[
             "gamma", "upsilon", "stack-frames", "stack-frames-zero",
             "even-window", "autotune-window", "min-delta", "inject-seed",
             "autotune-seed", "profile-pair", "profile-value", "chunk-frames",
+            "autotune-interval", "autotune-confirm",
         ],
     )
     def test_one_message_per_refusal(self, capsys, bad, flags):
-        # A tenant and the CLI refuse a bad value with the same line.
+        # A tenant and the CLI refuse a bad value with the same line, and
+        # that line names the spec field the operator set (the last key
+        # of *bad*) as a whole word, not a stage constructor's parameter
+        # such as ``gamma0``.
+        field = re.compile(rf"\b{list(bad)[-1]}\b")
         with pytest.raises(ConfigurationError) as excinfo:
             TenantConfig(**bad)
+        assert field.search(str(excinfo.value))
         assert stream_main(["--frames", "8", "--shape", "2"] + flags) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"stream failed: {excinfo.value}"
