@@ -39,6 +39,12 @@ def require_unsigned(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not isinstance(arr, np.ndarray):
         raise DataFormatError(f"{name} must be a numpy array, got {type(arr).__name__}")
     if arr.dtype not in BITS_PER_DTYPE:
+        if arr.dtype.kind == "u" and not arr.dtype.isnative:
+            raise DataFormatError(
+                f"{name} must be in native byte order, got byte-swapped "
+                f"{arr.dtype.str}; convert with "
+                f".astype({arr.dtype.newbyteorder('=').str!r})"
+            )
         raise DataFormatError(
             f"{name} must have an unsigned integer dtype, got {arr.dtype}"
         )

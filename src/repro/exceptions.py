@@ -49,16 +49,6 @@ class StreamError(ReproError):
     """The streaming pipeline reached an inconsistent state."""
 
 
-class BufferOverflowError(StreamError):
-    """A bounded stream buffer received more frames than it can hold.
-
-    Raised by :class:`repro.stream.RingBuffer` under the ``error``
-    backpressure policy, and by the pipeline's internal alignment buffer
-    if a stage ever buffers more frames than its declared lag (a broken
-    memory-bound invariant, never expected in normal operation).
-    """
-
-
 class CheckpointMismatchError(StreamError):
     """A resume found checkpoint records, but none match this pipeline.
 

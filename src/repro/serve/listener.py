@@ -217,6 +217,11 @@ class IngestHandler:
             raise ServeError(f"bad dtype {dtype!r}: {exc}") from None
         if not np.issubdtype(np_dtype, np.number):
             raise ServeError(f"bad dtype {dtype!r}: frames must be numeric")
+        if not np_dtype.isnative:
+            raise ServeError(
+                f"bad dtype {dtype!r}: frames travel in native byte order, "
+                f"e.g. {np_dtype.newbyteorder('=').str!r}"
+            )
         session = self.sessions.acquire(tenant_name, stream, tuple(shape), np_dtype)
         try:
             resume_frame = await self.run_in_pool(session.open)
@@ -232,7 +237,6 @@ class IngestHandler:
                 "stream": session.stream,
                 "resume_frame": resume_frame,
                 "chunk_frames": session.tenant.chunk_frames,
-                "buffer_frames": session.tenant.buffer_frames,
                 "output_start": start,
                 "output_count": int(outputs.shape[0]),
                 "outputs": encode_frames(outputs),
@@ -260,8 +264,6 @@ class IngestHandler:
         result = await self.run_in_pool(session.ingest, frames)
         self.metrics.observe("ingest_latency", loop.time() - t0)
         self.metrics.incr("messages")
-        if result.refused:
-            self.metrics.incr("backpressure_refusals", result.refused)
         if self.chaos is not None and self.chaos.strike():
             self.metrics.incr("chaos_kills")
             writer.transport.abort()  # processed and checkpointed, ack lost

@@ -125,7 +125,6 @@ COUNTER_NAMES = (
     "frames_out",
     "chunks",
     "protocol_errors",
-    "backpressure_refusals",
     "chaos_kills",
     "drains",
     "lambda_adjustments",

@@ -43,24 +43,16 @@ class IngestResult:
     """What one :meth:`StreamSession.ingest` call accomplished.
 
     Attributes:
-        accepted: frames absorbed into the stream history (equals the
-            offered count except under ``drop-oldest``, where it still
-            counts every offered frame).
-        received: the stream's total accepted frames so far — the index
-            the producer continues from.
+        received: the stream's total frames so far — the index the
+            producer continues from.
         output_start: global index of ``outputs[0]``.
         outputs: frames the final stage emitted during this call
             (possibly empty while stage windows fill).
-        refused: push attempts the ingest buffer turned away before the
-            pipeline drained room for them (the ``block`` policy's
-            backpressure at work; retried internally, never lost).
     """
 
-    accepted: int
     received: int
     output_start: int
     outputs: np.ndarray
-    refused: int = 0
 
 
 class StreamSession:
@@ -93,11 +85,7 @@ class StreamSession:
         self.tenant = tenant
         self.stream = stream
         self.source = PushFrameSource(
-            coord_shape,
-            dtype,
-            capacity=tenant.buffer_frames,
-            policy=tenant.policy,
-            label=f"serve:{tenant.name}/{stream}",
+            coord_shape, dtype, label=f"serve:{tenant.name}/{stream}"
         )
         self.durable = bool(tenant.durable and checkpoint_dir is not None)
         checkpoint = None
@@ -137,38 +125,12 @@ class StreamSession:
         return self.source.received
 
     def ingest(self, frames: np.ndarray) -> IngestResult:
-        """Absorb a frame chunk and drain it through the pipeline.
-
-        Pushes in slices sized to what the ingest buffer will take and
-        pumps the pipeline between slices, so a message larger than the
-        buffer still lands whole — that loop *is* the per-connection
-        backpressure under the ``block`` policy.  Raises
-        :class:`~repro.exceptions.ServeError` if no progress is
-        possible (a single push larger than the buffer capacity that
-        the pipeline cannot drain).
-        """
-        frames = np.asarray(frames)
-        offered = int(frames.shape[0])
-        offset = 0
-        refused = 0
-        while offset < offered:
-            accepted = self.source.push(frames[offset:])
-            offset += accepted
-            refused += (offered - offset > 0)
-            pumped = self.pipeline.pump()
-            if accepted == 0 and pumped == 0:
-                raise ServeError(
-                    f"{self.name}: ingest wedged — buffer full "
-                    f"({self.source.buffered}/{self.tenant.buffer_frames}) "
-                    f"and the pipeline cannot drain it"
-                )
+        """Push one whole message and drain it through the pipeline."""
+        self.source.push(frames)
+        self.pipeline.pump()
         start, outputs = self._take_outputs()
         return IngestResult(
-            accepted=offered,
-            received=self.source.received,
-            output_start=start,
-            outputs=outputs,
-            refused=refused,
+            received=self.source.received, output_start=start, outputs=outputs
         )
 
     def finish(self) -> tuple[StreamResult, int, np.ndarray]:
@@ -178,7 +140,7 @@ class StreamSession:
         the frames the flush released.  Durable state is deleted — the
         stream is complete, there is nothing left to resume.
         """
-        self.pipeline.pump()  # drain anything still buffered
+        self.pipeline.pump()  # drain anything a resume left in the source
         result = self.pipeline.finalize()
         start, outputs = self._take_outputs()
         self.completed = True

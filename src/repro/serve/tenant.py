@@ -3,8 +3,7 @@
 A *tenant* is one named preprocessing contract: a
 :class:`~repro.stream.spec.StreamSpec` (which faults to inject, if any,
 the ``Algo_NGST`` voter parameters (Υ, Λ, N), an optional windowed
-smoother, the chunk size) plus the serve-only transport envelope
-(ingest buffer capacity, backpressure policy, durability).  Every
+smoother, the chunk size) plus one serve-only setting, durability.  Every
 stream a client opens under a tenant runs exactly the stages
 :meth:`~repro.stream.spec.StreamSpec.build_stages` builds — the same
 stages ``repro stream`` builds from the equal flags, with equal
@@ -25,36 +24,38 @@ from pathlib import Path
 
 from repro.config import STRATEGY_CHOICES
 from repro.exceptions import ConfigurationError, ServeError
-from repro.stream.buffer import BackpressurePolicy
 from repro.stream.spec import StreamSpec
 
 #: The tenant every fresh registry starts with.
 DEFAULT_TENANT = "default"
 
 #: Keys that registries written by earlier versions persist and that no
-#: tenant reads any more: the retired adaptive strategy's two knobs and
-#: ``measure`` (Ψ accounting is always on).  Dropped on load.
-_RETIRED_KEYS = ("coherence_beta", "coherence_prune_ratio", "measure")
+#: tenant reads any more: the retired adaptive strategy's two knobs,
+#: ``measure`` (Ψ accounting is always on), and the two knobs of the
+#: retired ingest ring (each message now lands whole).  Dropped on load.
+_RETIRED_KEYS = (
+    "coherence_beta",
+    "coherence_prune_ratio",
+    "measure",
+    "policy",
+    "buffer_frames",
+)
 
 
 @dataclass(frozen=True)
 class TenantConfig(StreamSpec):
-    """One tenant's stream spec and transport envelope.
+    """One tenant's stream spec, name and durability.
 
     The stage fields are :class:`~repro.stream.spec.StreamSpec`'s; a
     tenant adds only these.
 
     Attributes:
         name: registry key; also the checkpoint subdirectory name.
-        policy: ingest-buffer backpressure policy name.
-        buffer_frames: per-stream ingest buffer capacity in frames.
         durable: checkpoint every chunk boundary so streams survive a
             server restart; non-durable streams restart from frame 0.
     """
 
     name: str = DEFAULT_TENANT
-    policy: str = "block"
-    buffer_frames: int = 4096
     durable: bool = True
 
     def __post_init__(self) -> None:
@@ -64,12 +65,6 @@ class TenantConfig(StreamSpec):
                 f"got {self.name!r}"
             )
         super().__post_init__()
-        if self.buffer_frames < self.chunk_frames:
-            raise ConfigurationError(
-                f"buffer_frames ({self.buffer_frames}) must be >= "
-                f"chunk_frames ({self.chunk_frames})"
-            )
-        BackpressurePolicy.parse(self.policy)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the control plane's wire format)."""
@@ -103,8 +98,7 @@ class TenantConfig(StreamSpec):
         stages = [s.name for s in self.build_stages()]
         return (
             f"tenant {self.name}: {' -> '.join(stages) or 'passthrough'} "
-            f"(chunk={self.chunk_frames}, policy={self.policy}, "
-            f"buffer={self.buffer_frames}, durable={self.durable})"
+            f"(chunk={self.chunk_frames}, durable={self.durable})"
         )
 
 

@@ -32,7 +32,6 @@ Or from the command line: ``repro stream --frames 4096 --chunk-frames
 """
 
 from repro.stream.autotune_stage import AutotuneVoterStage
-from repro.stream.buffer import BackpressurePolicy, BufferStats, RingBuffer
 from repro.stream.checkpoint import StreamCheckpoint, decode_array, encode_array
 from repro.stream.pipeline import (
     BatchResult,
@@ -70,9 +69,7 @@ from repro.stream.telemetry import (
 __all__ = [
     "ArraySource",
     "AutotuneVoterStage",
-    "BackpressurePolicy",
     "BatchResult",
-    "BufferStats",
     "ChunkCompleted",
     "LambdaAdjusted",
     "DownlinkSource",
@@ -81,7 +78,6 @@ __all__ = [
     "InjectStage",
     "LimitedSource",
     "PushFrameSource",
-    "RingBuffer",
     "SMOOTHERS",
     "Stage",
     "StageStats",

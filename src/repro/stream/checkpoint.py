@@ -3,8 +3,8 @@
 A streaming campaign cannot checkpoint "completed shards" the way the
 trial runtime does — its unit of progress is a chunk boundary, and the
 state that must survive a kill is the *exact* pipeline state: source
-position and walk state, every stage's carry buffer, the Kahan/Welford
-Ψ accumulators, and the pristine-alignment buffer.  This module stores
+position and walk state, every stage's carry buffer, the Kahan-summed
+Ψ accumulators, and the pristine-alignment FIFO.  This module stores
 that state as one self-contained JSON line per completed chunk::
 
     {"fingerprint": "src=walk(...);stages=[...];v1", "chunk": 12,

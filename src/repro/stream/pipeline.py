@@ -24,11 +24,11 @@ Three mechanisms make that hold:
   so the flip pattern cannot depend on chunk boundaries.
 
 Ψ is accumulated by :class:`StreamingPsi` — a Kahan-compensated sum of
-per-frame error sums plus Welford mean/variance over per-frame means —
-whose result is a function of the frame sequence only.  The batch side
-of the contract is :func:`run_batch`, which applies each stage's
-``batch()`` semantics to the materialized stream and feeds the same
-accumulator; :class:`StreamPipeline` must match it byte for byte.
+per-frame error sums — whose result is a function of the frame sequence
+only.  The batch side of the contract is :func:`run_batch`, which
+applies each stage's ``batch()`` semantics to the materialized stream
+and feeds the same accumulator; :class:`StreamPipeline` must match it
+byte for byte.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.exceptions import (
     StreamError,
 )
 from repro.faults.uncorrelated import UncorrelatedFaultModel
-from repro.stream.buffer import BackpressurePolicy, RingBuffer
 from repro.stream.checkpoint import StreamCheckpoint, decode_array, encode_array
 from repro.stream.source import FrameSeeder, FrameSource, read_all
 from repro.stream.telemetry import (
@@ -72,13 +71,12 @@ class StreamingPsi:
     :func:`repro.metrics.relative_error.psi` does (same float64 casts,
     denominator floor, and cap), for a whole chunk at once; each frame's
     error *sum* is its own row sum, and enters a Kahan-compensated
-    running total, and the frame's error *mean* a Welford mean/variance
-    recursion (for dispersion telemetry), one frame at a time in frame
-    order.  Element-wise operations do not depend on their neighbours,
-    and a row sum equals the frame's own sum, so the accumulated value is
-    a function of the frame sequence alone — the streaming pipeline and
-    the batch comparator produce the same bits no matter how the frames
-    were chunked.
+    running total one frame at a time in frame order.  Element-wise
+    operations do not depend on their neighbours, and a row sum equals
+    the frame's own sum, so the accumulated value is a function of the
+    frame sequence alone — the streaming pipeline and the batch
+    comparator produce the same bits no matter how the frames were
+    chunked.
 
     ``value`` equals ``psi(observed, pristine)`` up to the difference
     between numpy's pairwise-summed mean and the compensated sum —
@@ -95,8 +93,6 @@ class StreamingPsi:
         self._comp = 0.0  # Kahan compensation term
         self._count = 0
         self._n_frames = 0
-        self._mean = 0.0  # Welford running mean of per-frame means
-        self._m2 = 0.0
 
     def update(self, observed: np.ndarray, pristine: np.ndarray) -> None:
         """Accumulate a ``(k,) + coord_shape`` pair of frame chunks."""
@@ -122,22 +118,16 @@ class StreamingPsi:
         np.minimum(err, self.cap, out=err)
         np.copyto(err, self.cap, where=~finite)
         # Each row is one contiguous frame, so its sum is the per-frame
-        # err.sum() bit for bit; the recursions below stay scalar and in
-        # frame order.
+        # err.sum() bit for bit; the compensated sum below stays scalar
+        # and in frame order.
         frame_sums = err.reshape(k, frame_size).sum(axis=1).tolist()
         for frame_sum in frame_sums:
-            # Kahan-compensated addition of the frame sum.
             y = frame_sum - self._comp
             t = self._sum + y
             self._comp = (t - self._sum) - y
             self._sum = t
-            self._count += frame_size
-            # Welford over per-frame means, for dispersion reporting.
-            self._n_frames += 1
-            frame_mean = frame_sum / frame_size if frame_size else 0.0
-            delta = frame_mean - self._mean
-            self._mean += delta / self._n_frames
-            self._m2 += delta * (frame_mean - self._mean)
+        self._count += k * frame_size
+        self._n_frames += k
 
     @property
     def value(self) -> float:
@@ -149,11 +139,6 @@ class StreamingPsi:
         """Frames accumulated so far."""
         return self._n_frames
 
-    @property
-    def frame_variance(self) -> float:
-        """Sample variance of the per-frame mean errors (ddof=1)."""
-        return self._m2 / (self._n_frames - 1) if self._n_frames > 1 else 0.0
-
     def state_dict(self) -> dict:
         """Exact JSON-serializable accumulator state."""
         return {
@@ -161,20 +146,17 @@ class StreamingPsi:
             "comp": self._comp,
             "count": self._count,
             "n_frames": self._n_frames,
-            "mean": self._mean,
-            "m2": self._m2,
             "floor": self.floor,
             "cap": self.cap,
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot exactly."""
+        """Restore a :meth:`state_dict` snapshot exactly (the ``mean`` and
+        ``m2`` keys that older records carry are ignored)."""
         self._sum = float(state["sum"])
         self._comp = float(state["comp"])
         self._count = int(state["count"])
         self._n_frames = int(state["n_frames"])
-        self._mean = float(state["mean"])
-        self._m2 = float(state["m2"])
         self.floor = float(state["floor"])
         self.cap = float(state["cap"])
 
@@ -186,7 +168,7 @@ class Stage:
     the frames it can emit so far, possibly fewer while its window
     fills) and :meth:`flush` once at end-of-stream.  ``lag`` bounds the
     frames a stage may carry between chunks — the pipeline sizes its
-    alignment buffer from the sum of lags, so the bound is part of the
+    alignment FIFO from the sum of lags, so the bound is part of the
     stage contract.  ``batch()`` states the stage's batch-pipeline
     semantics on a whole in-memory stack; it is pure (no streaming
     state touched) and is what :func:`run_batch` and the equivalence
@@ -668,10 +650,12 @@ class StreamPipeline:
     Each cycle reads at most ``chunk_frames`` frames from the source and
     pushes them through the stage chain.  Every source's ``read``
     returns a fresh array, so the chunk goes to the stages as it is.
-    Pristine frames are parked in a bounded alignment buffer sized to
-    ``chunk_frames + Σ stage lags`` with the ``error`` policy, so the
-    documented O(chunk + window) memory bound is enforced at runtime,
-    not just claimed.
+    Pristine frames wait in an alignment FIFO until the final stage
+    emits the frames they align with.  Holding more than
+    ``chunk_frames + Σ stage lags`` of them raises
+    :class:`~repro.exceptions.StreamError`, so the documented
+    O(chunk + window) memory bound is enforced at runtime, not just
+    claimed.
 
     Ψ accounting: the frames *entering* the first ``corrupts`` stage
     are the pristine reference; Ψ_NoPreprocessing is accumulated across
@@ -730,10 +714,8 @@ class StreamPipeline:
         self.checkpoint = checkpoint
         self.sink = sink
         self._runners = [_StageRunner(s) for s in self.stages]
-        total_lag = sum(s.lag for s in self.stages)
-        self._pending = RingBuffer(
-            self.chunk_frames + total_lag, BackpressurePolicy.ERROR
-        )
+        self._pending_bound = self.chunk_frames + sum(s.lag for s in self.stages)
+        self._pending: np.ndarray | None = None  # the alignment FIFO
         self._psi_nopre = StreamingPsi()
         self._psi_algo = StreamingPsi()
         self._has_injector = any(s.corrupts for s in self.stages)
@@ -763,7 +745,11 @@ class StreamPipeline:
             "frames_out": self._frames_out,
             "source": self.source.state_dict(),
             "runners": [r.state_dict() for r in self._runners],
-            "pending": self._pending.state_dict(),
+            "pending": {
+                "frames": (
+                    None if self._pending is None else encode_array(self._pending)
+                )
+            },
             "psi_nopre": self._psi_nopre.state_dict(),
             "psi_algo": self._psi_algo.state_dict(),
         }
@@ -780,7 +766,10 @@ class StreamPipeline:
             )
         for runner, sub in zip(self._runners, state["runners"]):
             runner.load_state(sub)
-        self._pending.load_state(state["pending"])
+        # Records written while the FIFO was a ring buffer also carry its
+        # occupancy counters beside "frames"; nothing reads them.
+        frames = state["pending"]["frames"]
+        self._pending = None if frames is None else decode_array(frames)
         self._psi_nopre.load_state(state["psi_nopre"])
         self._psi_algo.load_state(state["psi_algo"])
         self._restored_frames = self._frames_in
@@ -833,12 +822,28 @@ class StreamPipeline:
         """Transport chunks processed so far (counting resumed ones)."""
         return self._chunk_index
 
+    def _park(self, frames: np.ndarray) -> None:
+        """Append pristine *frames* to the alignment FIFO, within its bound."""
+        if frames.shape[0] == 0:
+            return
+        parked = (
+            frames.copy() if self._pending is None
+            else np.concatenate((self._pending, frames))
+        )
+        if parked.shape[0] > self._pending_bound:
+            raise StreamError(
+                f"alignment FIFO would hold {parked.shape[0]} frame(s), over "
+                f"its bound of {self._pending_bound} (chunk_frames + Σ stage "
+                f"lags): a stage carries more frames than its declared lag"
+            )
+        self._pending = parked
+
     def _through_stages(self, frames: np.ndarray, first: int = 0) -> np.ndarray:
         """Push *frames* through ``runners[first:]``, with Ψ accounting."""
         data = frames
         for runner in self._runners[first:]:
             if runner.stage.corrupts:
-                self._pending.push(data)
+                self._park(data)
                 pristine = data
                 data = runner.run(data)
                 self._psi_nopre.update(data, pristine)
@@ -850,7 +855,8 @@ class StreamPipeline:
         if data.shape[0] == 0:
             return
         self._frames_out += data.shape[0]
-        reference = self._pending.pop(data.shape[0])
+        reference = self._pending[: data.shape[0]]
+        self._pending = self._pending[data.shape[0] :]
         self._psi_algo.update(data, reference)
         if self.sink is not None:
             self.sink(data)
@@ -874,8 +880,8 @@ class StreamPipeline:
         """Pull and process at most one transport chunk.
 
         Returns the frames consumed; 0 means the source had nothing to
-        give *right now* — end of stream for a pull source, "buffer
-        empty" for a :class:`~repro.stream.source.PushFrameSource`.
+        give *right now* — end of stream for a pull source, "nothing
+        pushed yet" for a :class:`~repro.stream.source.PushFrameSource`.
         Each consumed chunk emits a :class:`ChunkCompleted` event and,
         when a checkpoint store is attached, records the exact pipeline
         state at the new chunk boundary.
@@ -886,7 +892,7 @@ class StreamPipeline:
         t0 = time.perf_counter()
         self._frames_in += chunk.shape[0]
         if not self._has_injector:
-            self._pending.push(chunk)
+            self._park(chunk)
         out = self._through_stages(chunk)
         self._account_output(out)
         elapsed = time.perf_counter() - t0
@@ -913,12 +919,14 @@ class StreamPipeline:
         return chunk.shape[0]
 
     def pump(self) -> int:
-        """Process every full chunk the source can deliver right now.
+        """Process every frame the source can deliver right now.
 
-        The incremental (push-mode) drive: returns the total frames
-        consumed, stopping when the source comes up empty.  Call
-        :meth:`resume` once before the first pump and :meth:`finalize`
-        after the producer signals end of stream.
+        The incremental (push-mode) drive: steps in chunks of up to
+        ``chunk_frames``, the last one partial when fewer frames are
+        waiting, and returns the total frames consumed, stopping when
+        the source comes up empty.  Call :meth:`resume` once before the
+        first pump and :meth:`finalize` after the producer signals end
+        of stream.
         """
         total = 0
         while True:

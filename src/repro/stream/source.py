@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+import zipfile
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -42,7 +43,6 @@ from repro.config import NGSTDatasetConfig
 from repro.data.ngst import U16_MAX
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.ngst.downlink import ARQDownlink, DownlinkConfig
-from repro.stream.buffer import BackpressurePolicy, RingBuffer
 from repro.stream.checkpoint import decode_array, encode_array
 
 
@@ -408,17 +408,25 @@ class ArraySource(FrameSource):
 
         Memory-mapping keeps an ``.npy`` replay's resident footprint at
         O(chunk): frames are paged in as :meth:`read` copies them out.
+        A file NumPy cannot load (truncated, not NumPy data, object
+        dtype, a broken zip) raises a one-line :class:`DataFormatError`.
         """
         path = Path(path)
-        if path.suffix == ".npz":
-            with np.load(path) as archive:
-                if key not in archive.files:
-                    raise DataFormatError(
-                        f"{path} has no array {key!r} (found {archive.files})"
-                    )
-                frames = archive[key]
-        else:
-            frames = np.load(path, mmap_mode="r")
+        try:
+            if path.suffix == ".npz":
+                with np.load(path) as archive:
+                    if key not in archive.files:
+                        raise DataFormatError(
+                            f"{path} has no array {key!r} (found {archive.files})"
+                        )
+                    frames = archive[key]
+            else:
+                frames = np.load(path, mmap_mode="r")
+        except DataFormatError:
+            raise
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            reason = (str(exc) or type(exc).__name__).splitlines()[0]
+            raise DataFormatError(f"cannot load {path}: {reason}") from None
         return cls(frames, label=f"file({path.name}:{key})")
 
     def _read(self, k: int) -> np.ndarray:
@@ -514,29 +522,23 @@ class LimitedSource(FrameSource):
 
 
 class PushFrameSource(FrameSource):
-    """Frames arrive by push; :meth:`read` serves the buffer, never blocks.
+    """Frames arrive by push; :meth:`read` serves them and never blocks.
 
     The serve layer's ingest substrate: a network handler calls
-    :meth:`push` with whatever a client delivered, and the pipeline
-    drains full transport chunks via ``step()``/``pump()``.  An empty
-    :meth:`read` means "nothing buffered *right now*", not end of
-    stream, so a push source must be driven incrementally — never with
+    :meth:`push` with each whole message a client delivered, and the
+    pipeline drains it via ``step()``/``pump()``.  An empty :meth:`read`
+    means "nothing pushed *right now*", not end of stream, so a push
+    source must be driven incrementally — never with
     ``StreamPipeline.run()``, which treats empty as exhaustion.
 
-    Buffering is a bounded :class:`RingBuffer` under the tenant's
-    backpressure policy: ``block`` refuses the overflow (the push
-    reports how many frames were accepted, and the producer must resend
-    the rest), ``drop-oldest`` keeps only the freshest frames, and
-    ``error`` raises.  ``received`` counts the frames accepted into the
-    stream's history — exactly the index a resuming producer must
-    continue from.
+    Pushed frames wait in one array until read; a caller that pumps
+    after every push (as the serve session does) holds at most one
+    message.  ``received`` counts every frame pushed — exactly the index
+    a resuming producer must continue from.
 
     Args:
         coord_shape: per-frame coordinate shape.
         dtype: frame dtype.
-        capacity: buffered-frame bound (the per-connection backpressure
-            window).
-        policy: overflow behaviour; see :class:`BackpressurePolicy`.
         label: identity used in :meth:`describe` and therefore in
             checkpoint fingerprints — give each tenant stream a unique,
             stable label.
@@ -546,46 +548,21 @@ class PushFrameSource(FrameSource):
         self,
         coord_shape: tuple[int, ...],
         dtype: "np.dtype | str",
-        capacity: int = 4096,
-        policy: "str | BackpressurePolicy" = BackpressurePolicy.BLOCK,
         label: str = "push",
     ) -> None:
         self.coord_shape = tuple(int(s) for s in coord_shape)
         self.dtype = np.dtype(dtype)
-        self.policy = BackpressurePolicy.parse(policy)
-        self._buffer = RingBuffer(capacity, self.policy)
         self._label = str(label)
+        self._frames = self._empty()
         self._received = 0
-        self._delivered = 0
 
     @property
     def received(self) -> int:
-        """Frames accepted into the stream history so far."""
+        """Frames pushed into the stream history so far."""
         return self._received
 
-    @property
-    def delivered(self) -> int:
-        """Frames already handed to the pipeline."""
-        return self._delivered
-
-    @property
-    def buffered(self) -> int:
-        """Frames accepted but not yet read."""
-        return len(self._buffer)
-
-    @property
-    def free(self) -> int:
-        """Frames that can be pushed right now without overflow."""
-        return self._buffer.free
-
-    def push(self, frames: np.ndarray) -> int:
-        """Offer a ``(k,) + coord_shape`` chunk; returns frames accepted.
-
-        Under ``drop-oldest`` every offered frame counts as accepted
-        (the evicted ones entered the history and were then superseded);
-        under ``block`` the tail that does not fit is refused and must
-        be offered again after the pipeline drains the buffer.
-        """
+    def push(self, frames: np.ndarray) -> None:
+        """Append a whole ``(k,) + coord_shape`` message."""
         frames = np.asarray(frames)
         if frames.shape[1:] != self.coord_shape:
             raise DataFormatError(
@@ -595,28 +572,28 @@ class PushFrameSource(FrameSource):
             raise DataFormatError(
                 f"pushed dtype {frames.dtype} != {self.dtype}"
             )
-        accepted = self._buffer.push(frames)
-        self._received += accepted
-        return accepted
+        self._frames = np.concatenate((self._frames, frames))
+        self._received += frames.shape[0]
 
     def _read(self, k: int) -> np.ndarray:
-        if len(self._buffer) == 0:
-            return self._empty()
-        chunk = self._buffer.pop(k)
-        self._delivered += chunk.shape[0]
+        # push concatenated into a fresh array, so the slice is the
+        # caller's alone.
+        chunk = self._frames[:k]
+        self._frames = self._frames[k:]
         return chunk
 
     def state_dict(self) -> dict:
         return {
             "received": self._received,
-            "delivered": self._delivered,
-            "buffer": self._buffer.state_dict(),
+            "buffer": {"frames": encode_array(self._frames)},
         }
 
     def load_state(self, state: dict) -> None:
+        # Records written while the frames sat in a ring buffer also
+        # carry "delivered" and the ring's counters; nothing reads them.
         self._received = int(state["received"])
-        self._delivered = int(state["delivered"])
-        self._buffer.load_state(state["buffer"])
+        frames = state["buffer"]["frames"]
+        self._frames = self._empty() if frames is None else decode_array(frames)
 
     def describe(self) -> str:
         return (

@@ -43,6 +43,17 @@ class TestRequireUnsigned:
         with pytest.raises(DataFormatError, match="unsigned"):
             bitops.require_unsigned(np.zeros(3, dtype=np.float64))
 
+    @pytest.mark.parametrize("dtype", [">u2", ">u4", ">u8"])
+    def test_names_the_byte_order_of_a_byte_swapped_array(self, dtype):
+        arr = np.zeros(3, dtype=dtype)
+        native = np.dtype(dtype).newbyteorder("=").str
+        with pytest.raises(DataFormatError) as excinfo:
+            bitops.require_unsigned(arr, "pixels")
+        assert str(excinfo.value) == (
+            f"pixels must be in native byte order, got byte-swapped {dtype}; "
+            f"convert with .astype('{native}')"
+        )
+
 
 class TestCeilPow2:
     def test_scalar_zero(self):

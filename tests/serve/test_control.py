@@ -100,6 +100,23 @@ class TestControlPlane:
             assert status == 400
             assert "error" in payload
 
+    def test_put_refuses_the_retired_ingest_ring_keys(self, tmp_path):
+        async def body(server, port):
+            policy = await _http(
+                port, "PUT", "/tenants/x", {"name": "x", "policy": "block"}
+            )
+            buffer = await _http(
+                port, "PUT", "/tenants/x", {"name": "x", "buffer_frames": 64}
+            )
+            listed = await _http(port, "GET", "/tenants")
+            return policy, buffer, listed
+
+        policy, buffer, listed = self._scenario(tmp_path, body)
+        for (status, payload), key in ((policy, "policy"), (buffer, "buffer_frames")):
+            assert status == 400
+            assert f"unknown tenant config key(s) ['{key}']" in payload["error"]
+        assert {t["name"] for t in listed[1]["tenants"]} == {"default"}
+
     def test_default_tenant_cannot_be_deleted(self, tmp_path):
         async def body(server, port):
             return await _http(port, "DELETE", "/tenants/default")

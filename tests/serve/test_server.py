@@ -61,6 +61,7 @@ MALFORMED_HELLO_FIELDS = (
     {"have_outputs": True},
     {"dtype": "object"},
     {"dtype": "<U4"},
+    {"dtype": ">u2"},
 )
 
 

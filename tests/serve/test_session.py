@@ -79,18 +79,25 @@ class TestIngestFinish:
         session.ingest(_walk(32))
         assert list(tmp_path.rglob("s.*")) == []
 
-    def test_ingest_larger_than_buffer_still_lands(self, tmp_path):
+    def test_a_message_of_many_chunks_lands_whole(self):
+        # 4100 frames in one message: more than the 4096-frame ingest
+        # ring every tenant once had, and 257 chunks of 16.
         tenant = TenantConfig(
-            name="t", gamma=0.0, upsilon=4, stack_frames=8,
-            chunk_frames=8, buffer_frames=8, durable=False,
+            name="t", gamma=0.01, inject_seed=2, upsilon=4, stack_frames=8,
+            chunk_frames=16, durable=False,
         )
-        session = StreamSession(tenant, "s", (4, 4), np.uint16, None)
+        frames = _walk(4100, shape=(2, 2))
+        session = StreamSession(tenant, "s", (2, 2), np.uint16, None)
         session.open()
-        frames = _walk(64)
-        result = session.ingest(frames)  # 8x the buffer capacity
-        assert result.accepted == 64
-        assert result.received == 64
-        assert result.refused > 0  # backpressure engaged, nothing lost
+        ingested = session.ingest(frames)
+        assert ingested.received == 4100
+        assert ingested.output_start == 0
+        result, _, tail = session.finish()
+        outputs = np.concatenate([ingested.outputs, tail])
+        oracle = run_batch(ArraySource(frames), tenant.build_stages())
+        assert outputs.tobytes() == oracle.output.tobytes()
+        assert result.psi_no_preprocessing == oracle.psi_no_preprocessing
+        assert result.psi_algorithm == oracle.psi_algorithm
 
 
 class TestDurableResume:

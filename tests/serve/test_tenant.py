@@ -162,8 +162,8 @@ class TestTenantConfig:
             {"smoother": "median", "window": 4},
             {"smoother": "mean", "window": -3},
             {"chunk_frames": 0},
-            {"chunk_frames": 64, "buffer_frames": 32},
-            {"policy": "bogus"},
+            {"strategy": "bogus"},
+            {"sensitivity": 101.0},
             {"upsilon": 8, "stack_frames": 3},
             {"inject_seed": -3},
             {"autotune_seed": -1},
@@ -280,6 +280,22 @@ class TestTenantRegistry:
         )
         with pytest.raises(ConfigurationError, match="unknown tenant config key"):
             TenantConfig.from_dict({"name": "lab", "measure": True})
+
+    def test_loads_a_registry_with_the_retired_ingest_ring_keys(self, tmp_path):
+        # Entries written while every tenant persisted its ingest ring's
+        # "policy" and "buffer_frames" load without them, whatever they
+        # held.
+        entry = {
+            key: value
+            for key, value in legacy_entry(name="lab", gamma=0.02).items()
+            if key not in ("coherence_beta", "coherence_prune_ratio", "measure")
+        }
+        entry.update(policy="drop-oldest", buffer_frames=32)
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps({"tenants": [entry]}))
+        assert TenantRegistry(path).get("lab") == TenantConfig(
+            name="lab", gamma=0.02
+        )
 
     def test_refuses_a_persisted_adaptive_tenant_by_name(self, tmp_path):
         path = tmp_path / "tenants.json"

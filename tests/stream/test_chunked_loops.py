@@ -27,7 +27,7 @@ from repro.stream.source import frame_rng
 
 def _reference_psi_state(pairs) -> dict:
     """Frame-at-a-time StreamingPsi over ``(observed, pristine)`` frames."""
-    total = comp = mean = m2 = 0.0
+    total = comp = 0.0
     count = n_frames = 0
     for obs_frame, ref_frame in pairs:
         obs = np.asarray(obs_frame).astype(np.float64)
@@ -43,13 +43,9 @@ def _reference_psi_state(pairs) -> dict:
         total = t
         count += err.size
         n_frames += 1
-        frame_mean = frame_sum / err.size if err.size else 0.0
-        delta = frame_mean - mean
-        mean += delta / n_frames
-        m2 += delta * (frame_mean - mean)
     return {
         "sum": total, "comp": comp, "count": count, "n_frames": n_frames,
-        "mean": mean, "m2": m2, "floor": PSI_FLOOR, "cap": PSI_CAP,
+        "floor": PSI_FLOOR, "cap": PSI_CAP,
     }
 
 

@@ -19,12 +19,13 @@ from repro.baselines.smoothing import (
     negative_exponential_smooth,
 )
 from repro.config import NGSTConfig
-from repro.exceptions import ConfigurationError, DataFormatError
+from repro.exceptions import ConfigurationError, DataFormatError, StreamError
 from repro.faults import CorrelatedFaultModel, UncorrelatedFaultModel
 from repro.metrics import psi
 from repro.stream import (
     ArraySource,
     InjectStage,
+    Stage,
     StreamingPsi,
     StreamPipeline,
     SyntheticWalkSource,
@@ -169,7 +170,6 @@ class TestStreamingPsi:
         acc.update(observed[11:], pristine[11:])
         clone.update(observed[11:], pristine[11:])
         assert clone.value == acc.value
-        assert clone.frame_variance == acc.frame_variance
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataFormatError):
@@ -187,14 +187,32 @@ class TestBoundedMemory:
             assert stage_stats.max_buffered <= stage.lag
 
     def test_alignment_buffer_bound_is_enforced_not_claimed(self):
-        # The pristine-alignment buffer uses the `error` policy sized to
-        # chunk + sum-of-lags; a broken lag bound would raise instead of
-        # silently growing.  A full run through every stage type proves
-        # the bound holds.
+        # The pristine-alignment FIFO is bounded by chunk + sum-of-lags;
+        # a broken lag bound would raise instead of silently growing.  A
+        # full run through every stage type proves the bound holds.
         got, result = collect_stream(
             walk(10), stages(11, smoother=median_smooth_temporal, window=7), 5
         )
         assert result.completed and got.shape[0] == N_FRAMES
+
+
+    @pytest.mark.parametrize("injector", [False, True], ids=["source", "inject"])
+    def test_a_stage_carrying_past_its_lag_hits_the_bound(self, injector):
+        class Hoarder(Stage):
+            """Declares lag 0 but emits nothing: every frame stays carried."""
+
+            name = "hoarder"
+
+            def process(self, frames):
+                return frames[:0]
+
+        chain = [Hoarder()]
+        if injector:
+            chain.insert(0, InjectStage(UncorrelatedFaultModel(0.01), seed=1))
+        pipeline = StreamPipeline(walk(4), chain, chunk_frames=8)
+        assert pipeline.step() == 8  # 8 parked: exactly the bound
+        with pytest.raises(StreamError, match="over its bound of 8"):
+            pipeline.step()
 
 
 class TestValidation:

@@ -1,16 +1,23 @@
 """The serve-layer sources: push-mode ingest and clean run bounds."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DataFormatError
+from repro.faults import UncorrelatedFaultModel
 from repro.stream import (
     ArraySource,
+    InjectStage,
     LimitedSource,
     PushFrameSource,
+    StreamCheckpoint,
     StreamPipeline,
     SyntheticWalkSource,
     VoterStage,
+    decode_array,
     read_all,
     run_batch,
 )
@@ -26,37 +33,30 @@ def _frames(n, shape=(3,), dtype=np.uint16, start=0):
 
 class TestPushFrameSource:
     def test_push_then_read_round_trips(self):
-        source = PushFrameSource((3,), np.uint16, capacity=64)
+        source = PushFrameSource((3,), np.uint16)
         frames = _frames(10)
-        assert source.push(frames) == 10
+        source.push(frames)
         assert source.received == 10
-        assert source.buffered == 10
         got = source.read(10)
         np.testing.assert_array_equal(got, frames)
-        assert source.delivered == 10
-        assert source.buffered == 0
+        assert source.read(10).shape[0] == 0
 
     def test_empty_read_means_nothing_now_not_end(self):
-        source = PushFrameSource((3,), np.uint16, capacity=8)
+        source = PushFrameSource((3,), np.uint16)
         assert source.read(4).shape[0] == 0
         source.push(_frames(2))
         assert source.read(4).shape[0] == 2
 
-    def test_block_policy_refuses_overflow(self):
-        source = PushFrameSource((3,), np.uint16, capacity=4, policy="block")
-        accepted = source.push(_frames(6))
-        assert accepted == 4
-        assert source.received == 4
-        assert source.free == 0
-
-    def test_drop_oldest_counts_every_offered_frame(self):
-        source = PushFrameSource(
-            (3,), np.uint16, capacity=4, policy="drop-oldest"
-        )
-        assert source.push(_frames(6)) == 6
-        assert source.received == 6
-        assert source.buffered == 4  # freshest four survive
-        np.testing.assert_array_equal(source.read(4), _frames(6)[2:])
+    def test_a_message_of_any_size_lands_whole(self):
+        # 5000 frames: more than the 4096 the serve ingest ring held.
+        source = PushFrameSource((3,), np.uint16)
+        frames = _frames(5000)
+        source.push(frames)
+        frames += 1  # the caller's array is not the source's
+        assert source.received == 5000
+        got = np.concatenate([source.read(64) for _ in range(79)])
+        np.testing.assert_array_equal(got, _frames(5000))
+        assert source.read(64).shape[0] == 0
 
     def test_format_mismatch_raises(self):
         source = PushFrameSource((3,), np.uint16)
@@ -66,15 +66,14 @@ class TestPushFrameSource:
             source.push(_frames(2).astype(np.float32))
 
     def test_state_round_trip_preserves_buffered_frames(self):
-        source = PushFrameSource((3,), np.uint16, capacity=16, label="t/s")
+        source = PushFrameSource((3,), np.uint16, label="t/s")
         source.push(_frames(6))
         source.read(2)
         state = source.state_dict()
 
-        clone = PushFrameSource((3,), np.uint16, capacity=16, label="t/s")
+        clone = PushFrameSource((3,), np.uint16, label="t/s")
         clone.load_state(state)
         assert clone.received == 6
-        assert clone.delivered == 2
         np.testing.assert_array_equal(clone.read(10), _frames(6)[2:])
 
     def test_describe_carries_the_label_and_format(self):
@@ -86,7 +85,7 @@ class TestPushFrameSource:
         stages = [VoterStage(NGSTConfig(upsilon=4), stack_frames=8)]
         oracle = run_batch(ArraySource(frames), stages)
 
-        source = PushFrameSource((4,), np.uint16, capacity=64)
+        source = PushFrameSource((4,), np.uint16)
         outputs = []
         pipeline = StreamPipeline(
             source,
@@ -103,6 +102,79 @@ class TestPushFrameSource:
         result = pipeline.finalize()
         got = np.concatenate(outputs, axis=0)
         assert got.tobytes() == oracle.output.tobytes()
+        assert result.psi_algorithm == oracle.psi_algorithm
+
+
+#: The occupancy counters each ring buffer wrote beside its "frames"
+#: while the alignment FIFO and the push source's frames sat in rings.
+RING_COUNTERS = {
+    "high_water": 18, "n_pushed": 50, "n_popped": 40, "n_dropped": 0,
+    "n_refused": 3,
+}
+
+
+def _ring_layout(state):
+    """A pipeline state as the ring-buffer version wrote it: ring
+    counters beside each ``frames``, the push source's ``delivered``
+    count, and the Ψ accumulators' Welford ``mean``/``m2``."""
+    state = copy.deepcopy(state)
+    state["pending"].update(RING_COUNTERS)
+    state["source"]["buffer"].update(RING_COUNTERS)
+    state["source"]["delivered"] = 48
+    for key in ("psi_nopre", "psi_algo"):
+        state[key].update(mean=0.25, m2=0.5)
+    return state
+
+
+class TestRingLayoutResume:
+    @staticmethod
+    def _stages():
+        return [
+            InjectStage(UncorrelatedFaultModel(0.01), seed=3),
+            VoterStage(NGSTConfig(upsilon=4), stack_frames=10),
+        ]
+
+    def _pipeline(self, path, sink=None):
+        return StreamPipeline(
+            PushFrameSource((4,), np.uint16, label="t/s"),
+            self._stages(),
+            chunk_frames=16,
+            checkpoint=StreamCheckpoint(path),
+            sink=sink,
+        )
+
+    def test_ring_layout_record_resumes_byte_identically(self, tmp_path):
+        frames = read_all(SyntheticWalkSource((4,), seed=9, n_frames=96))
+        path = tmp_path / "s.jsonl"
+        oracle = run_batch(ArraySource(frames), self._stages())
+
+        first = self._pipeline(path)
+        first.resume()
+        first.source.push(frames[:50])
+        first.pump()
+        # Keep only the boundary at frame 48, rewritten in the old
+        # layout: the source still holds frames 48-49 and the alignment
+        # FIFO the 8 frames the voter carries.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        record = next(r for r in records if r["frames_done"] == 48)
+        state = record["state"]
+        assert decode_array(state["source"]["buffer"]["frames"]).shape == (2, 4)
+        assert decode_array(state["pending"]["frames"]).shape == (8, 4)
+        record["state"] = _ring_layout(record["state"])
+        path.write_text(json.dumps(record) + "\n")
+
+        outputs = []
+        second = self._pipeline(path, sink=outputs.append)
+        assert second.resume() == 48
+        assert second.source.received == 50
+        emitted = second.frames_out
+        second.pump()
+        second.source.push(frames[50:])
+        second.pump()
+        result = second.finalize()
+        got = np.concatenate(outputs)
+        assert got.tobytes() == oracle.output[emitted:].tobytes()
+        assert result.psi_no_preprocessing == oracle.psi_no_preprocessing
         assert result.psi_algorithm == oracle.psi_algorithm
 
 

@@ -1,5 +1,7 @@
 """Frame sources: chunk invariance, exact resume, file replay, downlink."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,13 @@ class TestSyntheticWalkSource:
             SyntheticWalkSource(n_frames=0)
 
 
+def _npy_bytes():
+    """A 10-frame uint16 stack as ``.npy`` file bytes."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(40, dtype=np.uint16).reshape(10, 4))
+    return buffer.getvalue()
+
+
 class TestArraySource:
     def test_replay_in_memory(self):
         data = np.arange(24, dtype=np.uint16).reshape(8, 3)
@@ -90,6 +99,46 @@ class TestArraySource:
         np.testing.assert_array_equal(read_all(src), data)
         with pytest.raises(DataFormatError):
             ArraySource.from_file(path, key="missing")
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            pytest.param(
+                "frames.npy",
+                lambda p: p.write_bytes(_npy_bytes()[:-7]),
+                id="truncated-npy",
+            ),
+            pytest.param("frames.npy", lambda p: p.write_bytes(b""), id="empty-npy"),
+            pytest.param(
+                "frames.npy",
+                lambda p: p.write_bytes(b"not a numpy file\n" * 8),
+                id="not-numpy",
+            ),
+            pytest.param(
+                "frames.npy",
+                lambda p: np.save(p, np.array([{}, None], dtype=object)),
+                id="object-npy",
+            ),
+            pytest.param(
+                "frames.npz",
+                lambda p: np.savez(p, frames=np.array([{}, None], dtype=object)),
+                id="object-npz",
+            ),
+            pytest.param(
+                "frames.npz",
+                lambda p: p.write_bytes(b"PK\x03\x04" + b"\x00" * 40),
+                id="not-a-zip",
+            ),
+        ],
+    )
+    def test_damaged_file_is_one_line_data_format_error(self, tmp_path, name, write):
+        path = tmp_path / name
+        write(path)
+        with pytest.raises(DataFormatError) as excinfo:
+            ArraySource.from_file(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"cannot load {path}: ")
+        assert "\n" not in message
 
     def test_scalar_input_rejected(self):
         with pytest.raises(DataFormatError):
