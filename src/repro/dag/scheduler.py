@@ -11,15 +11,19 @@ campaign killed at any instant therefore restarts as a survey plus
 live execution of the remaining frontier, bit-identical to an
 uninterrupted run — there is no session file to lose or mismatch.
 
-Execution walks the graph in ready-set waves on the existing
+Execution walks the graph in ready-set waves on the
 :class:`~repro.runtime.Executor` seam: every node whose dependencies
-are done is dispatched as a one-node shard, so the serial and
-process-pool backends run graphs unchanged.  Workers return the
-output artifact's arrays and metadata; **publication happens only in
-the parent**, after the worker result is consumed, so a crash anywhere
-between node start and publication simply re-runs the node — the
-atomic payload-then-sidecar publication in :mod:`repro.cache.store`
-guarantees a torn write reads as absent.
+are done is dispatched as one shard, indexed by its position in the
+wave, so the serial and process-pool backends run graphs unchanged.
+Workers return the output artifact's arrays and metadata;
+**publication happens only in the parent**, after the worker result is
+consumed, so a crash anywhere between node start and publication
+simply re-runs the node — the atomic payload-then-sidecar publication
+in :mod:`repro.cache.store` guarantees a torn write reads as absent.
+A failed node ends the run after its wave; a lost pool worker ends it
+at once.  Either way the :class:`~repro.exceptions.DagError` names the
+wave's unpublished nodes, and a recovering rerun (``--resume``)
+continues from the published ones.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.cache.store import ArtifactCache, CachedArtifact
 from repro.dag.graph import TaskGraph
 from repro.dag.node import TaskContext, TaskNode, normalize_output
 from repro.exceptions import DagError
-from repro.runtime.backend import Executor, SerialBackend, Shard
+from repro.runtime.backend import Executor, SerialBackend
 from repro.runtime.telemetry import (
     DagCompleted,
     DagStarted,
@@ -133,7 +137,7 @@ def _context_rng(node: TaskNode, output_key: str) -> np.random.Generator:
 
 
 class _NodeShardFn:
-    """A :data:`~repro.runtime.ShardFn` running one graph node per shard.
+    """A shard function running one graph node per shard index.
 
     *batch* maps shard index → (node, input keys, output key).  Inputs
     travel as content addresses, not payloads: in-process backends and
@@ -161,8 +165,8 @@ class _NodeShardFn:
             )
         return artifact
 
-    def __call__(self, shard: Shard) -> list:
-        node, input_keys, output_key = self.batch[shard.index]
+    def __call__(self, index: int) -> _NodeFailure | tuple[dict, dict]:
+        node, input_keys, output_key = self.batch[index]
         try:
             inputs = {
                 dep: self._resolve(dep, key) for dep, key in input_keys.items()
@@ -175,16 +179,14 @@ class _NodeShardFn:
             )
             artifact = normalize_output(node, node.run(ctx))
         except Exception as exc:
-            return [
-                _NodeFailure(
-                    name=node.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                )
-            ]
+            return _NodeFailure(
+                name=node.name,
+                error=f"{type(exc).__name__}: {exc}",
+                details=traceback.format_exc(),
+            )
         meta = dict(artifact.meta)
         meta["node_kind"] = node.kind
-        return [(dict(artifact.arrays), meta)]
+        return dict(artifact.arrays), meta
 
 
 class DagScheduler:
@@ -320,13 +322,24 @@ class DagScheduler:
                 )
                 for index, name in enumerate(ready)
             }
-            shards = [Shard(index) for index in batch]
+            results = self.backend.run_shards(
+                _NodeShardFn(batch, self.cache), list(batch)
+            )
             failures: list[_NodeFailure] = []
-            for result in self.backend.run_shards(
-                _NodeShardFn(batch, self.cache), shards
-            ):
+            while True:
+                try:
+                    result = next(results)
+                except StopIteration:
+                    break
+                except DagError as exc:
+                    lost = ", ".join(n for n in ready if n not in done)
+                    raise DagError(
+                        f"{exc}; unpublished node(s) in graph "
+                        f"{graph.name!r}: {lost}; --resume continues from "
+                        f"the published ones"
+                    ) from None
                 node, _, key = batch[result.index]
-                payload = result.values[0]
+                payload = result.value
                 if isinstance(payload, _NodeFailure):
                     failures.append(payload)
                     continue

@@ -4,12 +4,12 @@ The paper's evaluation averages every data point over many
 independently seeded trials (Figure 5 uses 100 datasets per point).
 Batch runs are task graphs (:mod:`repro.dag`): the
 :class:`~repro.dag.DagScheduler` dispatches every ready node as one
-:class:`Shard` to an :class:`Executor` backend — in-process
+``int``-indexed shard to an :class:`Executor` backend, in-process
 (:class:`SerialBackend`) or across a fork-context process pool
-(:class:`ProcessPoolBackend`) — and reports per-node progress on a
-:class:`Telemetry` hub.  Results are bit-identical across backends,
-and interrupted runs resume from the artifact store
-(``repro report --resume``).
+(:class:`ProcessPoolBackend`), and reports per-node progress on a
+:class:`Telemetry` hub.  Results are bit-identical across backends.
+A run that stops (a failed node, a lost pool worker, a kill) resumes
+from the artifact store with ``repro report --resume``.
 
 Multi-arm sweeps are described with the specs in
 :mod:`repro.runtime.specs` (:class:`Arm`, :class:`DatasetSpec`,
@@ -22,9 +22,7 @@ from repro.runtime.backend import (
     Executor,
     ProcessPoolBackend,
     SerialBackend,
-    Shard,
     ShardResult,
-    default_start_method,
     resolve_backend,
 )
 from repro.runtime.specs import Arm, DatasetSpec, FaultSpec
@@ -47,9 +45,7 @@ __all__ = [
     "ProcessPoolBackend",
     "ProgressPrinter",
     "SerialBackend",
-    "Shard",
     "ShardResult",
     "Telemetry",
-    "default_start_method",
     "resolve_backend",
 ]

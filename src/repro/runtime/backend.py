@@ -1,56 +1,35 @@
 """Execution backends: where the DAG scheduler's shards actually run.
 
-Every backend implements the one-method :class:`Executor` interface —
-take a shard function and a list of shards, yield a
-:class:`ShardResult` per shard as each completes (possibly out of
-order) — so everything above them (telemetry, result assembly) is
-backend-agnostic.  The scheduler (:mod:`repro.dag.scheduler`)
-dispatches each ready graph node as one shard.
+Every backend implements the one-method :class:`Executor` interface:
+take a shard function and a list of ``int`` shard indices, and yield
+one :class:`ShardResult` per shard as each completes, possibly out of
+order.  The scheduler (:mod:`repro.dag.scheduler`) dispatches each
+ready graph node as one shard.
 
-:class:`ProcessPoolBackend` prefers a fork-context ``multiprocessing``
-pool and passes the shard function to workers through the pool
-initializer, which fork inherits rather than pickles.  Graph nodes
-typically run closures over lambdas (dataset generators,
-preprocessing arms) that could never cross a pickle boundary; fork
-inheritance lets exactly the same graph run serially or in
-parallel.  Where fork is unavailable (macOS with threads, Windows) the
-backend falls back to the platform's spawn context, which pickles the
-initializer arguments — shard functions must then be picklable
-(module-level functions, or closures rebuilt worker-side from
-picklable specs).  A pre-flight pickle check catches unpicklable shard
-functions before any worker starts: the backend warns once per process
-with the underlying pickle failure reason and degrades to in-process
-serial execution, so the run still completes (values are backend-
-independent) instead of deadlocking the pool or dying mid-campaign.
+:class:`ProcessPoolBackend` runs shards on a fork-context
+:class:`concurrent.futures.ProcessPoolExecutor`.  Workers inherit the
+shard function through fork instead of pickling it, so the closures
+graph nodes run (dataset generators, preprocessing arms) work in
+parallel unchanged.  A worker that dies mid-shard (``os._exit``,
+SIGKILL, the OOM killer) breaks the pool, and the backend raises a
+:class:`~repro.exceptions.DagError` at once instead of waiting for a
+result that will never come.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DagError
 
-
-@dataclass(frozen=True)
-class Shard:
-    """One unit of work handed to a backend.
-
-    Attributes:
-        index: the shard's position in its batch; results come back
-            tagged with it.
-    """
-
-    index: int
-
-
-#: A shard function: runs one shard, returns its values in order.
-ShardFn = Callable[[Shard], list]
+#: A shard function: runs the shard with the given index, returns its value.
+ShardFn = Callable[[int], Any]
 
 
 @dataclass(frozen=True)
@@ -58,14 +37,14 @@ class ShardResult:
     """One completed shard.
 
     Attributes:
-        index: the shard's position in its batch.
-        values: the shard function's results, in order.
+        index: the shard's index in its batch.
+        value: the shard function's return value.
         elapsed_s: wall-clock seconds spent running the shard (measured
             inside the worker, so it excludes queueing).
     """
 
     index: int
-    values: list
+    value: Any
     elapsed_s: float
 
 
@@ -80,25 +59,20 @@ class Executor(ABC):
 
     @abstractmethod
     def run_shards(
-        self, shard_fn: ShardFn, shards: Sequence[Shard]
+        self, shard_fn: ShardFn, shards: Sequence[int]
     ) -> Iterator[ShardResult]:
-        """Run *shard_fn* over *shards*, yielding results as they finish.
-
-        Results may arrive out of shard order; callers reassemble by
-        ``ShardResult.index``.
-        """
+        """Run *shard_fn* over the indices *shards*, yielding results as
+        they finish, in any order; callers reassemble by ``index``."""
 
     def describe(self) -> str:
         """Human-readable backend identity for telemetry."""
         return f"{type(self).__name__}(jobs={self.jobs})"
 
 
-def _timed_shard(shard_fn: ShardFn, shard: Shard) -> ShardResult:
+def _timed_shard(shard_fn: ShardFn, index: int) -> ShardResult:
     start = time.perf_counter()
-    values = list(shard_fn(shard))
-    return ShardResult(
-        index=shard.index, values=values, elapsed_s=time.perf_counter() - start
-    )
+    value = shard_fn(index)
+    return ShardResult(index, value, time.perf_counter() - start)
 
 
 class SerialBackend(Executor):
@@ -107,10 +81,10 @@ class SerialBackend(Executor):
     jobs = 1
 
     def run_shards(
-        self, shard_fn: ShardFn, shards: Sequence[Shard]
+        self, shard_fn: ShardFn, shards: Sequence[int]
     ) -> Iterator[ShardResult]:
-        for shard in shards:
-            yield _timed_shard(shard_fn, shard)
+        for index in shards:
+            yield _timed_shard(shard_fn, index)
 
 
 #: Worker-process slot for the inherited shard function; set by
@@ -123,33 +97,18 @@ def _init_worker(shard_fn: ShardFn) -> None:
     _WORKER_SHARD_FN = shard_fn
 
 
-def _run_worker_shard(shard: Shard) -> ShardResult:
+def _run_worker_shard(index: int) -> ShardResult:
     assert _WORKER_SHARD_FN is not None, "pool worker not initialised"
-    return _timed_shard(_WORKER_SHARD_FN, shard)
-
-
-#: Once-per-process latch for the spawn pre-flight fallback warning, so
-#: a sweep with hundreds of runs reports the degradation exactly once.
-_SPAWN_FALLBACK_WARNED = False
-
-
-def default_start_method() -> str:
-    """The platform's best start method: ``fork`` when available.
-
-    Fork inherits non-picklable shard functions; platforms without it
-    (Windows, and macOS once threads exist) fall back to ``spawn``,
-    where shard functions must be picklable.
-    """
-    available = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in available else "spawn"
+    return _timed_shard(_WORKER_SHARD_FN, index)
 
 
 def resolve_backend(jobs: int = 1) -> Executor:
     """The backend for a batch CLI's ``--jobs`` flag.
 
     ``--jobs 1`` runs in-process (:class:`SerialBackend`); any larger
-    count runs graph nodes across that many worker processes
-    (:class:`ProcessPoolBackend`).
+    count runs graph nodes across that many forked worker processes
+    (:class:`ProcessPoolBackend`), or warns and runs in-process where
+    the platform cannot fork.
 
     Raises:
         ConfigurationError: ``jobs < 1``.
@@ -158,70 +117,61 @@ def resolve_backend(jobs: int = 1) -> Executor:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1:
         return SerialBackend()
+    if "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn(
+            f"--jobs {jobs}: this platform cannot fork worker processes; "
+            f"running in-process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return SerialBackend()
     return ProcessPoolBackend(jobs)
 
 
 class ProcessPoolBackend(Executor):
-    """Runs shards across a multiprocessing pool.
+    """Runs shards across a fork-context process pool.
+
+    A wave that one worker would run stays in-process.  A worker lost
+    mid-shard raises :class:`~repro.exceptions.DagError`; an abandoned
+    wave starts no more shards.
 
     Args:
         jobs: number of worker processes (>= 1).
-        start_method: multiprocessing start method; default picks
-            :func:`default_start_method` (``fork`` where available,
-            else ``spawn``).  Only ``fork`` supports non-picklable
-            shard functions; under ``spawn``/``forkserver`` the shard
-            function crosses a pickle boundary, so a pre-flight pickle
-            check runs before any worker starts and an unpicklable
-            shard function degrades to in-process serial execution
-            with a once-per-process :class:`RuntimeWarning` naming the
-            pickle failure reason.
     """
 
-    def __init__(self, jobs: int, start_method: str | None = None) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if start_method is None:
-            start_method = default_start_method()
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} unavailable on this platform "
-                f"(have {multiprocessing.get_all_start_methods()})"
-            )
         self.jobs = jobs
-        self.start_method = start_method
 
     def run_shards(
-        self, shard_fn: ShardFn, shards: Sequence[Shard]
+        self, shard_fn: ShardFn, shards: Sequence[int]
     ) -> Iterator[ShardResult]:
         shards = list(shards)
-        if not shards:
-            return
         n_workers = min(self.jobs, len(shards))
-        if n_workers == 1:
+        if n_workers <= 1:
             # One worker cannot beat in-process execution; skip the pool.
             yield from SerialBackend().run_shards(shard_fn, shards)
             return
-        if self.start_method != "fork":
-            try:
-                pickle.dumps(shard_fn)
-            except Exception as exc:
-                global _SPAWN_FALLBACK_WARNED
-                if not _SPAWN_FALLBACK_WARNED:
-                    _SPAWN_FALLBACK_WARNED = True
-                    warnings.warn(
-                        f"shard function is not picklable under the "
-                        f"{self.start_method!r} start method "
-                        f"({type(exc).__name__}: {exc}); falling back to "
-                        f"in-process serial execution — use the fork start "
-                        f"method or a picklable (module-level) shard "
-                        f"function for parallel speedup",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                yield from SerialBackend().run_shards(shard_fn, shards)
-                return
-        ctx = multiprocessing.get_context(self.start_method)
-        with ctx.Pool(
-            processes=n_workers, initializer=_init_worker, initargs=(shard_fn,)
-        ) as pool:
-            yield from pool.imap_unordered(_run_worker_shard, shards)
+        # Imported here so that ``import repro`` stays free of them.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(shard_fn,),
+        )
+        try:
+            futures = [pool.submit(_run_worker_shard, index) for index in shards]
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    raise DagError(
+                        "a worker process died before its shard finished"
+                    ) from None
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -109,10 +109,10 @@ class StreamingPsi:
         # the chunk, not one per operation.
         err = observed.astype(np.float64)
         ref = pristine.astype(np.float64)
-        err -= ref
-        np.abs(err, out=err)
-        denom = np.maximum(np.abs(ref, out=ref), self.floor, out=ref)
         with np.errstate(over="ignore", invalid="ignore"):
+            err -= ref
+            np.abs(err, out=err)
+            denom = np.maximum(np.abs(ref, out=ref), self.floor, out=ref)
             err /= denom
         finite = np.isfinite(err)
         np.minimum(err, self.cap, out=err)

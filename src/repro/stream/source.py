@@ -421,6 +421,12 @@ class ArraySource(FrameSource):
                         )
                     frames = archive[key]
             else:
+                # Without the magic, np.load would try pickle and blame it.
+                with open(path, "rb") as fh:
+                    if fh.read(6) != b"\x93NUMPY":
+                        raise DataFormatError(
+                            f"cannot load {path}: not a .npy file (no NumPy magic)"
+                        )
                 frames = np.load(path, mmap_mode="r")
         except DataFormatError:
             raise

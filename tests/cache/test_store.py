@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -360,8 +361,11 @@ class TestConcurrentWriters:
     def test_parallel_same_key_writers_never_serve_torn_data(self, tmp_path):
         """N processes hammering one key: every successful read returns
         a fully committed artifact (last-writer-wins, never a mix)."""
-        with multiprocessing.get_context("fork").Pool(4) as pool:
-            problems = pool.map(_hammer, [(str(tmp_path), w) for w in range(4)])
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(4, mp_context=fork) as pool:
+            problems = list(
+                pool.map(_hammer, [(str(tmp_path), w) for w in range(4)])
+            )
         assert [p for p in problems if p] == []
         final = ArtifactCache(directory=tmp_path).get("shared")
         assert final is not None

@@ -112,7 +112,7 @@ def _assert_identical(swept, reference):
 def _backend(kind):
     if kind == "serial":
         return None
-    return ProcessPoolBackend(2, start_method="fork")
+    return ProcessPoolBackend(2)
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,7 @@ class TestAdaptiveArmsAcrossBackends:
     @needs_fork
     def test_process_pool_matches_serial(self):
         reference = fig2_table()
-        backend = ProcessPoolBackend(jobs=2, start_method="fork")
+        backend = ProcessPoolBackend(jobs=2)
         assert fig2_table(backend) == reference
 
     def test_strategy_arm_labels_present(self):
@@ -77,5 +77,5 @@ class TestAdaptiveArmsAcrossBackends:
             return json.dumps(panels, sort_keys=True)
 
         reference = table()
-        backend = ProcessPoolBackend(jobs=2, start_method="fork")
+        backend = ProcessPoolBackend(jobs=2)
         assert table(backend) == reference

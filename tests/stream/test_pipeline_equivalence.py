@@ -5,6 +5,7 @@ seed, the streaming pipeline's output frames and Ψ values must be
 byte-for-byte identical to the batch pipeline run on the same stream.
 """
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -158,6 +159,17 @@ class TestStreamingPsi:
         acc = StreamingPsi()
         acc.update(np.array([[1.0]]), np.array([[0.0]]))
         assert acc.value == acc.cap  # 1/max(0, floor) clamps to the cap
+
+    def test_non_finite_frames_update_quietly_and_match_psi(self):
+        """``inf - inf`` and ``nan`` count as the cap without a numpy
+        warning, as in :func:`repro.metrics.psi`."""
+        pristine = np.array([[1.0, np.inf, 2.0], [np.nan, 4.0, 8.0]])
+        observed = np.array([[np.inf, np.inf, 2.5], [1.0, np.nan, -np.inf]])
+        acc = StreamingPsi()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc.update(observed, pristine)
+        assert acc.value == pytest.approx(psi(observed, pristine), rel=1e-12)
 
     def test_state_round_trip_is_exact(self):
         rng = np.random.default_rng(3)

@@ -101,43 +101,56 @@ class TestArraySource:
             ArraySource.from_file(path, key="missing")
 
     @pytest.mark.parametrize(
-        "name, write",
+        "name, write, reason",
         [
             pytest.param(
                 "frames.npy",
                 lambda p: p.write_bytes(_npy_bytes()[:-7]),
+                "mmap length is greater than file size",
                 id="truncated-npy",
             ),
-            pytest.param("frames.npy", lambda p: p.write_bytes(b""), id="empty-npy"),
+            pytest.param(
+                "frames.npy",
+                lambda p: p.write_bytes(b""),
+                "not a .npy file (no NumPy magic)",
+                id="empty-npy",
+            ),
             pytest.param(
                 "frames.npy",
                 lambda p: p.write_bytes(b"not a numpy file\n" * 8),
+                "not a .npy file (no NumPy magic)",
                 id="not-numpy",
             ),
             pytest.param(
                 "frames.npy",
                 lambda p: np.save(p, np.array([{}, None], dtype=object)),
+                "Python objects in dtype",
                 id="object-npy",
             ),
             pytest.param(
                 "frames.npz",
                 lambda p: np.savez(p, frames=np.array([{}, None], dtype=object)),
+                "Object arrays cannot be loaded",
                 id="object-npz",
             ),
             pytest.param(
                 "frames.npz",
                 lambda p: p.write_bytes(b"PK\x03\x04" + b"\x00" * 40),
+                "not a zip file",
                 id="not-a-zip",
             ),
         ],
     )
-    def test_damaged_file_is_one_line_data_format_error(self, tmp_path, name, write):
+    def test_damaged_file_is_one_line_data_format_error(
+        self, tmp_path, name, write, reason
+    ):
         path = tmp_path / name
         write(path)
         with pytest.raises(DataFormatError) as excinfo:
             ArraySource.from_file(path)
         message = str(excinfo.value)
         assert message.startswith(f"cannot load {path}: ")
+        assert reason in message
         assert "\n" not in message
 
     def test_scalar_input_rejected(self):

@@ -70,8 +70,8 @@ class TestPublicSurface:
         assert set(repro.runtime.__all__) == {
             "Arm", "DagCompleted", "DagStarted", "DatasetSpec", "Executor",
             "FaultSpec", "NodeCompleted", "ProcessPoolBackend",
-            "ProgressPrinter", "SerialBackend", "Shard", "ShardResult",
-            "Telemetry", "default_start_method", "resolve_backend",
+            "ProgressPrinter", "SerialBackend", "ShardResult", "Telemetry",
+            "resolve_backend",
         }
         assert {"ProcessPoolBackend", "SerialBackend"} <= set(repro.__all__)
 
