@@ -7,8 +7,8 @@ the (seed, Γ) grid.  This subsystem eliminates that redundancy:
 * :mod:`repro.cache.fingerprint` derives a canonical content key from
   (generator config, ``SeedSequence`` entropy, fault-model params);
 * :class:`ArtifactCache` serves artifacts from an in-process LRU tier
-  and an optional crash-safe on-disk tier (``.npz`` + JSON sidecar,
-  atomic rename, size-capped eviction).
+  and an optional crash-safe on-disk tier (one checked ``<key>.art``
+  file per entry, atomic rename, size-capped eviction).
 
 The DAG scheduler (:mod:`repro.dag`) stores every node's output here;
 see docs/CACHING.md for key derivation and tier semantics.

@@ -5,13 +5,13 @@ Usage (via the main entry point)::
     repro cache stats [--cache-dir DIR] [--json]
     repro cache clear [--cache-dir DIR]
 
-``stats`` reports the disk tier's entry count and byte usage (the
-in-memory LRU tier is per-process and therefore always empty from a
-fresh CLI invocation) plus a per-DAG-node-kind breakdown
-(dataset/fault/score/aggregate/...) read from the ``node_kind`` stamp
-each artifact's sidecar carries; ``clear`` deletes every cached
-payload/sidecar pair plus any stale temp files.  Both default to the
-same directory the experiment commands use for ``--cache-dir``.
+``stats`` reports the disk tier's ``.art`` entry count and byte usage
+(the in-memory LRU tier is per-process and therefore always empty from
+a fresh CLI invocation) plus a per-DAG-node-kind breakdown read from
+the ``node_kind`` stamp in each entry's header; ``clear`` deletes every
+entry, stale temp files, and the ``.npz``/``.json`` pairs of the
+store's earlier layout.  Both default to the same directory the
+experiment commands use for ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cache directory {directory} does not exist", file=sys.stderr)
         return 2
     cache = ArtifactCache(max_memory_bytes=0, directory=directory)
-    if args.action == "clear":
-        before, before_bytes = cache.stats().n_disk_entries, cache.stats().disk_bytes
-        cache.clear()
-        print(f"cleared {before} entr{'y' if before == 1 else 'ies'} "
-              f"({before_bytes} bytes) from {directory}")
-        return 0
     stats = cache.stats()
+    if args.action == "clear":
+        cache.clear()
+        print(f"cleared {stats.n_disk_entries} "
+              f"entr{'y' if stats.n_disk_entries == 1 else 'ies'} "
+              f"({stats.disk_bytes} bytes) from {directory}")
+        return 0
     kinds = cache.disk_kind_breakdown()
     if args.json:
         snapshot = {

@@ -6,41 +6,35 @@ of read-only numpy arrays plus a small JSON-able metadata dict (the
 captured RNG state, for example).  Lookups fall through two tiers:
 
 1. the in-process **LRU tier**, byte-capped, promoted on every hit;
-2. the optional **disk tier**: one ``<key>.npz`` payload plus a
-   ``<key>.json`` sidecar per entry, byte-capped with oldest-first
-   eviction.
+2. the optional **disk tier**: one ``<key>.art`` file per entry,
+   byte-capped with oldest-first eviction.  :func:`_decode` checks
+   every file it reads; a damaged, truncated, renamed or hostile file
+   reads as a miss and is deleted, never served.
 
-The disk tier keeps an in-process index of entry sizes and a running
-byte total, seeded by one directory survey at the instance's first disk
-write, so a put below the cap costs no directory scan.  Only a put that
-takes the total past ``max_disk_bytes`` surveys the directory again,
-rebuilding the index from on-disk state (entries written by other
-processes included) and evicting oldest-first by mtime.
+The disk tier keeps a running tally of entry sizes, seeded by one
+directory survey at the instance's first disk write; only a put that
+takes it past ``max_disk_bytes`` surveys again (counting other
+processes' entries) and evicts oldest-first by mtime.
 
-Disk writes are safe under concurrent writers: payload and sidecar are
-written to unique temp files and published with ``os.replace`` (atomic
-on POSIX), so readers never observe a partial file and the last writer
-wins.  Within one process the cache is additionally thread-safe: an
-internal re-entrant lock serialises tier bookkeeping (LRU order, byte
-accounting, counters), so worker-pool threads — the serve layer runs
-every stream's pipeline on a shared thread pool — can share one cache
-instance.  ``get_or_create`` deliberately runs its factory *outside*
-the lock: two threads may race to produce the same key (both results
-are identical by construction, last writer wins), but a slow factory
-never blocks unrelated lookups.  The sidecar records the payload's SHA-256; a torn pair or a
-crash-corrupted payload fails verification and is treated as a miss
-(and deleted), never served.
+Each entry is written to a unique temp file and published with one
+``os.replace`` (atomic on POSIX), so concurrent writers and crashes
+never leave a partial entry and the last writer wins.  An internal
+re-entrant lock serialises tier bookkeeping, so threads can share one
+instance.  ``get_or_create`` runs its factory *outside* the lock: two
+threads may race to produce the same key (identical results by
+construction), but a slow factory never blocks unrelated lookups.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
+import struct
+import sys
 import threading
 import uuid
-import zipfile
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -48,20 +42,134 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataFormatError
 
-#: Sidecar schema version; bump on incompatible layout changes.
-_SIDECAR_VERSION = 1
+#: Entry file magic, version and header length, in file order.
+_PREFIX = struct.Struct("<8sBI")
+_MAGIC = b"REPROART"
+_VERSION = 1
+#: Longest header the decoder parses; real headers are a few hundred bytes.
+_MAX_HEADER = 64 * 1024
+#: Where the header's last field, ``"sha256":"<64 hex digits>"}``, keeps
+#: the digest of every other byte of the file.
+_DIGEST = slice(-66, -2)
+#: numpy's smallest supported ``ndim`` cap (32 before numpy 2).
+_MAX_NDIM = 32
+#: The dtypes an entry may hold: native-order booleans, integers, floats.
+_DTYPES = {np.dtype(c).str: np.dtype(c) for c in "?bBhHiIqQfd"}
+
+
+def _aligned(offset: int) -> int:
+    """*offset* rounded up to the 64-byte boundary every array starts on."""
+    return -(-offset // 64) * 64
+
+
+def _array_fault(name: object, dtype: object, shape: object) -> str | None:
+    """Why array *name* of *dtype* (a ``dtype.str``) and *shape* cannot be
+    stored, or None; ``put`` and the decoder share this rule."""
+    if not isinstance(name, str):
+        return f"array name {name!r} is not a string"
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        return f"dtype {dtype!r} is not one of {sorted(_DTYPES)}"
+    if not (isinstance(shape, list) and len(shape) <= _MAX_NDIM
+            and all(type(n) is int and n >= 0 for n in shape)):
+        return f"shape {shape!r} is not a list of at most {_MAX_NDIM} ints >= 0"
+    if math.prod(max(n, 1) for n in shape) * _DTYPES[dtype].itemsize > sys.maxsize:
+        return f"shape {shape!r} overflows the address space"
+    return None
+
+
+def _decode(
+    path: Path, key: str, payload: bool = True
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (meta, arrays) of the entry file at *path*, checked for *key*.
+
+    The file is ``_PREFIX``, a JSON header ``{"arrays": [[name, dtype.str,
+    shape, offset], ...], "key", "meta", "sha256"}``, then each array's
+    C-order bytes at *offset* from the first aligned byte after the
+    header.  The first fault raises a one-line :class:`DataFormatError`
+    before anything is sized from the file.  Without *payload* (a
+    survey) only the header is read and checked.
+    """
+
+    def refuse(fault: str) -> DataFormatError:
+        return DataFormatError(f"artifact file {path.name}: {fault}"[:300])
+
+    with open(path, "rb", buffering=0) as f:
+        blob = f.read() if payload else f.read(_PREFIX.size + _MAX_HEADER)
+        size = len(blob) if payload else os.fstat(f.fileno()).st_size
+    if len(blob) < _PREFIX.size:
+        raise refuse(f"{size} bytes is shorter than the prefix")
+    magic, version, header_len = _PREFIX.unpack_from(blob)
+    if (magic, version) != (_MAGIC, _VERSION):
+        raise refuse(f"magic {magic!r} version {version} is not this format")
+    if header_len > min(_MAX_HEADER, size - _PREFIX.size):
+        raise refuse(f"header length {header_len} is over the cap or the file")
+    end = _PREFIX.size + header_len
+    try:
+        header = json.loads(blob[_PREFIX.size : end])
+    except (ValueError, RecursionError) as exc:
+        raise refuse(f"header is not JSON ({exc})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise refuse("header lacks its meta object or array list")
+    if header.get("key") != key:
+        raise refuse(f"header names key {header.get('key')!r}")
+    layout, cursor = {}, 0
+    for entry in header["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise refuse(f"malformed array entry {entry!r}")
+        name, dtype, shape, offset = entry
+        fault = _array_fault(name, dtype, shape)
+        if fault is not None:
+            raise refuse(fault)
+        if type(offset) is not int or offset != _aligned(cursor) or name in layout:
+            raise refuse(f"array {name!r} does not tile the payload")
+        layout[name] = (_DTYPES[dtype], shape, math.prod(shape), offset)
+        cursor = offset + math.prod(shape) * _DTYPES[dtype].itemsize
+    if _aligned(end) + cursor != size:
+        raise refuse(f"arrays do not tile the file's {size} bytes")
+    if not payload:
+        return header["meta"], {}
+    with memoryview(blob) as view:
+        sha = hashlib.sha256(view[: end + _DIGEST.start])
+        sha.update(view[end + _DIGEST.stop :])
+    if blob[end + _DIGEST.start : end + _DIGEST.stop] != sha.hexdigest().encode():
+        raise refuse("SHA-256 mismatch")
+    return header["meta"], {
+        name: np.frombuffer(blob, dtype, count, _aligned(end) + offset).reshape(shape)
+        for name, (dtype, shape, count, offset) in layout.items()
+    }
+
+
+def _encode(key: str, arrays: Mapping[str, np.ndarray], meta: dict) -> list[bytes]:
+    """The entry file for *key*, in pieces: the layout :func:`_decode` checks."""
+    table, chunks, cursor = [], [], 0
+    for name, array in arrays.items():
+        offset = _aligned(cursor)
+        table.append([name, array.dtype.str, list(array.shape), offset])
+        chunks += [bytes(offset - cursor), array.tobytes()]
+        cursor = offset + array.nbytes
+    raw = json.dumps({"arrays": table, "key": key, "meta": meta, "sha256": "0" * 64},
+                     sort_keys=True, separators=(",", ":")).encode()
+    if len(raw) > _MAX_HEADER:
+        raise ConfigurationError(f"artifact header for key {key!r} is "
+                                 f"{len(raw)} bytes, over the {_MAX_HEADER}-byte cap")
+    prefix = _PREFIX.pack(_MAGIC, _VERSION, len(raw))
+    pad = bytes(_aligned(len(prefix) + len(raw)) - len(prefix) - len(raw))
+    head, tail = raw[: _DIGEST.start], raw[_DIGEST.stop :]
+    sha = hashlib.sha256(prefix + head)
+    for part in (tail, pad, *chunks):
+        sha.update(part)
+    return [prefix, head, sha.hexdigest().encode(), tail, pad, *chunks]
 
 
 def _frozen(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Read-only views of *arrays* (the stored copies are never mutated)."""
-    frozen = {}
-    for name, array in arrays.items():
-        view = np.asarray(array).view()
+    views = {name: np.asarray(array).view() for name, array in arrays.items()}
+    for view in views.values():
         view.flags.writeable = False
-        frozen[name] = view
-    return frozen
+    return views
 
 
 @dataclass(frozen=True)
@@ -70,9 +178,9 @@ class CachedArtifact:
 
     Attributes:
         arrays: name → read-only ndarray.
-        meta: small JSON-serialisable sidecar data (e.g. the captured
-            generator state needed to resume the trial's RNG stream
-            bit-identically after a cache hit).
+        meta: small JSON-serialisable data stored in the entry's header
+            (e.g. the captured generator state needed to resume the
+            trial's RNG stream bit-identically after a cache hit).
     """
 
     arrays: dict[str, np.ndarray]
@@ -108,7 +216,7 @@ class CacheStats:
         n_memory_entries: entries currently in the LRU tier.
         memory_bytes: payload bytes currently in the LRU tier.
         n_disk_entries: entries currently on disk (0 without a disk tier).
-        disk_bytes: payload + sidecar bytes currently on disk.
+        disk_bytes: entry file bytes currently on disk.
     """
 
     hits: int = 0
@@ -135,24 +243,6 @@ class CacheStats:
         out = {f: getattr(self, f) for f in self.__dataclass_fields__}
         out["hit_rate"] = round(self.hit_rate, 6)
         return out
-
-
-def infer_node_kind(names: list[str], meta: Mapping) -> str:
-    """The DAG node kind of an artifact, from its sidecar fields.
-
-    Prefers the explicit ``node_kind`` stamp; falls back to the array
-    names of the two unstamped artifact shapes older stores hold
-    (``pristine`` and ``corrupted``), and ``"other"`` for anything
-    unrecognised.
-    """
-    kind = meta.get("node_kind")
-    if isinstance(kind, str) and kind:
-        return kind
-    if names == ["pristine"]:
-        return "dataset"
-    if names == ["corrupted"]:
-        return "fault"
-    return "other"
 
 
 class ArtifactCache:
@@ -187,59 +277,43 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedArtifact] = OrderedDict()
         self._memory_bytes = 0
-        # key → payload+sidecar bytes of this instance's view of the disk
+        # key → entry file bytes of this instance's view of the disk
         # tier; None until the first disk write seeds it from a survey.
         self._disk_index: dict[str, int] | None = None
         self._disk_bytes = 0
-        self._counts = {
-            "hits": 0,
-            "misses": 0,
-            "memory_hits": 0,
-            "disk_hits": 0,
-            "puts": 0,
-            "memory_evictions": 0,
-            "disk_evictions": 0,
-            "bytes_saved": 0,
-        }
+        self._counts = dict.fromkeys(
+            ("hits", "misses", "memory_hits", "disk_hits", "puts",
+             "memory_evictions", "disk_evictions", "bytes_saved"), 0
+        )
 
     # -- lookups ----------------------------------------------------------
 
     def get(self, key: str) -> CachedArtifact | None:
         """The artifact stored under *key*, or None on a miss."""
         with self._lock:
-            return self._get_locked(key)
-
-    def _get_locked(self, key: str) -> CachedArtifact | None:
-        artifact = self._memory.get(key)
-        if artifact is not None:
-            self._memory.move_to_end(key)
-            self._hit("memory_hits", artifact)
-            return artifact
-        artifact = self._disk_read(key)
-        if artifact is not None:
-            self._admit_memory(key, artifact)
-            self._hit("disk_hits", artifact)
-            return artifact
-        self._counts["misses"] += 1
-        return None
+            artifact = self._memory.get(key)
+            if artifact is not None:
+                self._memory.move_to_end(key)
+                self._hit("memory_hits", artifact)
+                return artifact
+            artifact = self._disk_read(key)
+            if artifact is not None:
+                self._admit_memory(key, artifact)
+                self._hit("disk_hits", artifact)
+                return artifact
+            self._counts["misses"] += 1
+            return None
 
     def contains(self, key: str) -> bool:
-        """Whether *key* is present and verifiably intact, without loading.
+        """Whether ``get`` would serve *key*, without counting a lookup.
 
-        The DAG scheduler's recovery survey calls this once per node at
-        startup: a memory entry counts as present, and a disk
-        entry counts only when its sidecar parses, matches this key, and
-        the payload's SHA-256 verifies — a torn payload/sidecar pair or
-        a crash-corrupted payload reads as absent (and is deleted), so a
-        node whose publication was interrupted simply re-runs.  No hit
-        or miss counters are touched and nothing is admitted to the
-        memory tier, so surveying a thousand-node graph does not distort
-        campaign telemetry or churn the LRU order.
+        The DAG scheduler's recovery survey calls this once per node, so
+        a node whose publication was interrupted simply re-runs.  No
+        counter moves and nothing is admitted to the memory tier, so a
+        survey neither distorts campaign telemetry nor churns the LRU.
         """
         with self._lock:
-            if key in self._memory:
-                return True
-            return self._disk_verify(key)
+            return key in self._memory or self._disk_read(key) is not None
 
     def get_or_create(
         self, key: str, factory: Callable[[], CachedArtifact]
@@ -255,60 +329,53 @@ class ArtifactCache:
         return produced
 
     def put(self, key: str, artifact: CachedArtifact) -> None:
-        """Store *artifact* under *key* in every writable tier."""
+        """Store *artifact* under *key* in every writable tier.
+
+        Raises:
+            ConfigurationError: an array no entry file may hold, or (with
+                a disk tier) meta too large for the header cap.
+        """
         artifact = CachedArtifact(_frozen(artifact.arrays), dict(artifact.meta))
+        for name, array in artifact.arrays.items():
+            fault = _array_fault(name, array.dtype.str, list(array.shape))
+            if fault is not None:
+                raise ConfigurationError(f"cannot store under key {key!r}: {fault}")
         with self._lock:
-            self._counts["puts"] += 1
-            self._admit_memory(key, artifact)
             self._disk_write(key, artifact)
+            self._admit_memory(key, artifact)
+            self._counts["puts"] += 1
 
     # -- stats / maintenance ----------------------------------------------
 
     def stats(self) -> CacheStats:
         """Current counters plus tier occupancy."""
         with self._lock:
-            n_disk, disk_bytes = self._disk_usage()
+            entries = self._disk_entries()
             return CacheStats(
                 **self._counts,
                 n_memory_entries=len(self._memory),
                 memory_bytes=self._memory_bytes,
-                n_disk_entries=n_disk,
-                disk_bytes=disk_bytes,
+                n_disk_entries=len(entries),
+                disk_bytes=self._disk_bytes,
             )
 
     def disk_kind_breakdown(self) -> dict[str, dict[str, int]]:
         """Disk-tier occupancy grouped by DAG node kind.
 
-        Returns ``{kind: {"entries": n, "bytes": payload+sidecar bytes}}``
-        sorted by descending byte count.  The kind comes from the
-        ``node_kind`` the DAG scheduler stamps into each artifact's
-        sidecar metadata at publication; older entries that carry no
-        stamp are inferred from their array names (``pristine`` →
-        dataset, ``corrupted`` → fault), with everything else grouped
-        under ``"other"``.  Unreadable sidecars
-        are skipped, not deleted — this is a reporting pass, not a
-        verification pass.
+        Returns ``{kind: {"entries": n, "bytes": entry file bytes}}``
+        sorted by descending byte count.  The kind is the ``node_kind``
+        the DAG scheduler stamps into each artifact's meta at
+        publication, or ``"other"`` for an unstamped entry.  Like
+        ``stats``, this reads each entry's checked header only.
         """
         breakdown: dict[str, dict[str, int]] = {}
         with self._lock:
-            if self.directory is None or not self.directory.is_dir():
-                return breakdown
-            for sidecar_path in self.directory.glob("*.json"):
-                try:
-                    sidecar = json.loads(sidecar_path.read_text())
-                    size = sidecar_path.stat().st_size
-                    size += self._payload_path(sidecar_path.stem).stat().st_size
-                except (OSError, json.JSONDecodeError):
-                    continue
-                kind = infer_node_kind(
-                    sidecar.get("names") or [], sidecar.get("meta") or {}
-                )
+            for _, size, _, meta in self._disk_entries():
+                kind = str(meta.get("node_kind") or "other")
                 slot = breakdown.setdefault(kind, {"entries": 0, "bytes": 0})
                 slot["entries"] += 1
                 slot["bytes"] += size
-        return dict(
-            sorted(breakdown.items(), key=lambda kv: -kv[1]["bytes"])
-        )
+        return dict(sorted(breakdown.items(), key=lambda kv: -kv[1]["bytes"]))
 
     def counters(self) -> dict[str, int]:
         """A snapshot of the raw event counters (no occupancy fields)."""
@@ -316,18 +383,17 @@ class ArtifactCache:
             return dict(self._counts)
 
     def clear(self) -> None:
-        """Drop every entry from the memory and disk tiers."""
+        """Drop every entry from both tiers, with stale temp files and
+        the ``.npz``/``.json`` pairs of the store's earlier layout."""
         with self._lock:
-            self._clear_locked()
-
-    def _clear_locked(self) -> None:
-        self._memory.clear()
-        self._memory_bytes = 0
-        self._disk_index = {}
-        self._disk_bytes = 0
-        if self.directory is not None and self.directory.is_dir():
+            self._memory.clear()
+            self._memory_bytes = 0
+            self._disk_index = {}
+            self._disk_bytes = 0
+            if self.directory is None or not self.directory.is_dir():
+                return
             for path in self.directory.iterdir():
-                if path.suffix in (".npz", ".json") or ".tmp-" in path.name:
+                if path.suffix in (".art", ".npz", ".json") or ".tmp-" in path.name:
                     path.unlink(missing_ok=True)
 
     # -- memory tier ------------------------------------------------------
@@ -352,142 +418,71 @@ class ArtifactCache:
 
     # -- disk tier --------------------------------------------------------
 
-    def _payload_path(self, key: str) -> Path:
+    def _path(self, key: str) -> Path:
         assert self.directory is not None
-        return self.directory / f"{key}.npz"
-
-    def _sidecar_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}.art"
 
     def _disk_write(self, key: str, artifact: CachedArtifact) -> None:
         if self.directory is None:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        buffer = io.BytesIO()
-        np.savez(buffer, **artifact.arrays)
-        payload = buffer.getvalue()
-        sidecar = json.dumps(
-            {
-                "version": _SIDECAR_VERSION,
-                "key": key,
-                "names": sorted(artifact.arrays),
-                "nbytes": artifact.nbytes,
-                "payload_sha256": hashlib.sha256(payload).hexdigest(),
-                "meta": artifact.meta,
-            },
-            sort_keys=True,
-        ).encode()
-        # Unique temp names keep concurrent writers of the same key from
-        # trampling each other's half-written files; os.replace publishes
-        # each file atomically, and because both writers derived identical
-        # content from the same fingerprint, last-writer-wins is harmless.
-        token = f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
-        payload_tmp = self._payload_path(key).with_name(
-            self._payload_path(key).name + token
-        )
-        sidecar_tmp = self._sidecar_path(key).with_name(
-            self._sidecar_path(key).name + token
-        )
+        pieces = _encode(key, artifact.arrays, artifact.meta)
+        # A unique temp name keeps concurrent writers of the same key from
+        # trampling each other's half-written file; os.replace publishes it
+        # atomically, and because both writers derived identical content
+        # from the same fingerprint, last-writer-wins is harmless.
+        path = self._path(key)
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}")
         try:
-            payload_tmp.write_bytes(payload)
-            sidecar_tmp.write_bytes(sidecar)
-            os.replace(payload_tmp, self._payload_path(key))
-            os.replace(sidecar_tmp, self._sidecar_path(key))
+            with open(tmp, "wb") as f:
+                f.writelines(pieces)
+            os.replace(tmp, path)
         except OSError:
-            payload_tmp.unlink(missing_ok=True)
-            sidecar_tmp.unlink(missing_ok=True)
+            tmp.unlink(missing_ok=True)
             raise
         if self._disk_index is None:
-            self._survey_disk()
-        size = len(payload) + len(sidecar)
+            self._disk_entries()
+        size = sum(map(len, pieces))
         self._disk_bytes += size - self._disk_index.get(key, 0)
         self._disk_index[key] = size
         if self._disk_bytes > self.max_disk_bytes:
             self._evict_disk()
 
     def _disk_read(self, key: str) -> CachedArtifact | None:
+        """The verified disk entry for *key*; a refused file is deleted."""
         if self.directory is None:
             return None
-        payload_path = self._payload_path(key)
-        sidecar_path = self._sidecar_path(key)
         try:
-            sidecar = json.loads(sidecar_path.read_text())
-            payload = payload_path.read_bytes()
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (
-            sidecar.get("version") != _SIDECAR_VERSION
-            or sidecar.get("key") != key
-            or sidecar.get("payload_sha256")
-            != hashlib.sha256(payload).hexdigest()
-        ):
-            # Torn pair or crash-corrupted payload: never serve it.
+            meta, arrays = _decode(self._path(key), key)
+        except DataFormatError:
             self._drop_disk_entry(key)
             return None
-        try:
-            with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-            self._drop_disk_entry(key)
+        except OSError:
             return None
-        if sorted(arrays) != sidecar.get("names"):
-            self._drop_disk_entry(key)
-            return None
-        return CachedArtifact.build(arrays, sidecar.get("meta") or {})
-
-    def _disk_verify(self, key: str) -> bool:
-        """True when the disk pair for *key* exists and the payload hash
-        matches its sidecar; corrupt or torn pairs are deleted."""
-        if self.directory is None:
-            return False
-        try:
-            sidecar = json.loads(self._sidecar_path(key).read_text())
-            payload = self._payload_path(key).read_bytes()
-        except (OSError, json.JSONDecodeError):
-            return False
-        if (
-            sidecar.get("version") != _SIDECAR_VERSION
-            or sidecar.get("key") != key
-            or sidecar.get("payload_sha256")
-            != hashlib.sha256(payload).hexdigest()
-        ):
-            self._drop_disk_entry(key)
-            return False
-        return True
+        return CachedArtifact.build(arrays, meta)
 
     def _drop_disk_entry(self, key: str) -> None:
-        self._payload_path(key).unlink(missing_ok=True)
-        self._sidecar_path(key).unlink(missing_ok=True)
+        self._path(key).unlink(missing_ok=True)
         if self._disk_index is not None:
             self._disk_bytes -= self._disk_index.pop(key, 0)
 
-    def _disk_entries(self) -> list[tuple[float, int, str]]:
-        """(mtime, bytes, key) per committed disk entry, oldest first."""
-        if self.directory is None or not self.directory.is_dir():
-            return []
+    def _disk_entries(self) -> list[tuple[float, int, str, dict]]:
+        """Survey the directory, rebuilding the disk index from it.
+
+        Returns (mtime, bytes, key, meta) per entry whose header
+        checks, oldest first; refused files are skipped, not deleted.
+        """
         entries = []
-        for sidecar_path in self.directory.glob("*.json"):
-            key = sidecar_path.stem
-            payload_path = self._payload_path(key)
-            try:
-                stat = payload_path.stat()
-                size = stat.st_size + sidecar_path.stat().st_size
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, size, key))
-        entries.sort()
-        return entries
-
-    def _disk_usage(self) -> tuple[int, int]:
-        entries = self._disk_entries()
-        return len(entries), sum(size for _, size, _ in entries)
-
-    def _survey_disk(self) -> list[tuple[float, int, str]]:
-        """Rebuild the disk index from a directory survey; returns the
-        surveyed entries, oldest first."""
-        entries = self._disk_entries()
-        self._disk_index = {key: size for _, size, key in entries}
+        if self.directory is not None and self.directory.is_dir():
+            for path in self.directory.glob("*.art"):
+                try:
+                    stat = path.stat()
+                    meta, _ = _decode(path, path.stem, payload=False)
+                except (OSError, DataFormatError):
+                    continue
+                entries.append((stat.st_mtime, stat.st_size, path.stem, meta))
+        entries.sort(key=lambda entry: entry[:3])
+        self._disk_index = {key: size for _, size, key, _ in entries}
         self._disk_bytes = sum(self._disk_index.values())
         return entries
 
@@ -495,7 +490,7 @@ class ArtifactCache:
         # A fresh survey, not the index: other processes' entries and
         # on-disk mtimes decide what goes.  Oldest-first, but the newest
         # entry (just written) always stays.
-        for _, _, key in self._survey_disk()[:-1]:
+        for _, _, key, _ in self._disk_entries()[:-1]:
             if self._disk_bytes <= self.max_disk_bytes:
                 break
             self._drop_disk_entry(key)

@@ -2,8 +2,8 @@
 
 The scheduler never holds campaign state in memory between runs.  At
 startup it *surveys* the artifact store: a node is done exactly when
-its output artifact exists and verifies (payload SHA-256, checked by
-:meth:`~repro.cache.ArtifactCache.contains`) **and** every ancestor is
+its output artifact exists and verifies (header and SHA-256, checked
+by :meth:`~repro.cache.ArtifactCache.contains`) **and** every ancestor is
 done too.  The recursive condition is what gives subtree-precise
 recovery: corrupt or delete one artifact and only that node and its
 descendants re-execute, while unrelated branches replay as no-ops.  A
@@ -18,8 +18,8 @@ wave, so the serial and process-pool backends run graphs unchanged.
 Workers return the output artifact's arrays and metadata;
 **publication happens only in the parent**, after the worker result is
 consumed, so a crash anywhere between node start and publication
-simply re-runs the node — the atomic payload-then-sidecar publication
-in :mod:`repro.cache.store` guarantees a torn write reads as absent.
+simply re-runs the node — :mod:`repro.cache.store` publishes each
+entry with one atomic rename and reads a damaged file as absent.
 A failed node ends the run after its wave; a lost pool worker ends it
 at once.  Either way the :class:`~repro.exceptions.DagError` names the
 wave's unpublished nodes, and a recovering rerun (``--resume``)

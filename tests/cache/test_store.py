@@ -5,13 +5,20 @@ import hashlib
 import json
 import multiprocessing
 import os
+import struct
+import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache, CachedArtifact
-from repro.exceptions import ConfigurationError
+from repro.cache.store import _decode
+from repro.exceptions import ConfigurationError, DataFormatError
 
 
 def _artifact(nbytes=1024, fill=1, meta=None):
@@ -117,7 +124,7 @@ class TestDiskTier:
         assert fresh.stats().memory_hits == 1
 
     def test_meta_preserves_rng_state_round_trip(self, tmp_path):
-        """The captured generator state must survive the JSON sidecar,
+        """The captured generator state must survive the entry header,
         resuming the stream exactly where it was captured."""
         rng = np.random.default_rng(3)
         rng.integers(100)  # advance past the seed state
@@ -148,7 +155,7 @@ class TestDiskTier:
         )
         for i, key in enumerate(("a", "b", "c")):
             cache.put(key, _artifact(fill=i))
-            os.utime(tmp_path / f"{key}.npz", (i + 1, i + 1))
+            os.utime(tmp_path / f"{key}.art", (i + 1, i + 1))
         cache.put("d", _artifact(fill=9))
         stats = cache.stats()
         assert stats.disk_evictions >= 1
@@ -170,8 +177,8 @@ class TestDiskTier:
 
 
 def _entry_disk_bytes(tmp_path, key):
-    """Payload + sidecar bytes of one :func:`_artifact` stored under a
-    key of *key*'s length (the key is part of the sidecar)."""
+    """Entry file bytes of one :func:`_artifact` stored under a key of
+    *key*'s length (the key is part of the header)."""
     probe = ArtifactCache(directory=tmp_path / "probe")
     probe.put(key, _artifact())
     return probe.stats().disk_bytes
@@ -207,7 +214,7 @@ class TestDiskIndex:
         cache.put("k200", _artifact(fill=200))  # crosses the cap
         assert surveys["n"] == 1
         assert cache.counters()["disk_evictions"] == 1
-        assert not (store / "k000.npz").exists()
+        assert not (store / "k000.art").exists()
         assert cache._disk_bytes == cache.stats().disk_bytes == 200 * entry
 
     def test_reopened_store_counts_existing_entries(self, tmp_path):
@@ -216,11 +223,11 @@ class TestDiskIndex:
         filler = ArtifactCache(directory=store)
         for i, key in enumerate(("a", "b")):
             filler.put(key, _artifact(fill=i))
-            os.utime(store / f"{key}.npz", (i + 1, i + 1))
+            os.utime(store / f"{key}.art", (i + 1, i + 1))
         reopened = ArtifactCache(directory=store, max_disk_bytes=2 * entry)
         reopened.put("c", _artifact(fill=9))
         assert reopened.counters()["disk_evictions"] == 1
-        assert not (store / "a.npz").exists()  # the filler's oldest
+        assert not (store / "a.art").exists()  # the filler's oldest
         assert reopened.contains("b") and reopened.contains("c")
 
     def test_rewriting_one_key_is_not_double_counted(self, tmp_path, surveys):
@@ -245,11 +252,11 @@ class TestDiskIndex:
         cache.put("c", _artifact(fill=3))
         cache.put("d", _artifact(fill=4))
         assert surveys["n"] == 0
-        os.utime(store / "c.npz", (1, 1))
+        os.utime(store / "c.art", (1, 1))
         cache.put("e", _artifact(fill=5))
         assert surveys["n"] == 1
         assert cache.counters()["disk_evictions"] == 1
-        assert not (store / "c.npz").exists()
+        assert not (store / "c.art").exists()
 
     @pytest.mark.parametrize("lookup", ["get", "contains"])
     def test_verification_drop_leaves_the_tally(self, tmp_path, surveys, lookup):
@@ -260,7 +267,7 @@ class TestDiskIndex:
         )
         cache.put("a", _artifact(fill=1))
         cache.put("b", _artifact(fill=2))
-        (store / "b.npz").write_bytes(b"\x00" * 16)
+        (store / "b.art").write_bytes(b"\x00" * 16)
         assert not getattr(cache, lookup)("b")
         assert cache._disk_bytes == entry
         surveys["n"] = 0
@@ -271,77 +278,232 @@ class TestDiskIndex:
 
 
 class TestCorruption:
-    """Crash-mid-write and torn-pair scenarios must read as misses."""
+    """Crash-mid-write and damaged-file scenarios must read as misses."""
 
     def _write_one(self, tmp_path, key="k"):
         ArtifactCache(directory=tmp_path).put(key, _artifact(meta={"m": 1}))
+        return tmp_path / f"{key}.art"
 
     def test_truncated_payload_is_dropped(self, tmp_path):
-        self._write_one(tmp_path)
-        payload = tmp_path / "k.npz"
-        payload.write_bytes(payload.read_bytes()[:-7])
+        entry = self._write_one(tmp_path)
+        entry.write_bytes(entry.read_bytes()[:-7])
         cache = ArtifactCache(directory=tmp_path)
         assert cache.get("k") is None
-        assert not payload.exists()  # corrupt pair deleted, not reserved
+        assert not entry.exists()  # corrupt entry deleted, not reserved
 
     def test_flipped_payload_byte_is_dropped(self, tmp_path):
-        self._write_one(tmp_path)
-        payload = tmp_path / "k.npz"
-        blob = bytearray(payload.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        payload.write_bytes(bytes(blob))
+        entry = self._write_one(tmp_path)
+        blob = bytearray(entry.read_bytes())
+        blob[-8] ^= 0xFF
+        entry.write_bytes(bytes(blob))
         assert ArtifactCache(directory=tmp_path).get("k") is None
 
-    def test_torn_pair_sidecar_without_payload(self, tmp_path):
-        self._write_one(tmp_path)
-        (tmp_path / "k.npz").unlink()
+    def test_file_truncated_inside_header_is_dropped(self, tmp_path):
+        entry = self._write_one(tmp_path)
+        entry.write_bytes(entry.read_bytes()[:40])
         assert ArtifactCache(directory=tmp_path).get("k") is None
+        assert not entry.exists()
 
-    def test_garbage_sidecar_is_dropped(self, tmp_path):
-        self._write_one(tmp_path)
-        (tmp_path / "k.json").write_text("{not json")
+    def test_flipped_header_byte_is_dropped(self, tmp_path):
+        entry = self._write_one(tmp_path)
+        blob = bytearray(entry.read_bytes())
+        blob[blob.index(b'"m":1') + 4] ^= 0x01  # meta {"m": 1} -> {"m": 0}
+        entry.write_bytes(bytes(blob))
         assert ArtifactCache(directory=tmp_path).get("k") is None
+        assert not entry.exists()
 
     def test_key_mismatch_is_dropped(self, tmp_path):
-        """A sidecar renamed onto the wrong key must not be served."""
+        """An entry file renamed onto the wrong key must not be served."""
         self._write_one(tmp_path, key="a")
         self._write_one(tmp_path, key="b")
-        (tmp_path / "a.json").rename(tmp_path / "stolen.json")
-        (tmp_path / "a.npz").rename(tmp_path / "stolen.npz")
+        (tmp_path / "a.art").rename(tmp_path / "stolen.art")
         assert ArtifactCache(directory=tmp_path).get("stolen") is None
+        assert not (tmp_path / "stolen.art").exists()
 
-    def test_wrong_sidecar_version_is_dropped(self, tmp_path):
-        self._write_one(tmp_path)
-        sidecar = tmp_path / "k.json"
-        doc = json.loads(sidecar.read_text())
-        doc["version"] = 999
-        sidecar.write_text(json.dumps(doc))
+    def test_wrong_version_byte_is_dropped(self, tmp_path):
+        entry = self._write_one(tmp_path)
+        blob = bytearray(entry.read_bytes())
+        blob[8] = 99  # the version byte follows the 8-byte magic
+        entry.write_bytes(bytes(blob))
         assert ArtifactCache(directory=tmp_path).get("k") is None
-
-    def test_hash_valid_non_zip_payload_is_dropped(self, tmp_path):
-        """A payload whose sidecar hash matches but which is not a zip
-        passes the survey yet must read as a miss, not raise."""
-        self._write_one(tmp_path)
-        blob = b"PK\x03\x04" + bytes(40)
-        (tmp_path / "k.npz").write_bytes(blob)
-        sidecar = tmp_path / "k.json"
-        doc = json.loads(sidecar.read_text())
-        doc["payload_sha256"] = hashlib.sha256(blob).hexdigest()
-        sidecar.write_text(json.dumps(doc))
-        cache = ArtifactCache(directory=tmp_path)
-        assert cache.contains("k")
-        assert cache.get("k") is None
-        assert not (tmp_path / "k.npz").exists()
-        assert not sidecar.exists()
+        assert not entry.exists()
 
     def test_interrupted_writer_leaves_readable_cache(self, tmp_path):
-        """A killed writer's temp files never shadow the committed entry."""
+        """A killed writer's temp file never shadows the committed entry."""
         self._write_one(tmp_path)
-        # Simulate a crash mid-write: stale temp files from a dead pid.
-        (tmp_path / "k.npz.tmp-999-deadbeef").write_bytes(b"partial")
-        (tmp_path / "k.json.tmp-999-deadbeef").write_text("partial")
+        # Simulate a crash mid-write: a stale temp file from a dead pid.
+        (tmp_path / "k.art.tmp-999-deadbeef").write_bytes(b"partial")
         got = ArtifactCache(directory=tmp_path).get("k")
         assert got is not None and got.meta == {"m": 1}
+
+    def test_old_two_file_layout_reads_as_a_miss(self, tmp_path):
+        """``<key>.npz`` + ``<key>.json`` pairs of the earlier layout
+        are never read: the entry is a miss and the node re-runs."""
+        (tmp_path / "k.npz").write_bytes(b"PK\x03\x04" + bytes(40))
+        (tmp_path / "k.json").write_text('{"key": "k", "meta": {}}')
+        cache = ArtifactCache(directory=tmp_path)
+        assert not cache.contains("k") and cache.get("k") is None
+        assert cache.stats().n_disk_entries == 0
+
+
+def _entry_blob(arrays, meta=None):
+    """The bytes of the entry file ``put`` writes for *arrays* under "k"."""
+    with tempfile.TemporaryDirectory() as directory:
+        ArtifactCache(directory=directory).put(
+            "k", CachedArtifact.build(arrays, meta or {})
+        )
+        return (Path(directory) / "k.art").read_bytes()
+
+
+_BLOB = _entry_blob(
+    {
+        "field": np.arange(4096, dtype=np.float64).reshape(64, 64),
+        "mask": np.arange(300, dtype=np.uint8),
+        "gain": np.array(3.5),
+        "ids": np.arange(7, dtype=np.uint16),
+    },
+    {"node_kind": "score", "rng_state": {"state": 2**70, "inc": 3}},
+)
+_HEADER_LEN = struct.unpack_from("<I", _BLOB, 9)[0]
+_HEADER = json.loads(_BLOB[13 : 13 + _HEADER_LEN])
+_BODY = _BLOB[-(-(13 + _HEADER_LEN) // 64) * 64 :]
+
+
+def _craft(header, body=_BODY, header_len=None):
+    """An entry file for *header* and *body* with a valid SHA-256,
+    written from the documented layout rather than by the store."""
+    raw = json.dumps(
+        {**header, "sha256": "0" * 64}, sort_keys=True, separators=(",", ":")
+    ).encode()
+    prefix = struct.pack(
+        "<8sBI", b"REPROART", 1, len(raw) if header_len is None else header_len
+    )
+    pad = bytes(-(len(prefix) + len(raw)) % 64)
+    digest = hashlib.sha256(prefix + raw[:-66] + raw[-2:] + pad + body)
+    return prefix + raw[:-66] + digest.hexdigest().encode() + raw[-2:] + pad + body
+
+
+def _with_array_field(index, field, value):
+    table = [list(entry) for entry in _HEADER["arrays"]]
+    table[index][field] = value
+    return _craft({**_HEADER, "arrays": table})
+
+
+#: Every phrase a refusal may name, one per check of the decoder.
+_FAULTS = (
+    "shorter than the prefix", "is not this format", "header length",
+    "header is not JSON", "header lacks", "header names key",
+    "malformed array entry", "array name", "dtype", "shape", "tile",
+    "SHA-256 mismatch",
+)
+
+
+def _truncated(n):
+    if n < 13:
+        return "shorter than the prefix"
+    return "header length" if n < 13 + _HEADER_LEN else "tile"
+
+
+_array_index = st.integers(0, len(_HEADER["arrays"]) - 1)
+_DAMAGE = st.one_of(
+    st.integers(0, len(_BLOB) - 1).map(lambda n: (_BLOB[:n], _truncated(n))),
+    st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(0, 7)).map(
+        lambda at: (
+            _BLOB[: at[0]] + bytes([_BLOB[at[0]] ^ (1 << at[1])]) + _BLOB[at[0] + 1 :],
+            None,
+        )
+    ),
+    st.sampled_from([len(_BLOB), 64 * 1024 + 1, 2**32 - 1]).map(
+        lambda n: (_craft(_HEADER, header_len=n), "header length")
+    ),
+    st.tuples(_array_index, st.sampled_from(["|O", ">f8", "|V8", "<c16", 8])).map(
+        lambda c: (_with_array_field(c[0], 1, c[1]), "dtype")
+    ),
+    st.tuples(
+        _array_index,
+        st.sampled_from(
+            [[-1], [2**62, 2**62], [2**70], [1.5], ["8"], [True], [1] * 33, 8]
+        ),
+    ).map(lambda c: (_with_array_field(c[0], 2, c[1]), "shape")),
+    st.sampled_from(
+        [
+            _with_array_field(0, 2, [63, 64]),
+            _with_array_field(1, 3, 32768 + 64),
+            _with_array_field(3, 3, 33152.0),
+            _craft({**_HEADER, "arrays": _HEADER["arrays"] * 2}),
+            _craft(_HEADER, _BODY + b"\x00"),
+            _craft(_HEADER, _BODY[:-1]),
+        ]
+    ).map(lambda blob: (blob, "tile")),
+    st.just((_craft({**_HEADER, "key": "other"}), "header names key")),
+)
+
+
+class TestHostileFile:
+    """Damaged and hostile entry files: every one is a miss, with one
+    named fault, and a refused read stays within the file's size."""
+
+    def test_crafted_file_round_trips(self, tmp_path):
+        """The documented layout, written independently, is served."""
+        assert _craft(_HEADER) == _BLOB
+        (tmp_path / "k.art").write_bytes(_craft(_HEADER))
+        got = ArtifactCache(directory=tmp_path).get("k")
+        assert got.meta["rng_state"]["state"] == 2**70
+        np.testing.assert_array_equal(
+            got.arrays["field"], np.arange(4096.0).reshape(64, 64)
+        )
+        for array in got.arrays.values():
+            assert not array.flags.writeable and array.flags.aligned
+
+    @seed(2003)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(damage=_DAMAGE)
+    def test_damaged_file_reads_as_a_miss(self, damage):
+        blob, fault = damage
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "k.art"
+            path.write_bytes(blob)
+            with pytest.raises(DataFormatError) as refused:
+                _decode(path, "k")
+            message = str(refused.value)
+            assert "\n" not in message and message.startswith("artifact file k.art: ")
+            assert fault in message if fault else any(f in message for f in _FAULTS)
+            cache = ArtifactCache(max_memory_bytes=0, directory=directory)
+            assert cache.contains("k") is False and not path.exists()
+            path.write_bytes(blob)
+            tracemalloc.start()
+            try:
+                got = cache.get("k")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got is None and not path.exists()
+            assert peak <= len(blob) + 16 * 1024
+
+    def test_every_truncation_is_a_miss(self, tmp_path):
+        blob = _entry_blob({"x": np.arange(40.0)}, {"m": 1})
+        path = tmp_path / "k.art"
+        cache = ArtifactCache(max_memory_bytes=0, directory=tmp_path)
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            assert not cache.contains("k")
+            path.write_bytes(blob[:n])
+            assert cache.get("k") is None and not path.exists()
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.array([object()]), np.zeros(2, ">f8"), np.zeros(2, "<c16"),
+         np.zeros((1,) * 33)],
+    )
+    def test_put_refuses_what_no_file_may_hold(self, tmp_path, array):
+        cache = ArtifactCache(directory=tmp_path)
+        with pytest.raises(ConfigurationError, match="cannot store"):
+            cache.put("k", CachedArtifact.build({"a": array}))
+        with pytest.raises(ConfigurationError, match="not a string"):
+            cache.put("k", CachedArtifact.build({3: np.zeros(2)}))
+        with pytest.raises(ConfigurationError, match="cap"):
+            cache.put("k", CachedArtifact.build({"a": np.zeros(2)}, {"m": "x" * 70000}))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _hammer(args):
@@ -390,16 +552,18 @@ class TestContains:
     def test_corrupt_payload_reads_as_absent(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
         cache.put("k", _artifact())
-        (tmp_path / "k.npz").write_bytes(b"\x00" * 16)
+        (tmp_path / "k.art").write_bytes(b"\x00" * 16)
         fresh = ArtifactCache(directory=tmp_path)
         assert not fresh.contains("k")
 
-    def test_torn_pair_reads_as_absent(self, tmp_path):
+    def test_truncated_file_reads_as_absent(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
         cache.put("k", _artifact())
-        (tmp_path / "k.json").unlink()
+        entry = tmp_path / "k.art"
+        entry.write_bytes(entry.read_bytes()[:-1])
         fresh = ArtifactCache(directory=tmp_path)
         assert not fresh.contains("k")
+        assert not entry.exists()
 
 
 class TestKindBreakdown:
@@ -419,18 +583,12 @@ class TestKindBreakdown:
         cache.put("big", _artifact(nbytes=8192, meta={"node_kind": "dataset"}))
         assert list(cache.disk_kind_breakdown()) == ["dataset", "score"]
 
-    def test_legacy_entries_fall_back_to_array_names(self, tmp_path):
-        from repro.cache.store import infer_node_kind
-
-        assert infer_node_kind(["pristine"], {}) == "dataset"
-        assert infer_node_kind(["corrupted"], {}) == "fault"
-        assert infer_node_kind(["values"], {}) == "other"
+    def test_unstamped_entry_counts_as_other(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
-        cache.put(
-            "legacy",
-            CachedArtifact.build({"pristine": np.zeros(8)}),
-        )
-        assert "dataset" in cache.disk_kind_breakdown()
+        cache.put("unstamped", CachedArtifact.build({"pristine": np.zeros(8)}))
+        breakdown = cache.disk_kind_breakdown()
+        assert list(breakdown) == ["other"]
+        assert breakdown["other"]["entries"] == 1
 
     def test_memory_only_cache_has_empty_breakdown(self):
         cache = ArtifactCache()

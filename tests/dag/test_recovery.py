@@ -2,9 +2,9 @@
 
 The scheduler's recovery contract: completion state is *only* what the
 artifact store can verify.  These tests materialise each way a run can
-be interrupted — killed after the payload but before the sidecar,
-killed mid-node (no files at all), or a completed artifact corrupted
-later — and check that a rerun re-executes exactly the invalidated
+be interrupted — killed before the publishing rename (only a temp
+file), killed mid-node (no files at all), or a completed artifact
+corrupted later — and check that a rerun re-executes exactly the invalidated
 subtree, nothing more, with final outputs identical to an
 uninterrupted run.
 """
@@ -53,20 +53,22 @@ def run_resumed(directory, build):
 
 
 class TestKillBoundaries:
-    def test_kill_after_payload_before_sidecar(self, tmp_path):
-        """The payload/sidecar pair is published payload-first; a kill
-        between the two renames must read as 'node never ran'."""
+    def test_kill_before_replace_leaves_only_a_temp_file(self, tmp_path):
+        """Each entry is published by one os.replace of a temp file; a
+        kill before it must read as 'node never ran', and ``clear``
+        removes the orphaned temp file."""
         graph = TaskGraph("g")
         diamond(graph)
         scheduler = disk_scheduler(tmp_path)
         scheduler.run(graph)
-        key = graph.output_key("b")
-        (tmp_path / f"{key}.json").unlink()  # sidecar never landed
-        assert (tmp_path / f"{key}.npz").exists()
+        entry = tmp_path / f"{graph.output_key('b')}.art"
+        entry.rename(entry.with_name(f"{entry.name}.tmp-999-deadbeef"))
         outputs, ran, replayed = run_resumed(tmp_path, diamond)
         assert ran == {"b", "d"}
         assert replayed == {"a", "c"}
         assert float(outputs["d"].arrays["x"][0]) == 112.0
+        ArtifactCache(directory=tmp_path).clear()
+        assert list(tmp_path.iterdir()) == []
 
     def test_kill_mid_node_leaves_no_trace(self, tmp_path):
         """A node killed before any file lands is simply pending; the
@@ -86,7 +88,7 @@ class TestKillBoundaries:
         graph = TaskGraph("g")
         diamond(graph)
         disk_scheduler(tmp_path).run(graph)
-        payload = tmp_path / f"{graph.output_key('c')}.npz"
+        payload = tmp_path / f"{graph.output_key('c')}.art"
         payload.write_bytes(b"\x00" * 32)
         outputs, ran, replayed = run_resumed(tmp_path, diamond)
         assert ran == {"c", "d"}
@@ -97,7 +99,7 @@ class TestKillBoundaries:
         graph = TaskGraph("g")
         diamond(graph)
         disk_scheduler(tmp_path).run(graph)
-        (tmp_path / f"{graph.output_key('a')}.npz").write_bytes(b"junk")
+        (tmp_path / f"{graph.output_key('a')}.art").write_bytes(b"junk")
         _, ran, replayed = run_resumed(tmp_path, diamond)
         assert ran == {"a", "b", "c", "d"}
         assert replayed == set()
@@ -200,7 +202,7 @@ class TestRecoveryProperties:
             disk_scheduler(directory).run(graph)
             lost = {f"n{i}" for i in lost_indexes}
             for name in lost:
-                (Path(directory) / f"{graph.output_key(name)}.npz").unlink()
+                (Path(directory) / f"{graph.output_key(name)}.art").unlink()
 
             expected_done = {}
             for name in graph.topo_order():

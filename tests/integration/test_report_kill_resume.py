@@ -93,7 +93,7 @@ def test_killed_run_resumes_byte_identical(tmp_path, reference, kill_after):
     cache_dir = tmp_path / "cache"
     _kill_at(kill_after, cache_dir)
     # The kill left a partial store behind — some nodes, not all.
-    published = list(cache_dir.glob("*.json"))
+    published = list(cache_dir.glob("*.art"))
     assert published, "killed run should have published completed nodes"
 
     json_path, out_path = tmp_path / "panels.json", tmp_path / "report.md"
