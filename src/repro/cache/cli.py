@@ -9,8 +9,8 @@ Usage (via the main entry point)::
 (the in-memory LRU tier is per-process and therefore always empty from
 a fresh CLI invocation) plus a per-DAG-node-kind breakdown read from
 the ``node_kind`` stamp in each entry's header; ``clear`` deletes every
-entry, stale temp files, and the ``.npz``/``.json`` pairs of the
-store's earlier layout.  Both default to the same directory the
+entry, stale temp files, and the ``<key>.npz``/``<key>.json`` pairs of
+the store's earlier layout, and no other file.  Both default to the same directory the
 experiment commands use for ``--cache-dir``.
 """
 

@@ -20,9 +20,7 @@ Each entry is written to a unique temp file and published with one
 ``os.replace`` (atomic on POSIX), so concurrent writers and crashes
 never leave a partial entry and the last writer wins.  An internal
 re-entrant lock serialises tier bookkeeping, so threads can share one
-instance.  ``get_or_create`` runs its factory *outside* the lock: two
-threads may race to produce the same key (identical results by
-construction), but a slow factory never blocks unrelated lookups.
+instance.
 """
 
 from __future__ import annotations
@@ -31,12 +29,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import sys
 import threading
 import uuid
 from collections import OrderedDict
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +54,8 @@ _MAX_HEADER = 64 * 1024
 _DIGEST = slice(-66, -2)
 #: numpy's smallest supported ``ndim`` cap (32 before numpy 2).
 _MAX_NDIM = 32
+#: An entry's file name in the store's earlier two-file layout.
+_OLD_LAYOUT = re.compile(r"[0-9a-f]{64}\.(npz|json)")
 #: The dtypes an entry may hold: native-order booleans, integers, floats.
 _DTYPES = {np.dtype(c).str: np.dtype(c) for c in "?bBhHiIqQfd"}
 
@@ -140,6 +141,22 @@ def _decode(
         name: np.frombuffer(blob, dtype, count, _aligned(end) + offset).reshape(shape)
         for name, (dtype, shape, count, offset) in layout.items()
     }
+
+
+def _is_store_file(path: Path) -> bool:
+    """Whether ``clear`` may delete *path*: an entry file (``.art`` with
+    the format's magic), a writer's ``.art.tmp-`` temp file, or one half
+    of an earlier layout's ``<64-hex key>.npz``/``.json`` pair."""
+    name = path.name
+    if ".art.tmp-" in name or _OLD_LAYOUT.fullmatch(name):
+        return True
+    if path.suffix != ".art":
+        return False
+    try:
+        with open(path, "rb") as f:
+            return f.read(len(_MAGIC)) == _MAGIC
+    except OSError:
+        return False
 
 
 def _encode(key: str, arrays: Mapping[str, np.ndarray], meta: dict) -> list[bytes]:
@@ -232,18 +249,6 @@ class CacheStats:
     n_disk_entries: int = 0
     disk_bytes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses); 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot, including the derived hit rate."""
-        out = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        out["hit_rate"] = round(self.hit_rate, 6)
-        return out
-
 
 class ArtifactCache:
     """Content-addressed artifact cache with LRU memory + disk tiers.
@@ -315,19 +320,6 @@ class ArtifactCache:
         with self._lock:
             return key in self._memory or self._disk_read(key) is not None
 
-    def get_or_create(
-        self, key: str, factory: Callable[[], CachedArtifact]
-    ) -> CachedArtifact:
-        """The cached artifact for *key*, producing and storing on miss."""
-        artifact = self.get(key)
-        if artifact is not None:
-            return artifact
-        produced = factory()
-        if not isinstance(produced, CachedArtifact):
-            produced = CachedArtifact.build(produced)
-        self.put(key, produced)
-        return produced
-
     def put(self, key: str, artifact: CachedArtifact) -> None:
         """Store *artifact* under *key* in every writable tier.
 
@@ -384,7 +376,8 @@ class ArtifactCache:
 
     def clear(self) -> None:
         """Drop every entry from both tiers, with stale temp files and
-        the ``.npz``/``.json`` pairs of the store's earlier layout."""
+        the ``<key>.npz``/``<key>.json`` pairs of the store's earlier
+        layout.  Any other file in the directory is left alone."""
         with self._lock:
             self._memory.clear()
             self._memory_bytes = 0
@@ -393,7 +386,7 @@ class ArtifactCache:
             if self.directory is None or not self.directory.is_dir():
                 return
             for path in self.directory.iterdir():
-                if path.suffix in (".art", ".npz", ".json") or ".tmp-" in path.name:
+                if _is_store_file(path):
                     path.unlink(missing_ok=True)
 
     # -- memory tier ------------------------------------------------------

@@ -58,56 +58,60 @@ def run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:
 def _sweep_fixed(
     pixels: np.ndarray, cfg: NGSTConfig, sensitivities: Sequence[float]
 ) -> list[NGSTResult]:
-    """Algorithm 1 at every Λ of *sensitivities* on one stack.
+    """Algorithm 1 at every Λ of *sensitivities* on one stack, in one vote.
 
     The voter matrix and the ordered ways do not depend on Λ and are
-    built once; only the thresholds and everything downstream of them
-    are per Λ.
+    built once.  The L Λs' survivor masks form one ``(Υ, L, P)`` array
+    over the P pixels, and the vote visits only the *active* pixels —
+    those with a surviving voter at some Λ — gathered once in the pixel
+    dtype; every other pixel gets a zero correction.  A higher Λ lowers
+    the thresholds, so the union is the highest Λ's active set, and a
+    one-Λ sweep (:func:`run_fixed`) visits exactly its own: this step's
+    cost grows with Λ (§3.2, Fig. 3).  The combiners then run once over
+    ``(Υ, L·A)``.
     """
     matrix = VoterMatrix(pixels, cfg.upsilon)
     nbits = bitops.bit_width(pixels.dtype)
-    sweep = matrix.threshold_sweep(
+    thresholds = matrix.threshold_sweep(
         sensitivities, per_coordinate=cfg.per_coordinate_thresholds
     )
-    return [_vote(matrix, thresholds, nbits) for thresholds in sweep]
-
-
-def _vote(matrix: VoterMatrix, thresholds: np.ndarray, nbits: int) -> NGSTResult:
-    """Prune, combine and correct at one set of thresholds.
-
-    The vote visits only the *active* pixels — those with at least one
-    surviving voter — gathered in the pixel dtype; every other pixel gets
-    a zero correction.  A higher Λ lowers the thresholds and admits more
-    active pixels, so this step's cost grows with Λ (§3.2, Fig. 3).
-    """
-    pixels = matrix.pixels
-    windows = BitWindows.from_thresholds(thresholds, nbits)
-    keep = matrix.survivors(thresholds).reshape(matrix.upsilon, -1)
-    active = np.flatnonzero(keep.any(axis=0))
-    corr = np.zeros(pixels.size, dtype=pixels.dtype)
+    n_sweep, upsilon = thresholds.shape[:2]
+    windows = BitWindows.sweep_from_thresholds(thresholds, nbits)
+    keep = matrix.survivor_sweep(thresholds).reshape(upsilon, n_sweep, -1)
+    active = np.flatnonzero(keep.reshape(upsilon * n_sweep, -1).any(axis=0))
+    corr = np.zeros((n_sweep, pixels.size), dtype=pixels.dtype)
+    n_bits = np.zeros(n_sweep, dtype=np.int64)
     if active.size:
         # np.take and a multiply by the mask are several times faster
         # than fancy indexing and np.where on these small-integer dtypes.
-        xors = np.take(matrix.xors.reshape(matrix.upsilon, -1), active, axis=1)
-        voters = np.multiply(xors, np.take(keep, active, axis=1), dtype=pixels.dtype)
-        unanimous = VoterMatrix.unanimous(voters)
-        grt = VoterMatrix.grt(voters)
+        keep = keep.take(active, axis=2)
+        xors = matrix.xors.reshape(upsilon, 1, -1).take(active, axis=2)
+        voters = np.multiply(xors, keep, dtype=pixels.dtype).reshape(upsilon, -1)
+        unanimous = VoterMatrix.unanimous(voters).reshape(n_sweep, -1)
+        grt = VoterMatrix.grt(voters).reshape(n_sweep, -1)
         # The masks hold only bits below 2**nbits, so the cast is exact;
         # per-coordinate masks are read at each active pixel's coordinate.
-        msb = windows.msb_mask.astype(pixels.dtype).reshape(-1)
-        lsb = windows.lsb_mask.astype(pixels.dtype).reshape(-1)
-        if lsb.size > 1:
-            coords = active % lsb.size
-            msb, lsb = np.take(msb, coords), np.take(lsb, coords)
-        corr[active] = (unanimous | (grt & msb)) & lsb
-    corr = corr.reshape(pixels.shape)
-    return NGSTResult(
-        corrected=np.bitwise_xor(pixels, corr),
-        correction_vectors=corr,
-        windows=windows,
-        n_pixels_corrected=int(np.count_nonzero(corr)),
-        n_bits_corrected=int(bitops.popcount(corr).sum()),
-    )
+        msb = np.array([w.msb_mask for w in windows], dtype=pixels.dtype)
+        lsb = np.array([w.lsb_mask for w in windows], dtype=pixels.dtype)
+        msb, lsb = msb.reshape(n_sweep, -1), lsb.reshape(n_sweep, -1)
+        if lsb.shape[1] > 1:
+            coords = active % lsb.shape[1]
+            msb, lsb = msb.take(coords, axis=1), lsb.take(coords, axis=1)
+        votes = (unanimous | (grt & msb)) & lsb
+        corr[:, active] = votes
+        n_bits = bitops.popcount(votes).sum(axis=1)
+    corr = corr.reshape((n_sweep,) + pixels.shape)
+    corrected = np.bitwise_xor(pixels, corr)
+    return [
+        NGSTResult(
+            corrected=corrected[i],
+            correction_vectors=corr[i],
+            windows=windows[i],
+            n_pixels_corrected=int(np.count_nonzero(corr[i])),
+            n_bits_corrected=int(n_bits[i]),
+        )
+        for i in range(n_sweep)
+    ]
 
 
 def _reference_run_fixed(pixels: np.ndarray, cfg: NGSTConfig) -> NGSTResult:

@@ -117,9 +117,10 @@ def mask_at_or_above(threshold_pow2: np.ndarray | int, nbits: int) -> np.ndarray
     full = (1 << nbits) - 1
     scalar = np.isscalar(threshold_pow2)
     t = np.atleast_1d(np.asarray(threshold_pow2, dtype=np.uint64))
-    if np.any(t == 0) or np.any((t & (t - 1)) != 0):
+    below = t - np.uint64(1)
+    if (t == 0).any() or (t & below).any():
         raise DataFormatError("threshold must be a nonzero power of two")
-    masks = (np.uint64(full) ^ (t - np.uint64(1))) & np.uint64(full)
+    masks = (np.uint64(full) ^ below) & np.uint64(full)
     if scalar:
         return int(masks[0])
     return masks

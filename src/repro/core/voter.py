@@ -170,11 +170,14 @@ class VoterMatrix:
 
     def threshold_sweep(
         self, sensitivities: Sequence[float], per_coordinate: bool = True
-    ) -> list[np.ndarray]:
-        """:meth:`thresholds` at every Λ of *sensitivities*, in order.
+    ) -> np.ndarray:
+        """:meth:`thresholds` at every Λ of *sensitivities*, stacked.
 
-        The ways are ordered along the temporal axis once for the whole
-        sweep, so each Λ's Φ(Λ)-th greatest element is a read.  One
+        Returns a uint64 array of shape ``(L,) + thresholds.shape`` whose
+        row ``l`` is ``thresholds(sensitivities[l])``.  The ways are
+        ordered along the temporal axis once for the whole sweep, so
+        each Λ's Φ(Λ)-th greatest element is a read, and one
+        :func:`~repro.core.bitops.ceil_pow2` call rounds every rank.  One
         distinct rank needs only a partition; several take a full sort,
         which on 64-long lanes costs what a single partition does.
         """
@@ -182,25 +185,32 @@ class VoterMatrix:
         # temporal axis of each way.
         kths = [self.n_variants - phi_rank(s, self.n_variants) for s in sensitivities]
         if per_coordinate and self.xors.ndim > 2:
-            lanes = self.xors
+            coords = self.xors.shape[2:]
+            # (Υ, C, N): each coordinate's temporal lane made contiguous,
+            # which halves the cost of ordering it.
+            lanes = np.ascontiguousarray(
+                self.xors.reshape(self.upsilon, self.n_variants, -1).transpose(0, 2, 1)
+            )
         else:
-            lanes = self.xors.reshape(self.upsilon, -1)
+            coords = ()
+            lanes = self.xors.reshape(self.upsilon, 1, -1)
             # Rank Φ is defined over N statistics; for the global variant
             # scale the rank to the flattened length to keep the same
             # quantile.
-            total = lanes.shape[1]
+            total = lanes.shape[2]
             kths = [
                 min(total - 1, max(0, round(kth * total / self.n_variants)))
                 for kth in kths
             ]
         if len(set(kths)) == 1:
-            ordered = np.partition(lanes, kths[0], axis=1)
+            ordered = np.partition(lanes, kths[0], axis=2)
         else:
-            ordered = np.sort(lanes, axis=1)
-        return [
-            np.asarray(bitops.ceil_pow2(ordered[:, kth]), dtype=np.uint64)
-            for kth in kths
-        ]
+            ordered = np.sort(lanes, axis=2)
+        # (Υ, C, L) → (L, Υ, C): one row of way thresholds per Λ.
+        selected = np.ascontiguousarray(ordered[:, :, kths].transpose(2, 0, 1))
+        return np.asarray(bitops.ceil_pow2(selected), dtype=np.uint64).reshape(
+            (len(kths), self.upsilon) + coords
+        )
 
     def survivors(self, thresholds: np.ndarray) -> np.ndarray:
         """Boolean ``(Υ, N, ...)`` mask of the voters that survive pruning.
@@ -210,28 +220,41 @@ class VoterMatrix:
         (and coordinate).
         """
         thresholds = np.asarray(thresholds, dtype=np.uint64)
-        if thresholds.ndim < 1 or thresholds.shape[0] != self.upsilon:
+        return self.survivor_sweep(thresholds[np.newaxis])[:, 0]
+
+    def survivor_sweep(self, stacked: np.ndarray) -> np.ndarray:
+        """:meth:`survivors` of every row of *stacked*, as ``(Υ, L, N, ...)``.
+
+        *stacked* is ``(L, Υ)`` or ``(L, Υ) + coords``, one row of way
+        thresholds per Λ, as :meth:`threshold_sweep` returns it.
+        """
+        stacked = np.asarray(stacked, dtype=np.uint64)
+        if stacked.ndim < 2 or stacked.shape[1] != self.upsilon:
             raise DataFormatError(
-                f"expected {self.upsilon} way thresholds, got shape {thresholds.shape}"
+                f"expected {self.upsilon} way thresholds, got shape {stacked.shape[1:]}"
             )
-        coords = thresholds.shape[1:]
+        coords = stacked.shape[2:]
         if coords and coords != self.pixels.shape[1:]:
             raise DataFormatError(
                 f"per-coordinate thresholds of shape {coords} do not match "
                 f"the stack's coordinates {self.pixels.shape[1:]}"
             )
-        # Broadcast against the (Υ, N, ...) voters: global (Υ,)
-        # thresholds over the temporal axis and every coordinate axis,
-        # per-coordinate (Υ, ...) ones over the temporal axis.  The
-        # comparison runs in the voters' own dtype: a threshold above the
-        # dtype's maximum (e.g. 2**16 for uint16) prunes everything, which
+        # Broadcast against the (Υ, 1, N, ...) voters: global thresholds
+        # over the temporal axis and every coordinate axis,
+        # per-coordinate ones over the temporal axis.  The comparison
+        # runs in the voters' own dtype: a threshold above the dtype's
+        # maximum (e.g. 2**16 for uint16) prunes everything, which
         # clamping to the maximum reproduces without materializing a
         # uint64 copy of the whole voter array.
-        expanded = thresholds.reshape(
-            (self.upsilon,) + (1,) * (self.xors.ndim - 1 - len(coords)) + coords
+        expanded = stacked.swapaxes(0, 1).reshape(
+            stacked.shape[1::-1]
+            + (1,) * (self.xors.ndim - 1 - len(coords))
+            + coords
         )
         dtype_max = np.uint64(np.iinfo(self.xors.dtype).max)
-        return self.xors > np.minimum(expanded, dtype_max).astype(self.xors.dtype)
+        return self.xors[:, np.newaxis] > np.minimum(expanded, dtype_max).astype(
+            self.xors.dtype
+        )
 
     def pruned(self, thresholds: np.ndarray) -> np.ndarray:
         """Voters with natural-variation entries zeroed.

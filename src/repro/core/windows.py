@@ -54,11 +54,28 @@ class BitWindows:
         thresholds = np.asarray(thresholds, dtype=np.uint64)
         if thresholds.ndim < 1:
             raise DataFormatError("thresholds must have a leading way axis")
-        low = np.min(thresholds, axis=0)
-        high = np.max(thresholds, axis=0)
+        return cls.sweep_from_thresholds(thresholds[np.newaxis], nbits)[0]
+
+    @classmethod
+    def sweep_from_thresholds(
+        cls, stacked: np.ndarray, nbits: int
+    ) -> list["BitWindows"]:
+        """:meth:`from_thresholds` of every row of *stacked*, in order.
+
+        *stacked* is ``(L, Υ)`` or ``(L, Υ) + coords``, as
+        :meth:`VoterMatrix.threshold_sweep` returns it; the masks of all
+        L rows are derived together and each window holds views of them.
+        """
+        stacked = np.asarray(stacked, dtype=np.uint64)
+        low = stacked.min(axis=1)
+        high = stacked.max(axis=1)
         lsb = np.asarray(bitops.mask_at_or_above(low, nbits), dtype=np.uint64)
         msb = np.asarray(bitops.mask_at_or_above(high, nbits), dtype=np.uint64)
-        return cls(msb_mask=msb, lsb_mask=lsb, nbits=nbits)
+        # [i, ...] keeps a global mask a 0-d array rather than a scalar.
+        return [
+            cls(msb_mask=msb[i, ...], lsb_mask=lsb[i, ...], nbits=nbits)
+            for i in range(stacked.shape[0])
+        ]
 
     def window_a(self) -> np.ndarray:
         """Mask of window A bits (most significant, Υ−1 vote rule)."""

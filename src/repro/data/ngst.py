@@ -30,12 +30,28 @@ def generate_walk(
     Every trailing coordinate runs its own independent Gaussian walk
     starting at ``config.initial_value``.
     """
-    n = config.n_variants
-    steps = rng.normal(0.0, config.sigma, size=(n - 1,) + shape)
-    walk = np.empty((n,) + shape, dtype=np.float64)
-    walk[0] = float(config.initial_value)
-    walk[1:] = float(config.initial_value) + np.cumsum(steps, axis=0)
-    return np.clip(np.rint(walk), config.background_floor, U16_MAX).astype(np.uint16)
+    steps = rng.standard_normal((config.n_variants - 1,) + tuple(shape))
+    steps *= config.sigma
+    return walk_from_steps(float(config.initial_value), steps, config.background_floor)
+
+
+def walk_from_steps(
+    start: float | np.ndarray, steps: np.ndarray, floor: int
+) -> np.ndarray:
+    """The uint16 walk ``start, start + Θ₀, start + Θ₀ + Θ₁, …`` along axis 0.
+
+    *steps* holds the N − 1 increments Θᵢ; *start* is a scalar or an
+    array broadcast over the trailing axes.  Values are rounded, then
+    clipped to ``[floor, 65535]``.  This is the one Eq. (1) formula:
+    :func:`generate_walk` draws its increments as σ·z with z standard
+    normal, which consumes the Generator exactly as ``rng.normal(0, σ)``
+    does and yields the same floats, so a caller holding the z can
+    rebuild any σ's walk without drawing again.
+    """
+    walk = np.empty((steps.shape[0] + 1,) + steps.shape[1:], dtype=np.float64)
+    walk[0] = start
+    walk[1:] = start + np.cumsum(steps, axis=0)
+    return np.clip(np.rint(walk), floor, U16_MAX).astype(np.uint16)
 
 
 def synthetic_sky(
@@ -86,9 +102,5 @@ def generate_image_stack(
         raise ConfigurationError(
             f"base shape {base.shape} does not match {height}x{width}"
         )
-    n = config.n_variants
-    steps = rng.normal(0.0, config.sigma, size=(n - 1, height, width))
-    walk = np.empty((n, height, width), dtype=np.float64)
-    walk[0] = base
-    walk[1:] = base[None] + np.cumsum(steps, axis=0)
-    return np.clip(np.rint(walk), config.background_floor, U16_MAX).astype(np.uint16)
+    steps = rng.normal(0.0, config.sigma, size=(config.n_variants - 1, height, width))
+    return walk_from_steps(base, steps, config.background_floor)

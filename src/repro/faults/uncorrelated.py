@@ -65,7 +65,6 @@ def _draw_masks(
         planes, frames = max(1, _DRAW_BUDGET // size), 1
     buffer = np.empty((min(frames, n), planes) + shape)
     column = np.array(gammas, dtype=np.float64).reshape((n, 1) + (1,) * len(shape))
-    weights = _WEIGHTS[:nbits].astype(dtype)
     rngs = iter(rngs)
     for lo in range(0, n, frames):
         hi = min(lo + frames, n)
@@ -83,14 +82,22 @@ def _draw_masks(
                     block[j - lo] = 1.0  # never below Γ = 0
                 else:
                     rng.random(out=block[j - lo])
-            hits = block < column[lo:hi]
-            masks[lo:hi] |= np.einsum(
-                "fp...,p->f...",
-                hits.view(np.uint8),
-                weights[plane : plane + block.shape[1]],
-                dtype=dtype,
-            )
+            masks[lo:hi] |= pack_planes(block < column[lo:hi], dtype, plane)
     return masks
+
+
+def pack_planes(hits: np.ndarray, dtype: np.dtype, first_bit: int = 0) -> np.ndarray:
+    """Words of *dtype* from bool bit planes: ``hits`` is ``(f, p, ...)``
+    and plane ``j`` of frame ``i`` becomes bit ``first_bit + j`` of word
+    ``out[i, ...]``.
+
+    The one plane-to-word packer of the uncorrelated model: the blocked
+    draws of :func:`_draw_masks` and any caller holding a frame's
+    ``(nbits,) + shape`` uniforms ``u`` (whose mask at Γ₀ is
+    ``pack_planes((u < Γ₀)[None], dtype)[0]``) share it.
+    """
+    weights = _WEIGHTS[first_bit : first_bit + hits.shape[1]].astype(dtype)
+    return np.einsum("fp...,p->f...", hits.view(np.uint8), weights, dtype=dtype)
 
 
 def uncorrelated_flip_mask(

@@ -2,7 +2,7 @@
 
 The serve layer shares a single cache between worker-pool threads
 driven from the event loop, so the disk tier must tolerate concurrent
-``get_or_create`` / ``get`` / ``stats`` calls racing in one process.
+``get`` / ``put`` / ``stats`` calls racing in one process.
 (Cross-*process* disk-tier races are covered in test_store.py; this is
 the in-process, thread-offloaded shape ``repro serve`` produces.)
 """
@@ -22,13 +22,23 @@ def _make(key: str) -> CachedArtifact:
     )
 
 
+def _get_or_put(cache: ArtifactCache, key: str) -> CachedArtifact:
+    """The cached artifact for *key*, made and stored on a miss.  The
+    lookup and the store are separate locked calls, so two threads may
+    both miss and both put the same content."""
+    artifact = cache.get(key)
+    if artifact is None:
+        artifact = _make(key)
+        cache.put(key, artifact)
+    return artifact
+
+
 async def _hammer(cache: ArtifactCache, keys, rounds: int):
-    """Every round races a get_or_create for each key across threads."""
+    """Every round races a get, and on a miss a put, for each key across
+    threads."""
 
     async def one(key):
-        artifact = await asyncio.to_thread(
-            cache.get_or_create, key, lambda k=key: _make(k)
-        )
+        artifact = await asyncio.to_thread(_get_or_put, cache, key)
         return key, artifact.arrays["data"].tobytes()
 
     seen = {}
@@ -74,9 +84,7 @@ class TestAsyncConcurrency:
 
         async def scenario():
             async def writer(i):
-                await asyncio.to_thread(
-                    cache.get_or_create, f"w-{i}", lambda i=i: _make(f"w-{i}")
-                )
+                await asyncio.to_thread(_get_or_put, cache, f"w-{i}")
 
             async def scraper():
                 for _ in range(20):

@@ -63,16 +63,34 @@ class TestClear:
         assert "cleared 1 entry " in capsys.readouterr().out
 
     def test_removes_old_layout_and_stale_temp_files(self, tmp_path, capsys):
-        """``.npz``/``.json`` pairs of the earlier layout and temp files
-        of killed writers are not entries, but ``clear`` removes them."""
+        """``<key>.npz``/``<key>.json`` pairs of the earlier layout and
+        temp files of killed writers are not entries, but ``clear``
+        removes them."""
         _populate(tmp_path, n=2)
-        for stale in ("old.npz", "old.json", "k.art.tmp-9-dead", "old.npz.tmp-9-dead"):
+        key = "0123456789abcdef" * 4
+        for stale in (f"{key}.npz", f"{key}.json", "k.art.tmp-9-dead"):
             (tmp_path / stale).write_bytes(b"stale")
         assert cache_main(["stats", "--cache-dir", str(tmp_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["n_disk_entries"] == 2
         assert cache_main(["clear", "--cache-dir", str(tmp_path)]) == 0
         assert "cleared 2 entries" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    def test_leaves_files_it_did_not_write(self, tmp_path, capsys):
+        """Only store files go: a results file, notes, and an ``.art``
+        file without the entry magic all survive ``clear``."""
+        _populate(tmp_path, n=2)
+        keep = {
+            "results.json": b'{"psi": 0.1}',
+            "notes.txt": b"notes",
+            "x.art": b"not an entry",
+            "short.art": b"",
+        }
+        for name, data in keep.items():
+            (tmp_path / name).write_bytes(data)
+        assert cache_main(["clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "cleared 2 entries" in capsys.readouterr().out
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == keep
 
     def test_missing_directory_is_one_line_exit_2(self, tmp_path, capsys):
         target = tmp_path / "never-created"

@@ -1,15 +1,20 @@
 """Tests for ground-truth-free sensitivity selection."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
+from repro.core import autotune
 from repro.core.autotune import (
+    DEFAULT_LAMBDA_GRID,
+    _calibration_draws,
+    _reference_autotune_sensitivity,
     autotune_sensitivity,
     estimate_gamma,
     estimate_sigma,
@@ -212,3 +217,107 @@ class TestEstimatorProperties:
         gamma_b = estimate_gamma(stack, sigma_b)
         assert (sigma_a, gamma_a) == (sigma_b, gamma_b)
         assert stack.tobytes() == before.tobytes()
+
+
+#: Window contents for the oracle test.  ``constant`` estimates σ̂ = 0
+#: and Γ̂ = 0; ``saturated`` alternates all-zero and all-one frames, so
+#: σ̂ is far above the 8000 clip and Γ̂ sits at its 0.478 clip;
+#: ``gamma_one`` is a faulty walk whose Γ̂ is replaced by 1.
+_WINDOWS = ("constant", "clean", "faulty", "saturated", "gamma_one")
+
+
+def _window(kind, n_variants, seed):
+    if kind == "constant":
+        return np.full((n_variants, 16), 27000, dtype=np.uint16)
+    if kind == "saturated":
+        frames = np.zeros((n_variants, 16), dtype=np.uint16)
+        frames[1::2] = 0xFFFF
+        return frames
+    rng = np.random.default_rng(seed)
+    pristine = generate_walk(
+        NGSTDatasetConfig(n_variants=n_variants, sigma=25.0), rng, (16,)
+    )
+    if kind == "clean":
+        return pristine
+    corrupted, _ = FaultInjector(UncorrelatedFaultModel(0.02), seed=seed).inject(
+        pristine
+    )
+    return corrupted
+
+
+class TestCalibrationOracle:
+    """The calibration rebuilt from cached draws and swept in one pass
+    equals the per-walk draw-inject-sweep loop it replaced."""
+
+    @seed(2003)
+    @settings(max_examples=40, deadline=None, database=None)
+    @example(kind="constant", n_variants=32, shape=(8, 8), n_calibration=2,
+             grid=DEFAULT_LAMBDA_GRID, calibration_seed=0)
+    @example(kind="saturated", n_variants=64, shape=(8, 8), n_calibration=2,
+             grid=DEFAULT_LAMBDA_GRID, calibration_seed=0)
+    @example(kind="gamma_one", n_variants=32, shape=(4,), n_calibration=2,
+             grid=DEFAULT_LAMBDA_GRID, calibration_seed=1)
+    @example(kind="faulty", n_variants=3, shape=(), n_calibration=1,
+             grid=DEFAULT_LAMBDA_GRID, calibration_seed=0)
+    @example(kind="faulty", n_variants=64, shape=(8, 8), n_calibration=3,
+             grid=(70.0, 10.0, 70.0, 30.0), calibration_seed=2)
+    @example(kind="clean", n_variants=32, shape=(), n_calibration=3,
+             grid=(100.0, 5.0, 100.0), calibration_seed=3)
+    @given(
+        kind=st.sampled_from(_WINDOWS),
+        n_variants=st.sampled_from([3, 32, 64]),
+        shape=st.sampled_from([(), (4,), (8, 8)]),
+        n_calibration=st.integers(min_value=1, max_value=3),
+        grid=st.sampled_from(
+            [DEFAULT_LAMBDA_GRID, (70.0, 10.0, 70.0, 30.0), (100.0, 5.0, 100.0), (50.0,)]
+        ),
+        calibration_seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_equals_the_reference(
+        self, kind, n_variants, shape, n_calibration, grid, calibration_seed
+    ):
+        window = _window(kind, n_variants, calibration_seed)
+        kwargs = dict(
+            lambda_grid=grid,
+            calibration_shape=shape,
+            n_calibration=n_calibration,
+            seed=calibration_seed,
+        )
+        gamma = mock.patch.object(autotune, "estimate_gamma", return_value=1.0)
+        if kind == "gamma_one":
+            with gamma:
+                got = autotune_sensitivity(window, **kwargs)
+                want = _reference_autotune_sensitivity(window, **kwargs)
+            assert got.estimated_gamma == 1.0
+        else:
+            got = autotune_sensitivity(window, **kwargs)
+            want = _reference_autotune_sensitivity(window, **kwargs)
+        assert got == want
+        if kind == "constant":
+            assert got.estimated_sigma == got.estimated_gamma == 0.0
+        if kind == "saturated":
+            assert got.estimated_sigma > 8000.0
+            assert got.estimated_gamma == pytest.approx(0.478, abs=1e-3)
+
+    def test_draws_are_cached_read_only_and_seeded(self):
+        normals, uniforms = _calibration_draws(0, 2, (8, 8), 32)
+        assert normals.shape == (31, 2, 8, 8)
+        assert uniforms.shape == (2, 16, 32, 8, 8)
+        assert _calibration_draws(0, 2, (8, 8), 32)[1] is uniforms
+        for array in (normals, uniforms):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.5
+        other_normals, other_uniforms = _calibration_draws(1, 2, (8, 8), 32)
+        assert not np.array_equal(normals, other_normals)
+        assert not np.array_equal(uniforms, other_uniforms)
+
+    def test_retune_draws_nothing_new(self):
+        # After the first call, a retune at another σ̂/Γ̂ reuses the draws.
+        _, corrupted = world(sigma=25.0, gamma=0.01, shape=(8,))
+        autotune_sensitivity(corrupted, seed=11)
+        before = _calibration_draws.cache_info()
+        _, other = world(sigma=250.0, gamma=0.05, shape=(8,))
+        autotune_sensitivity(other, seed=11)
+        after = _calibration_draws.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

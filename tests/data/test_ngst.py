@@ -65,6 +65,22 @@ class TestGenerateWalk:
         walk = generate_walk(cfg, rng, shape=(2,))
         assert not np.array_equal(walk[:, 0], walk[:, 1])
 
+    @pytest.mark.parametrize("sigma", [0.0, 25.0, 8000.0])
+    def test_matches_the_scaled_normal_draw(self, sigma):
+        # σ·z from standard_normal is rng.normal(0, σ)'s value and
+        # consumes the Generator alike, so the walk and the draw after
+        # it are what the pre-refactor formula gave.
+        cfg = NGSTDatasetConfig(n_variants=33, sigma=sigma, initial_value=60000)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        walk = generate_walk(cfg, rng_a, shape=(5, 3))
+        steps = rng_b.normal(0.0, sigma, size=(32, 5, 3))
+        want = np.empty((33, 5, 3))
+        want[0] = 60000.0
+        want[1:] = 60000.0 + np.cumsum(steps, axis=0)
+        want = np.clip(np.rint(want), 32, U16_MAX).astype(np.uint16)
+        assert walk.tobytes() == want.tobytes()
+        assert rng_a.integers(2**31) == rng_b.integers(2**31)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=2, max_value=64))
     def test_variant_count_property(self, n):
