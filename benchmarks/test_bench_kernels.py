@@ -20,7 +20,11 @@ from repro.baselines.median import (
 )
 from repro.config import OTISConfig
 from repro.core import bitops
-from repro.core.algo_otis import _otis_band, _reference_otis_band
+from repro.core.algo_otis import (
+    _otis_sweep,
+    _reference_otis_band,
+    _reference_otis_sweep,
+)
 from repro.core.voter import VoterMatrix, _reference_grt
 from repro.faults.correlated import (
     _reference_correlated_flip_grid,
@@ -119,11 +123,30 @@ def test_bench_majority_window_reference(benchmark, stack_u16):
 
 
 def test_bench_otis_band(benchmark, otis_band):
-    benchmark(_otis_band, *otis_band)
+    band, config = otis_band
+    benchmark(_otis_sweep, band, config, (config.sensitivity,))
 
 
 def test_bench_otis_band_reference(benchmark, otis_band):
     benchmark(_reference_otis_band, *otis_band)
+
+
+#: Fig. 7's Λ grid, swept on one band.
+OTIS_LAMBDAS = (20.0, 40.0, 60.0, 80.0, 100.0)
+
+
+def test_bench_otis_sweep(benchmark, otis_band):
+    band, config = otis_band
+    benchmark(_otis_sweep, band, config, OTIS_LAMBDAS)
+
+
+def test_bench_otis_sweep_per_lambda(benchmark, otis_band):
+    band, config = otis_band
+    benchmark(lambda: [_otis_sweep(band, config, (lam,)) for lam in OTIS_LAMBDAS])
+
+
+def test_bench_otis_sweep_reference(benchmark, otis_band):
+    benchmark(_reference_otis_sweep, *otis_band, OTIS_LAMBDAS)
 
 
 # One 64-frame stream chunk's Generators: the seeder reseeds one

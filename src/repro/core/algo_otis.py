@@ -22,17 +22,21 @@ Two storage representations are supported (see DESIGN.md §2):
 * ``float32`` — IEEE-754 bit patterns, voting over 32-bit windows; the
   literal reading of §7.1's storage format, kept for ablations.
 
-The band kernel dispatches through :mod:`repro.native.dispatch`.  The
-NumPy tier pads each array once and takes every neighbour from that
-copy; ``_reference_otis_band`` and the other ``_reference_*`` functions
-are the per-offset ``np.pad`` routine it must match byte for byte.
-There is no native tier.
+The band kernel, ``otis_sweep``, runs one band at every Λ of a sweep
+and dispatches through :mod:`repro.native.dispatch`; a plain call is
+the one-Λ sweep.  The NumPy tier pads each array once, takes every
+neighbour from that copy and shares the Λ-independent work of a
+sweep.  Its reference tier runs ``_reference_otis_band`` once per Λ;
+that and the other ``_reference_*`` functions are the per-offset
+``np.pad`` routine it must match byte for byte.  There is no native
+tier.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,6 +196,25 @@ class AlgoOTIS:
         self.config = config or OTISConfig()
 
     def __call__(self, field: np.ndarray) -> OTISResult:
+        (result,) = self.sweep(field, (self.config.sensitivity,))
+        return result
+
+    def sweep(
+        self, field: np.ndarray, sensitivities: Sequence[float]
+    ) -> list[OTISResult]:
+        """One result per Λ of *sensitivities*, in order, on one field.
+
+        Each entry is byte-identical to this algorithm's call with the
+        sensitivity replaced by that Λ.  Per band, the bounds repair,
+        the first pass's bit patterns and XOR voters, its 8-ring median
+        and trend mask are built once for the whole sweep, and one
+        ``partition`` reads every Λ's tile quantiles; only the pruning,
+        the vote and later passes run per Λ.
+        """
+        sensitivities = tuple(sensitivities)
+        for sensitivity in sensitivities:
+            # replace() re-runs OTISConfig's range check on each Λ.
+            replace(self.config, sensitivity=sensitivity)
         field = np.asarray(field)
         if field.dtype not in (np.float32, np.uint16):
             raise DataFormatError(
@@ -207,31 +230,25 @@ class AlgoOTIS:
             raise DataFormatError(
                 f"band must be at least 3x3 for spatial voting, got {field.shape[-2:]}"
             )
-        if field.ndim == 3:
-            return self._process_cube(field)
-        return self._process_band(field)
+        if field.ndim == 2:
+            return _dispatch.call("otis_sweep", field, self.config, sensitivities)
+        per_band = [
+            _dispatch.call("otis_sweep", band, self.config, sensitivities)
+            for band in field
+        ]
+        return [_stack_bands(results) for results in zip(*per_band)]
 
-    def _process_cube(self, cube: np.ndarray) -> OTISResult:
-        bands = []
-        bounds_total = bits_total = trend_total = 0
-        windows = None
-        for band in cube:
-            result = self._process_band(band)
-            bands.append(result.corrected)
-            bounds_total += result.n_bounds_repairs
-            bits_total += result.n_bit_corrections
-            trend_total += result.n_trend_exemptions
-            windows = result.windows
-        return OTISResult(
-            corrected=np.stack(bands),
-            n_bounds_repairs=bounds_total,
-            n_bit_corrections=bits_total,
-            n_trend_exemptions=trend_total,
-            windows=windows,
-        )
 
-    def _process_band(self, band: np.ndarray) -> OTISResult:
-        return _dispatch.call("otis_band", band, self.config)
+def _stack_bands(results: Sequence[OTISResult]) -> OTISResult:
+    """A cube's result from its bands' results at one Λ: the corrected
+    bands stacked, the counts summed, the last band's windows."""
+    return OTISResult(
+        corrected=np.stack([result.corrected for result in results]),
+        n_bounds_repairs=sum(result.n_bounds_repairs for result in results),
+        n_bit_corrections=sum(result.n_bit_corrections for result in results),
+        n_trend_exemptions=sum(result.n_trend_exemptions for result in results),
+        windows=results[-1].windows,
+    )
 
 
 # -- shared by both tiers --------------------------------------------------------
@@ -257,10 +274,14 @@ def _fraction(sensitivity: float) -> float:
     return _FRACTION_AT_0 + (sensitivity / 100.0) * (_FRACTION_AT_100 - _FRACTION_AT_0)
 
 
+def _kth(total: int, fraction: float) -> int:
+    """Index of the top-*fraction* quantile among *total* sorted values."""
+    return int(min(total - 1, max(0, round(total - fraction * total))))
+
+
 def _top_quantile(flat: np.ndarray, fraction: float) -> np.ndarray:
     """The top-*fraction* quantile along the last axis."""
-    total = flat.shape[-1]
-    kth = int(min(total - 1, max(0, round(total - fraction * total))))
+    kth = _kth(flat.shape[-1], fraction)
     return np.partition(flat, kth, axis=-1)[..., kth]
 
 
@@ -276,6 +297,14 @@ def _unset_windows(nbits: int) -> BitWindows:
 # -- NumPy tier --------------------------------------------------------------------
 
 
+def _top_quantiles(flat: np.ndarray, fractions: Sequence[float]) -> np.ndarray:
+    """``(L,) + flat.shape[:-1]``: the top-*fractions* quantiles along the
+    last axis, from one ``partition`` given every kth."""
+    kths = [_kth(flat.shape[-1], fraction) for fraction in fractions]
+    parted = np.partition(flat, sorted(set(kths)), axis=-1)
+    return np.moveaxis(parted[..., kths], -1, 0)
+
+
 def _tile_spans(n: int, tile: int) -> list[tuple[int, int, int, int]]:
     """``(start, stop, count, size)`` of an axis's run of whole tiles and
     of its remainder tile, whichever exist."""
@@ -286,23 +315,29 @@ def _tile_spans(n: int, tile: int) -> list[tuple[int, int, int, int]]:
     return spans
 
 
-def _tile_thresholds(voters: np.ndarray, tile: int, fraction: float) -> np.ndarray:
-    """Regional per-way ``V_val`` thresholds for a spatial field.
+def _tile_thresholds(
+    voters: np.ndarray, tile: int, fractions: Sequence[float]
+) -> np.ndarray:
+    """Regional per-way ``V_val`` thresholds for a spatial field, one row
+    per fraction of *fractions*.
 
     With tiling enabled the Φ-quantile of each way's XOR magnitudes
     is taken per tile, so quiet regions get tight thresholds and the
     turbulent ones loose thresholds — the spatial analogue of the
-    per-coordinate dynamic bounds of ``Algo_NGST``.  Returns either a
-    ``(Υ,)`` array (global) or a ``(Υ, tile rows, tile cols)`` grid,
-    one threshold per tile (see :func:`_expand_tiles`).
+    per-coordinate dynamic bounds of ``Algo_NGST``.  Returns either an
+    ``(L, Υ)`` array (global) or an ``(L, Υ, tile rows, tile cols)``
+    grid, one threshold per tile (see :func:`_expand_tiles`).
 
     Tiles of one shape — interior, right edge, bottom edge, corner —
-    share one ``partition`` call, and every tile one ``ceil_pow2``.
+    share one ``partition`` call for every fraction, and every
+    threshold one ``ceil_pow2``.
     """
     upsilon, rows, cols = voters.shape
     if not tile or tile >= max(rows, cols):
-        return _quantile_pow2(voters.reshape(upsilon, -1), fraction)
-    grid = np.empty((upsilon, -(-rows // tile), -(-cols // tile)), dtype=np.uint64)
+        return bitops.ceil_pow2(_top_quantiles(voters.reshape(upsilon, -1), fractions))
+    grid = np.empty(
+        (len(fractions), upsilon, -(-rows // tile), -(-cols // tile)), dtype=np.uint64
+    )
     for r0, r1, n_r, height in _tile_spans(rows, tile):
         for c0, c1, n_c, width in _tile_spans(cols, tile):
             tiles = (
@@ -311,8 +346,8 @@ def _tile_thresholds(voters: np.ndarray, tile: int, fraction: float) -> np.ndarr
                 .swapaxes(2, 3)
                 .reshape(upsilon, n_r, n_c, height * width)
             )
-            grid[:, r0 // tile : r0 // tile + n_r, c0 // tile : c0 // tile + n_c] = (
-                _top_quantile(tiles, fraction)
+            grid[..., r0 // tile : r0 // tile + n_r, c0 // tile : c0 // tile + n_c] = (
+                _top_quantiles(tiles, fractions)
             )
     return bitops.ceil_pow2(grid)
 
@@ -322,8 +357,99 @@ def _expand_tiles(grid: np.ndarray, tile: int, rows: int, cols: int) -> np.ndarr
     return grid.repeat(tile, axis=-2)[..., :rows, :].repeat(tile, axis=-1)[..., :cols]
 
 
-def _otis_band(band: np.ndarray, config: OTISConfig) -> OTISResult:
-    """One band through the three stages; see ``AlgoOTIS``."""
+class _Pass:
+    """One voter pass's Λ-independent inputs: the stored bit patterns of
+    *work*, their XOR voters, and — built on first use, then shared by
+    every Λ voting on this pass — the 8-ring of *values*, its median and
+    the trend mask."""
+
+    def __init__(self, work: np.ndarray, values: np.ndarray, offsets) -> None:
+        self.work = work
+        self.values = values
+        if work.dtype == np.float32:
+            self.bits = bitops.float32_to_bits(np.ascontiguousarray(work))
+        else:
+            self.bits = work
+        self.voters = np.bitwise_xor(self.bits, _neighbours(self.bits, offsets))
+        self._ring = None
+        self._trend = None
+
+    def ring(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 8-ring of values and its median."""
+        if self._ring is None:
+            ring = _neighbours(self.values, _OFFSETS_8)
+            self._ring = (ring, _ring_median(ring))
+        return self._ring
+
+    def trend(self, window: int) -> np.ndarray:
+        """:func:`_trend_mask` of this pass's values."""
+        if self._trend is None:
+            self._trend = _trend_mask(self.values, *self.ring(), window)
+        return self._trend
+
+
+def _vote(
+    step: _Pass, thresholds: np.ndarray, cfg: OTISConfig, nbits: int
+) -> tuple[np.ndarray, int, BitWindows]:
+    """One Λ's bit vote on *step*, given that Λ's tile thresholds:
+    ``(corrections, trend exemptions, windows)``."""
+    bits = step.bits
+    # Windows are derived per tile, then spread over the tiles' pixels.
+    windows = BitWindows.from_thresholds(thresholds, nbits=nbits)
+    if thresholds.ndim == 1:
+        expanded = thresholds[:, None, None]
+    else:
+        expanded = _expand_tiles(thresholds, cfg.tile, *bits.shape)
+        windows = BitWindows(
+            msb_mask=_expand_tiles(windows.msb_mask, cfg.tile, *bits.shape),
+            lsb_mask=_expand_tiles(windows.lsb_mask, cfg.tile, *bits.shape),
+            nbits=nbits,
+        )
+    voters = step.voters
+    pruned = np.where(voters.astype(np.uint64) > expanded, voters, 0).astype(bits.dtype)
+    unanimous = np.bitwise_and.reduce(pruned, axis=0)
+    grt = _leave_one_out_union(pruned)
+    corr = windows.combine(unanimous, grt).astype(bits.dtype)
+
+    n_exempt = 0
+    if cfg.trend_exemption:
+        flagged = corr != 0
+        if np.any(flagged):
+            exempt = flagged & step.trend(cfg.trend_window)
+            n_exempt = int(np.count_nonzero(exempt))
+            corr = np.where(exempt, np.zeros((), dtype=bits.dtype), corr)
+    return corr, n_exempt, windows
+
+
+def _apply(step: _Pass, corr: np.ndarray, cfg: OTISConfig) -> np.ndarray:
+    """*step*'s words with the corrections *corr* flipped in.
+
+    A correction must land inside the physical bounds; otherwise the
+    voter guessed wrong and the spatial median is the safer repair.
+    """
+    lo, hi = cfg.bounds.effective()
+    dtype = step.work.dtype
+    repaired_bits = np.bitwise_xor(step.bits, corr)
+    if dtype == np.float32:
+        repaired = bitops.bits_to_float32(repaired_bits)
+    else:
+        repaired = repaired_bits
+    repaired_values = _to_values(repaired, cfg.dn_scale)
+    bad = (corr != 0) & (
+        ~np.isfinite(repaired_values) | (repaired_values < lo) | (repaired_values > hi)
+    )
+    if np.any(bad):
+        _, ring_median = step.ring()
+        fill = np.clip(ring_median, lo, hi)
+        repaired_values = np.where(bad, fill, repaired_values)
+        repaired = _from_values(repaired_values, dtype, cfg.dn_scale)
+    return repaired.astype(dtype)
+
+
+def _otis_sweep(
+    band: np.ndarray, config: OTISConfig, sensitivities: Sequence[float]
+) -> list[OTISResult]:
+    """One band through the three stages at each Λ; see ``AlgoOTIS``."""
     cfg = config
     work = band.copy()
     values = _to_values(work, cfg.dn_scale)
@@ -331,7 +457,7 @@ def _otis_band(band: np.ndarray, config: OTISConfig) -> OTISResult:
     # Stage 1 — absolute bounds (hypothesis 2): out-of-bounds or
     # non-finite values are faults; repair from the spatial median of
     # the neighbourhood, clipped into bounds as a last resort.  Every
-    # value is finite from here on.
+    # value is finite from here on.  No Λ reads this stage.
     lo, hi = cfg.bounds.effective()
     invalid = ~np.isfinite(values) | (values < lo) | (values > hi)
     n_bounds = int(np.count_nonzero(invalid))
@@ -342,82 +468,41 @@ def _otis_band(band: np.ndarray, config: OTISConfig) -> OTISResult:
         work = _from_values(values, band.dtype, cfg.dn_scale)
 
     nbits = 32 if band.dtype == np.float32 else 16
-    if cfg.sensitivity == 0:
-        return OTISResult(work, n_bounds, 0, 0, _unset_windows(nbits))
+    offsets = _OFFSETS_4 if cfg.upsilon == 4 else _OFFSETS_8
+    voting = [_fraction(lam) for lam in sensitivities if lam != 0]
+    if voting:
+        first = _Pass(work, values, offsets)
+        first_thresholds = iter(_tile_thresholds(first.voters, cfg.tile, voting))
 
     # Stages 2–3, iterated: spatial bit voting on the stored bit
     # patterns, then the trend exemption (hypothesis 1).  Corrected
     # neighbours sharpen the vote for faults the first pass could not
     # confirm, so a second pass strictly helps; iteration stops early
-    # once a pass makes no change.
-    offsets = _OFFSETS_4 if cfg.upsilon == 4 else _OFFSETS_8
-    fraction = _fraction(cfg.sensitivity)
-    n_bits = 0
-    n_exempt = 0
-    windows = None
-    for _ in range(cfg.iterations):
-        if band.dtype == np.float32:
-            bits = bitops.float32_to_bits(np.ascontiguousarray(work))
-        else:
-            bits = work
-        voters = np.bitwise_xor(bits, _neighbours(bits, offsets))
-        # Windows are derived per tile, then spread over the tiles' pixels.
-        thresholds = _tile_thresholds(voters, cfg.tile, fraction)
-        windows = BitWindows.from_thresholds(thresholds, nbits=nbits)
-        if thresholds.ndim == 1:
-            expanded = thresholds[:, None, None]
-        else:
-            expanded = _expand_tiles(thresholds, cfg.tile, *bits.shape)
-            windows = BitWindows(
-                msb_mask=_expand_tiles(windows.msb_mask, cfg.tile, *bits.shape),
-                lsb_mask=_expand_tiles(windows.lsb_mask, cfg.tile, *bits.shape),
-                nbits=nbits,
+    # once a pass makes no change.  Every Λ's first pass votes on the
+    # same inputs; later passes see that Λ's own repairs.
+    results = []
+    for sensitivity in sensitivities:
+        if sensitivity == 0:
+            results.append(
+                OTISResult(work.copy(), n_bounds, 0, 0, _unset_windows(nbits))
             )
-        pruned = np.where(voters.astype(np.uint64) > expanded, voters, 0).astype(
-            bits.dtype
-        )
-        unanimous = np.bitwise_and.reduce(pruned, axis=0)
-        grt = _leave_one_out_union(pruned)
-        corr = windows.combine(unanimous, grt).astype(bits.dtype)
-
-        # The 8-ring of values and its median serve both the trend test
-        # and the out-of-bounds repair below; build them once, on demand.
-        ring_median = None
-        if cfg.trend_exemption:
-            flagged = corr != 0
-            if np.any(flagged):
-                ring = _neighbours(values, _OFFSETS_8)
-                ring_median = _ring_median(ring)
-                exempt = flagged & _trend_mask(values, ring, ring_median, cfg.trend_window)
-                n_exempt += int(np.count_nonzero(exempt))
-                corr = np.where(exempt, np.zeros((), dtype=bits.dtype), corr)
-
-        if not np.any(corr):
-            break
-        repaired_bits = np.bitwise_xor(bits, corr)
-        if band.dtype == np.float32:
-            repaired = bitops.bits_to_float32(repaired_bits)
-        else:
-            repaired = repaired_bits
-        repaired_values = _to_values(repaired, cfg.dn_scale)
-        # A correction must land inside the physical bounds; otherwise
-        # the voter guessed wrong and the spatial median is the safer
-        # repair.
-        bad = (corr != 0) & (
-            ~np.isfinite(repaired_values)
-            | (repaired_values < lo)
-            | (repaired_values > hi)
-        )
-        if np.any(bad):
-            if ring_median is None:
-                ring_median = _ring_median(_neighbours(values, _OFFSETS_8))
-            fill = np.clip(ring_median, lo, hi)
-            repaired_values = np.where(bad, fill, repaired_values)
-            repaired = _from_values(repaired_values, band.dtype, cfg.dn_scale)
-        n_bits += int(np.count_nonzero(corr))
-        work = repaired.astype(band.dtype)
-        values = _to_values(work, cfg.dn_scale)
-    return OTISResult(work, n_bounds, n_bits, n_exempt, windows)
+            continue
+        fraction = _fraction(sensitivity)
+        step, thresholds = first, next(first_thresholds)
+        corrected = work.copy()
+        n_bits = n_exempt = 0
+        for iteration in range(cfg.iterations):
+            if iteration:
+                step = _Pass(corrected, _to_values(corrected, cfg.dn_scale), offsets)
+                (thresholds,) = _tile_thresholds(step.voters, cfg.tile, (fraction,))
+            corr, exempt, windows = _vote(step, thresholds, cfg, nbits)
+            n_exempt += exempt
+            if not np.any(corr):
+                break
+            n_bits += int(np.count_nonzero(corr))
+            corrected = _apply(step, corr, cfg)
+        results.append(OTISResult(corrected, n_bounds, n_bits, n_exempt, windows))
+    return results
 
 
 # -- reference tier: one np.pad per neighbour offset ------------------------------
@@ -484,7 +569,7 @@ def _reference_way_thresholds(voters: np.ndarray, tile: int, fraction: float) ->
 
 
 def _reference_otis_band(band: np.ndarray, config: OTISConfig) -> OTISResult:
-    """Oracle for :func:`_otis_band`."""
+    """Oracle for :func:`_otis_sweep` at one Λ."""
     cfg = config
     work = band.copy()
     values = _to_values(work, cfg.dn_scale)
@@ -560,8 +645,18 @@ def _reference_otis_band(band: np.ndarray, config: OTISConfig) -> OTISResult:
     return OTISResult(work, n_bounds, n_bits, n_exempt, windows)
 
 
+def _reference_otis_sweep(
+    band: np.ndarray, config: OTISConfig, sensitivities: Sequence[float]
+) -> list[OTISResult]:
+    """Oracle for :func:`_otis_sweep`: every Λ from scratch."""
+    return [
+        _reference_otis_band(band, replace(config, sensitivity=sensitivity))
+        for sensitivity in sensitivities
+    ]
+
+
 _dispatch.register(
-    "otis_band",
-    numpy_impl=_otis_band,
-    reference_impl=_reference_otis_band,
+    "otis_sweep",
+    numpy_impl=_otis_sweep,
+    reference_impl=_reference_otis_sweep,
 )

@@ -30,7 +30,7 @@ from repro.data.ngst import generate_walk
 from repro.experiments.common import (
     DEFAULT_LAMBDA_GRID,
     ExperimentResult,
-    averaged,
+    arm_means,
     best_sensitivity,
 )
 from repro.faults.correlated import CorrelatedFaultModel
@@ -67,6 +67,33 @@ def run(
     ]
 
 
+def _layout_trial(dataset_cfg, shape, lambdas, model, layouts, arms):
+    """One seeded draw scoring every ``(which, layout name)`` arm.
+
+    The walk and the injector seed are drawn once; each layout's data
+    is injected once, by a fresh injector on that seed over
+    ``model(layout)``, and scored raw (``"none"``) or after Algo_NGST at
+    the best Λ (``"algo"``).
+    """
+
+    def trial(rng: np.random.Generator) -> list[float]:
+        pristine = generate_walk(dataset_cfg, rng, shape)
+        injector_seed = int(rng.integers(2**31))
+        corrupted: dict[str, np.ndarray] = {}
+        values = []
+        for which, name in arms:
+            if name not in corrupted:
+                injector = FaultInjector(model(layouts[name]), seed=injector_seed)
+                corrupted[name], _ = injector.inject(pristine)
+            if which == "none":
+                values.append(psi(corrupted[name], pristine))
+            else:
+                values.append(best_sensitivity(corrupted[name], pristine, lambdas)[1])
+        return values
+
+    return trial
+
+
 def _memory_panel(
     gamma_ini_grid, lambdas, sigma, n_variants, shape, n_repeats, seed
 ) -> ExperimentResult:
@@ -77,36 +104,27 @@ def _memory_panel(
         y_label="avg relative error Psi",
     )
     dataset_cfg = NGSTDatasetConfig(n_variants=n_variants, sigma=sigma)
-    layouts = {
-        "row-major raw": ("none", RowMajorLayout()),
-        "interleaved raw": ("none", InterleavedLayout()),
-        "row-major + Algo_NGST": ("algo", RowMajorLayout()),
-        "interleaved + Algo_NGST": ("algo", InterleavedLayout()),
+    layouts = {"row-major": RowMajorLayout(), "interleaved": InterleavedLayout()}
+    arms = {
+        "row-major raw": ("none", "row-major"),
+        "interleaved raw": ("none", "interleaved"),
+        "row-major + Algo_NGST": ("algo", "row-major"),
+        "interleaved + Algo_NGST": ("algo", "interleaved"),
     }
-    curves: dict[str, list[float]] = {label: [] for label in layouts}
+    curves: dict[str, list[float]] = {label: [] for label in arms}
 
     for gamma_ini in gamma_ini_grid:
 
-        def one_point(rng: np.random.Generator, which: str, layout) -> float:
-            pristine = generate_walk(dataset_cfg, rng, shape)
-            model = CorrelatedFaultModel(
+        def model(layout):
+            return CorrelatedFaultModel(
                 CorrelatedFaultConfig(gamma_ini=gamma_ini), layout=layout
             )
-            injector = FaultInjector(model, seed=int(rng.integers(2**31)))
-            corrupted, _ = injector.inject(pristine)
-            if which == "none":
-                return psi(corrupted, pristine)
-            _, best = best_sensitivity(corrupted, pristine, lambdas)
-            return best
 
-        for label, (which, layout) in layouts.items():
-            curves[label].append(
-                averaged(
-                    lambda rng: one_point(rng, which, layout),
-                    n_repeats,
-                    seed,
-                )
-            )
+        trial = _layout_trial(
+            dataset_cfg, shape, lambdas, model, layouts, arms.values()
+        )
+        for label, value in zip(arms, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label, ys in curves.items():
         result.add(label, list(gamma_ini_grid), ys)
@@ -129,36 +147,31 @@ def _transit_panel(
     )
     dataset_cfg = NGSTDatasetConfig(n_variants=n_variants, sigma=sigma)
     layouts = {
-        "raw (any layout)": ("none", None),
-        "pixel-major + Algo_NGST": ("algo", PixelMajorLayout(n_variants)),
-        "time-major + Algo_NGST": ("algo", None),
-        "interleaved + Algo_NGST": ("algo", InterleavedLayout()),
+        "time-major": None,
+        "pixel-major": PixelMajorLayout(n_variants),
+        "interleaved": InterleavedLayout(),
     }
-    curves: dict[str, list[float]] = {label: [] for label in layouts}
+    arms = {
+        "raw (any layout)": ("none", "time-major"),
+        "pixel-major + Algo_NGST": ("algo", "pixel-major"),
+        "time-major + Algo_NGST": ("algo", "time-major"),
+        "interleaved + Algo_NGST": ("algo", "interleaved"),
+    }
+    curves: dict[str, list[float]] = {label: [] for label in arms}
 
     for rate in burst_rate_grid:
         channel = GilbertElliottConfig(
             p_good_to_bad=rate, p_bad_to_good=BURST_ESCAPE, flip_prob_bad=BURST_FLIP
         )
 
-        def one_point(rng: np.random.Generator, which: str, layout) -> float:
-            pristine = generate_walk(dataset_cfg, rng, shape)
-            model = TransitFaultModel(channel, layout=layout)
-            injector = FaultInjector(model, seed=int(rng.integers(2**31)))
-            corrupted, _ = injector.inject(pristine)
-            if which == "none":
-                return psi(corrupted, pristine)
-            _, best = best_sensitivity(corrupted, pristine, lambdas)
-            return best
+        def model(layout):
+            return TransitFaultModel(channel, layout=layout)
 
-        for label, (which, layout) in layouts.items():
-            curves[label].append(
-                averaged(
-                    lambda rng: one_point(rng, which, layout),
-                    n_repeats,
-                    seed,
-                )
-            )
+        trial = _layout_trial(
+            dataset_cfg, shape, lambdas, model, layouts, arms.values()
+        )
+        for label, value in zip(arms, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label, ys in curves.items():
         result.add(label, list(burst_rate_grid), ys)

@@ -22,7 +22,7 @@ import numpy as np
 from repro.config import NGSTConfig, OTISBounds, OTISConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.core.algo_otis import AlgoOTIS
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
@@ -62,12 +62,17 @@ def run(
     )
     bands = default_bands(n_bands)
     instrument = Spectrometer(bands)
+    spatial = AlgoOTIS(
+        OTISConfig(
+            bounds=OTISBounds(lower=0.0, upper=25.0), dn_scale=instrument.dn_scale
+        )
+    )
     labels = ("no-preprocessing", "spatial (Algo_OTIS)", "spectral (band-axis voting)")
     curves: dict[str, list[float]] = {label: [] for label in labels}
 
     for gamma0 in gamma0_grid:
 
-        def one_point(rng: np.random.Generator, which: str) -> float:
+        def trial(rng: np.random.Generator) -> list[float]:
             scene = _scene(side, rng)
             dn = instrument.sense_dn(scene, emissivity=0.97, rng=rng)
             pristine = decode_dn(dn, instrument.dn_scale)
@@ -75,27 +80,18 @@ def run(
                 UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
             )
             corrupted, _ = injector.inject(dn)
-            if which == "none":
-                return psi(decode_dn(corrupted, instrument.dn_scale), pristine)
-            best = None
-            for lam in lambdas:
-                if which == "spatial":
-                    config = OTISConfig(
-                        sensitivity=lam,
-                        bounds=OTISBounds(lower=0.0, upper=25.0),
-                        dn_scale=instrument.dn_scale,
-                    )
-                    repaired = AlgoOTIS(config)(corrupted).corrected
-                else:
-                    repaired = spectral_preprocess(corrupted, lam)
-                value = psi(decode_dn(repaired, instrument.dn_scale), pristine)
-                best = value if best is None else min(best, value)
-            return best
 
-        for label, which in zip(labels, ("none", "spatial", "spectral")):
-            curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
-            )
+            def score(repaired: np.ndarray) -> float:
+                return psi(decode_dn(repaired, instrument.dn_scale), pristine)
+
+            return [
+                score(corrupted),
+                min(score(r.corrected) for r in spatial.sweep(corrupted, lambdas)),
+                min(score(spectral_preprocess(corrupted, lam)) for lam in lambdas),
+            ]
+
+        for label, value in zip(labels, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label in labels:
         result.add(label, list(gamma0_grid), curves[label])

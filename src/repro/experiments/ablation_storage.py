@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import OTISConfig
 from repro.core.algo_otis import AlgoOTIS
 from repro.data.otis import make_dataset
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
@@ -57,35 +57,28 @@ def run(
 
     for gamma0 in gamma0_grid:
 
-        def one_point(rng: np.random.Generator, which: str) -> float:
+        def trial(rng: np.random.Generator) -> list[float]:
             field = make_dataset("blob", rows, cols, rng)
-            injector = FaultInjector(
-                UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
-            )
-            if which.startswith("dn"):
-                dn = encode_dn(field)
-                pristine = decode_dn(dn)
-                corrupted, _ = injector.inject(dn)
-                if which == "dn-raw":
-                    return psi(decode_dn(corrupted), pristine)
-                repaired = AlgoOTIS(OTISConfig(sensitivity=sensitivity))(
-                    corrupted
-                ).corrected
-                return psi(decode_dn(repaired), pristine)
-            corrupted, _ = injector.inject(field)
-            if which == "f32-raw":
-                return psi(corrupted, field)
-            repaired = AlgoOTIS(OTISConfig(sensitivity=sensitivity))(
-                corrupted
-            ).corrected
-            return psi(repaired, field)
+            injector_seed = int(rng.integers(2**31))
+            dn = encode_dn(field)
+            pristine = decode_dn(dn)
+            # Each representation gets a fresh injector on the one seed.
+            dn_corrupted, _ = FaultInjector(
+                UncorrelatedFaultModel(gamma0), seed=injector_seed
+            ).inject(dn)
+            f32_corrupted, _ = FaultInjector(
+                UncorrelatedFaultModel(gamma0), seed=injector_seed
+            ).inject(field)
+            algo = AlgoOTIS(OTISConfig(sensitivity=sensitivity))
+            return [
+                psi(decode_dn(dn_corrupted), pristine),
+                psi(decode_dn(algo(dn_corrupted).corrected), pristine),
+                psi(f32_corrupted, field),
+                psi(algo(f32_corrupted).corrected, field),
+            ]
 
-        for label, which in zip(
-            labels, ("dn-raw", "dn-algo", "f32-raw", "f32-algo")
-        ):
-            curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
-            )
+        for label, value in zip(labels, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label in labels:
         result.add(label, list(gamma0_grid), curves[label])

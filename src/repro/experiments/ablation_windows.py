@@ -21,7 +21,7 @@ from repro.core import bitops
 from repro.core.voter import VoterMatrix
 from repro.core.windows import BitWindows
 from repro.data.ngst import generate_walk
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
@@ -82,23 +82,19 @@ def run(
 
     for gamma0 in gamma0_grid:
 
-        def one_point(rng: np.random.Generator, variant: str | None) -> float:
+        def trial(rng: np.random.Generator) -> list[float]:
             pristine = generate_walk(dataset_cfg, rng, shape)
             injector = FaultInjector(
                 UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
             )
             corrupted, _ = injector.inject(pristine)
-            if variant is None:
-                return psi(corrupted, pristine)
-            return psi(preprocess_variant(corrupted, variant, sensitivity), pristine)
+            return [psi(corrupted, pristine)] + [
+                psi(preprocess_variant(corrupted, variant, sensitivity), pristine)
+                for variant in VARIANTS
+            ]
 
-        curves["no-preprocessing"].append(
-            averaged(lambda rng: one_point(rng, None), n_repeats, seed)
-        )
-        for variant in VARIANTS:
-            curves[variant].append(
-                averaged(lambda rng: one_point(rng, variant), n_repeats, seed)
-            )
+        for label, value in zip(curves, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label, ys in curves.items():
         result.add(label, list(gamma0_grid), ys)

@@ -147,11 +147,18 @@ def seeded_trials(
     ]
 
 
-def averaged(
-    runner: Callable[[np.random.Generator], float], n_repeats: int, seed: int
-) -> float:
-    """Mean of *runner* over ``n_repeats`` :func:`seeded_trials`."""
-    return float(np.mean(seeded_trials(runner, n_repeats, seed)))
+def arm_means(
+    trial: Callable[[np.random.Generator], Sequence[float]], n_trials: int, seed: int
+) -> list[float]:
+    """Each arm's mean over *n_trials* :func:`seeded_trials` of *trial*.
+
+    *trial* scores every arm of an experiment point from one seeded
+    draw — one dataset, one injector seed — and returns their values in
+    arm order.  Entry *i* is ``float(np.mean(...))`` of arm *i*'s values
+    in trial order: what a one-arm trial averaged on the same seed gives.
+    """
+    values = seeded_trials(trial, n_trials, seed)
+    return [float(np.mean(arm)) for arm in zip(*values)]
 
 
 def walk_dataset(

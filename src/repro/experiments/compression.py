@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.data.ngst import generate_image_stack, synthetic_sky
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.ngst.rice import compression_ratio
@@ -44,7 +44,7 @@ def run(
 
     for gamma0 in gamma0_grid:
 
-        def one_point(rng: np.random.Generator, which: str) -> float:
+        def trial(rng: np.random.Generator) -> list[float]:
             config = NGSTDatasetConfig(n_variants=n_variants, sigma=sigma)
             # A mild sky (soft sources) keeps the clean frames in the
             # regime where Rice coding earns its keep, as on real
@@ -54,23 +54,21 @@ def run(
                 peak=4000.0, psf_sigma=3.0,
             )
             stack = generate_image_stack(config, rng, side, side, base=base)
-            if which == "clean":
-                return compression_ratio(stack)
             injector = FaultInjector(
                 UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
             )
             corrupted, _ = injector.inject(stack)
-            if which == "corrupted":
-                return compression_ratio(corrupted)
             repaired = AlgoNGST(NGSTConfig(sensitivity=sensitivity))(
                 corrupted
             ).corrected
-            return compression_ratio(repaired)
+            return [
+                compression_ratio(stack),
+                compression_ratio(corrupted),
+                compression_ratio(repaired),
+            ]
 
-        for label, which in zip(labels, ("clean", "corrupted", "preprocessed")):
-            curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_repeats, seed)
-            )
+        for label, value in zip(labels, arm_means(trial, n_repeats, seed)):
+            curves[label].append(value)
 
     for label in labels:
         result.add(label, list(gamma0_grid), curves[label])

@@ -19,7 +19,7 @@ from repro.data.gamut import gamut_dataset, gamut_means
 from repro.experiments.common import (
     DEFAULT_LAMBDA_GRID,
     ExperimentResult,
-    averaged,
+    arm_means,
     best_sensitivity,
 )
 from repro.faults.injector import FaultInjector
@@ -54,7 +54,7 @@ def run(
 
     for mean in means:
 
-        def one_point(rng: np.random.Generator, which: str) -> float:
+        def trial(rng: np.random.Generator) -> list[float]:
             pristine = gamut_dataset(
                 int(mean), rng, n_variants=n_variants, sigma=sigma
             )
@@ -62,19 +62,15 @@ def run(
                 UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
             )
             corrupted, _ = injector.inject(pristine)
-            if which == "none":
-                return psi(corrupted, pristine)
-            if which == "median":
-                return psi(median_smooth_temporal(corrupted), pristine)
-            if which == "majority":
-                return psi(majority_vote_temporal(corrupted), pristine)
-            _, best = best_sensitivity(corrupted, pristine, lambdas)
-            return best
+            return [
+                psi(corrupted, pristine),
+                best_sensitivity(corrupted, pristine, lambdas)[1],
+                psi(median_smooth_temporal(corrupted), pristine),
+                psi(majority_vote_temporal(corrupted), pristine),
+            ]
 
-        for label, which in zip(labels, ("none", "algo", "median", "majority")):
-            curves[label].append(
-                averaged(lambda rng: one_point(rng, which), n_datasets, seed)
-            )
+        for label, value in zip(labels, arm_means(trial, n_datasets, seed)):
+            curves[label].append(value)
 
     for label in labels:
         result.add(label, [float(m) for m in means], curves[label])

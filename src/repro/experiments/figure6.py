@@ -23,7 +23,7 @@ from repro.data.ngst import generate_walk
 from repro.experiments.common import (
     DEFAULT_LAMBDA_GRID,
     ExperimentResult,
-    averaged,
+    arm_means,
     best_sensitivity,
 )
 from repro.faults.injector import FaultInjector
@@ -62,25 +62,21 @@ def run(
         none_curve: list[float] = []
         for gamma0 in gamma0_grid:
 
-            def one_point(rng: np.random.Generator, upsilon: int | None) -> float:
+            def trial(rng: np.random.Generator) -> list[float]:
                 pristine = generate_walk(dataset_cfg, rng, shape)
                 injector = FaultInjector(
                     UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
                 )
                 corrupted, _ = injector.inject(pristine)
-                if upsilon is None:
-                    return psi(corrupted, pristine)
-                return best_sensitivity(corrupted, pristine, lambdas, upsilon)[1]
+                return [psi(corrupted, pristine)] + [
+                    best_sensitivity(corrupted, pristine, lambdas, upsilon)[1]
+                    for upsilon in upsilons
+                ]
 
-            none_curve.append(
-                averaged(lambda rng: one_point(rng, None), n_repeats, seed)
-            )
-            for upsilon in upsilons:
-                curves[f"upsilon={upsilon}"].append(
-                    averaged(
-                        lambda rng: one_point(rng, upsilon), n_repeats, seed
-                    )
-                )
+            none_value, *values = arm_means(trial, n_repeats, seed)
+            none_curve.append(none_value)
+            for upsilon, value in zip(upsilons, values):
+                curves[f"upsilon={upsilon}"].append(value)
         result.add("no-preprocessing", list(gamma0_grid), none_curve)
         for label, ys in curves.items():
             result.add(label, list(gamma0_grid), ys)

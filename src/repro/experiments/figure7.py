@@ -19,7 +19,7 @@ from repro.baselines.median import median_smooth_spatial
 from repro.config import OTISConfig
 from repro.core.algo_otis import AlgoOTIS
 from repro.data.otis import DATASET_NAMES, make_dataset
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
@@ -56,7 +56,7 @@ def run(
 
         for gamma0 in gamma0_grid:
 
-            def one_point(rng: np.random.Generator, which: str) -> float:
+            def trial(rng: np.random.Generator) -> list[float]:
                 field = make_dataset(name, rows, cols, rng)
                 dn = encode_dn(field)
                 pristine = decode_dn(dn)
@@ -64,25 +64,16 @@ def run(
                     UncorrelatedFaultModel(gamma0), seed=int(rng.integers(2**31))
                 )
                 corrupted, _ = injector.inject(dn)
-                if which == "none":
-                    return psi(decode_dn(corrupted), pristine)
-                if which == "median":
-                    return psi(decode_dn(median_smooth_spatial(corrupted)), pristine)
-                if which == "majority":
-                    return psi(decode_dn(majority_vote_spatial(corrupted)), pristine)
-                best = None
-                for lam in lambdas:
-                    algo = AlgoOTIS(OTISConfig(sensitivity=lam))
-                    value = psi(decode_dn(algo(corrupted).corrected), pristine)
-                    best = value if best is None else min(best, value)
-                return best
+                swept = AlgoOTIS(OTISConfig()).sweep(corrupted, lambdas)
+                return [
+                    psi(decode_dn(corrupted), pristine),
+                    min(psi(decode_dn(r.corrected), pristine) for r in swept),
+                    psi(decode_dn(median_smooth_spatial(corrupted)), pristine),
+                    psi(decode_dn(majority_vote_spatial(corrupted)), pristine),
+                ]
 
-            for label, which in zip(labels, ("none", "algo", "median", "majority")):
-                curves[label].append(
-                    averaged(
-                        lambda rng: one_point(rng, which), n_repeats, seed
-                    )
-                )
+            for label, value in zip(labels, arm_means(trial, n_repeats, seed)):
+                curves[label].append(value)
 
         for label in labels:
             result.add(label, list(gamma0_grid), curves[label])

@@ -17,7 +17,7 @@ from repro.baselines.median import median_smooth_spatial
 from repro.config import CorrelatedFaultConfig, OTISConfig
 from repro.core.algo_otis import AlgoOTIS
 from repro.data.otis import DATASET_NAMES, make_dataset
-from repro.experiments.common import ExperimentResult, averaged
+from repro.experiments.common import ExperimentResult, arm_means
 from repro.faults.correlated import CorrelatedFaultModel
 from repro.faults.injector import FaultInjector
 from repro.metrics.relative_error import psi
@@ -37,6 +37,12 @@ def run(
     seed: int = 2003,
 ) -> list[ExperimentResult]:
     """Regenerate the Figure 9 panels: one result per OTIS dataset."""
+    # The pseudo-correction fraction reads the default Λ's result, which
+    # the sweep computes anyway when the grid holds it.
+    default = OTISConfig().sensitivity
+    swept_lambdas = tuple(lambdas)
+    if default not in swept_lambdas:
+        swept_lambdas += (default,)
     results = []
     for name in datasets:
         result = ExperimentResult(
@@ -50,7 +56,7 @@ def run(
 
         for gamma_ini in gamma_ini_grid:
 
-            def one_point(rng: np.random.Generator, which: str) -> float:
+            def trial(rng: np.random.Generator) -> list[float]:
                 field = make_dataset(name, rows, cols, rng)
                 dn = encode_dn(field)
                 pristine = decode_dn(dn)
@@ -59,44 +65,32 @@ def run(
                 )
                 injector = FaultInjector(model, seed=int(rng.integers(2**31)))
                 corrupted, _ = injector.inject(dn)
-                if which == "none":
-                    return psi(decode_dn(corrupted), pristine)
-                if which == "median":
-                    return psi(decode_dn(median_smooth_spatial(corrupted)), pristine)
-                if which == "majority":
-                    return psi(decode_dn(majority_vote_spatial(corrupted)), pristine)
-                if which == "fp-ratio":
-                    # The breakdown mechanism the paper describes:
-                    # corrupted bits pseudo-correcting clean bits.  The
-                    # fraction is weighted by binary significance (a
-                    # falsely flipped high bit harms far more than a
-                    # repaired low bit helps); crossing 0.5 means net
-                    # harm at the bit level.
-                    algo = AlgoOTIS(OTISConfig())
-                    processed = algo(corrupted).corrected
-                    injected = np.bitwise_xor(dn, corrupted)
-                    residual = np.bitwise_xor(dn, processed)
-                    good = float((injected & ~residual).astype(np.float64).sum())
-                    harm = float((~injected & residual).astype(np.float64).sum())
-                    return harm / (good + harm) if good + harm else 0.0
-                best = None
-                for lam in lambdas:
-                    algo = AlgoOTIS(OTISConfig(sensitivity=lam))
-                    value = psi(decode_dn(algo(corrupted).corrected), pristine)
-                    best = value if best is None else min(best, value)
-                return best
+                swept = AlgoOTIS(OTISConfig()).sweep(corrupted, swept_lambdas)
+                best = min(
+                    psi(decode_dn(r.corrected), pristine) for r in swept[: len(lambdas)]
+                )
+                # The breakdown mechanism the paper describes: corrupted
+                # bits pseudo-correcting clean bits.  The fraction is
+                # weighted by binary significance (a falsely flipped high
+                # bit harms far more than a repaired low bit helps);
+                # crossing 0.5 means net harm at the bit level.
+                processed = swept[swept_lambdas.index(default)].corrected
+                injected = np.bitwise_xor(dn, corrupted)
+                residual = np.bitwise_xor(dn, processed)
+                good = float((injected & ~residual).astype(np.float64).sum())
+                harm = float((~injected & residual).astype(np.float64).sum())
+                return [
+                    psi(decode_dn(corrupted), pristine),
+                    best,
+                    psi(decode_dn(median_smooth_spatial(corrupted)), pristine),
+                    psi(decode_dn(majority_vote_spatial(corrupted)), pristine),
+                    harm / (good + harm) if good + harm else 0.0,
+                ]
 
-            for label, which in zip(labels, ("none", "algo", "median", "majority")):
-                curves[label].append(
-                    averaged(
-                        lambda rng: one_point(rng, which), n_repeats, seed
-                    )
-                )
-            curves.setdefault("Algo_OTIS pseudo-corr fraction", []).append(
-                averaged(
-                    lambda rng: one_point(rng, "fp-ratio"), n_repeats, seed
-                )
-            )
+            *values, fp_ratio = arm_means(trial, n_repeats, seed)
+            for label, value in zip(labels, values):
+                curves[label].append(value)
+            curves.setdefault("Algo_OTIS pseudo-corr fraction", []).append(fp_ratio)
 
         for label in labels:
             result.add(label, list(gamma_ini_grid), curves[label])

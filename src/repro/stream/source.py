@@ -414,7 +414,9 @@ class ArraySource(FrameSource):
         path = Path(path)
         try:
             if path.suffix == ".npz":
-                with np.load(path) as archive:
+                # np.load leaves a path it opened itself open when the
+                # zip is refused; a handle we own is closed either way.
+                with open(path, "rb") as fh, np.load(fh) as archive:
                     if key not in archive.files:
                         raise DataFormatError(
                             f"{path} has no array {key!r} (found {archive.files})"

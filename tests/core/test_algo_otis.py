@@ -1,8 +1,10 @@
 """Behavioural tests for Algo_OTIS."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,6 +16,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
 from repro.otis.quantize import decode_dn, encode_dn
+from tests.core.test_kernel_equivalence import assert_same_otis_result, otis_field
 
 
 class TestInputValidation:
@@ -276,3 +279,64 @@ class TestPropertyBased:
         """Fields already inside bounds get no bounds repairs."""
         result = AlgoOTIS()(field)
         assert result.n_bounds_repairs == 0
+
+
+#: Out-of-bounds values per storage dtype; float32 adds the non-finite ones.
+_SPECIAL = {
+    np.uint16: (65000,),
+    np.float32: (np.nan, np.inf, -np.inf, 500.0),
+}
+
+
+class TestSweep:
+    """``sweep`` equals one plain call per Λ, field for field."""
+
+    @seed(2003)
+    @settings(max_examples=60, deadline=None, database=None)
+    @example(dtype=np.uint16, shape=(24, 24), tile=16, upsilon=4, trend=True,
+             iterations=2, lambdas=(20.0, 40.0, 60.0, 80.0, 100.0), special=False,
+             field_seed=0)
+    @example(dtype=np.float32, shape=(3, 17, 9), tile=8, upsilon=8, trend=False,
+             iterations=3, lambdas=(100.0, 0.0, 60.0, 0.0, 60.0), special=True,
+             field_seed=1)
+    @example(dtype=np.uint16, shape=(2, 9, 20), tile=0, upsilon=8, trend=True,
+             iterations=1, lambdas=(0.0,), special=True, field_seed=2)
+    @given(
+        dtype=st.sampled_from([np.uint16, np.float32]),
+        shape=st.sampled_from([(3, 3), (24, 24), (9, 20), (2, 16, 16), (3, 17, 9)]),
+        tile=st.sampled_from([0, 8, 16]),
+        upsilon=st.sampled_from([4, 8]),
+        trend=st.booleans(),
+        iterations=st.integers(min_value=1, max_value=3),
+        lambdas=st.lists(
+            st.sampled_from([0.0, 12.5, 20.0, 60.0, 87.0, 100.0]),
+            min_size=1,
+            max_size=6,
+        ).map(tuple),
+        special=st.booleans(),
+        field_seed=st.integers(min_value=0, max_value=7),
+    )
+    def test_equals_per_lambda_calls(
+        self, dtype, shape, tile, upsilon, trend, iterations, lambdas, special,
+        field_seed,
+    ):
+        rng = np.random.default_rng(field_seed)
+        field = otis_field(rng, dtype, shape, flip_rate=0.03)
+        for value in _SPECIAL[dtype] if special else ():
+            for _ in range(3):
+                field[tuple(int(rng.integers(0, n)) for n in shape)] = value
+        snapshot = field.tobytes()
+        config = OTISConfig(
+            tile=tile, upsilon=upsilon, trend_exemption=trend, iterations=iterations
+        )
+        swept = AlgoOTIS(config).sweep(field, lambdas)
+        assert len(swept) == len(lambdas)
+        for lam, got in zip(lambdas, swept):
+            want = AlgoOTIS(replace(config, sensitivity=lam))(field)
+            assert_same_otis_result(got, want, lam)
+        assert field.tobytes() == snapshot
+        # Every result owns its array: a repeated Λ is not an alias.
+        arrays = [result.corrected for result in swept]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )

@@ -574,7 +574,7 @@ def test_rice_encode_peak_memory_bounded():
 OTIS_TILES = [0, 3, 5, 7, 8, 16, 64]
 
 
-def _otis_field(rng, dtype, shape, flip_rate=0.02, cluster=None):
+def otis_field(rng, dtype, shape, flip_rate=0.02, cluster=None):
     """A smooth radiance field stored as *dtype*, with random bit flips
     and, optionally, a 3x3 cluster set to *cluster*."""
     values = 140.0 + np.cumsum(rng.normal(0.0, 2.0, shape), axis=-1)
@@ -594,12 +594,33 @@ def _otis_field(rng, dtype, shape, flip_rate=0.02, cluster=None):
     return field
 
 
-def _assert_otis_identity(tier, config, field):
-    got = _on_tier(tier, algo_otis.AlgoOTIS(config), field)
-    want = _on_tier("reference", algo_otis.AlgoOTIS(config), field)
+#: A Λ sweep with the bounds-only Λ = 0, both ends, and repeats.
+OTIS_SWEEP = (60.0, 0.0, 20.0, 100.0, 60.0, 45.5)
+
+
+def _assert_otis_identity(tier, config, field, lambdas=None):
+    """*tier* matches the reference on a plain call, or on a sweep of
+    *lambdas* when given."""
+    algo = algo_otis.AlgoOTIS(config)
+    if lambdas is None:
+        run = algo
+    else:
+        def run(field):
+            return algo.sweep(field, lambdas)
+    got = _on_tier(tier, run, field)
+    want = _on_tier("reference", run, field)
+    if lambdas is None:
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for got, want in zip(got, want):
+        assert_same_otis_result(got, want, (tier, config))
+
+
+def assert_same_otis_result(got, want, context=None):
+    """Two ``OTISResult``s agree field for field, byte for byte."""
     assert got.corrected.dtype == want.corrected.dtype
     assert got.corrected.shape == want.corrected.shape
-    assert got.corrected.tobytes() == want.corrected.tobytes(), (tier, config)
+    assert got.corrected.tobytes() == want.corrected.tobytes(), context
     assert (got.n_bounds_repairs, got.n_bit_corrections, got.n_trend_exemptions) == (
         want.n_bounds_repairs,
         want.n_bit_corrections,
@@ -610,7 +631,7 @@ def _assert_otis_identity(tier, config, field):
         a = np.asarray(getattr(got.windows, mask))
         b = np.asarray(getattr(want.windows, mask))
         assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b), (tier, config, mask)
+        assert np.array_equal(a, b), (context, mask)
 
 
 @pytest.mark.parametrize("tier", TIER_PARAMS)
@@ -630,8 +651,9 @@ def test_otis_band_tier_identity(tier, dtype, tile, upsilon):
             trend_window=int(rng.integers(1, 3)),
         )
         cluster = 65000 if dtype == np.uint16 else np.nan
-        field = _otis_field(rng, dtype, shape, cluster=cluster)
+        field = otis_field(rng, dtype, shape, cluster=cluster)
         _assert_otis_identity(tier, config, field)
+        _assert_otis_identity(tier, config, field, OTIS_SWEEP)
 
 
 @pytest.mark.parametrize("tier", TIER_PARAMS)
@@ -644,11 +666,12 @@ def test_otis_band_tier_identity_nonfinite(tier, cluster, sensitivity):
     rng = np.random.default_rng(7)
     for bounds in (OTISBounds(), OTISBounds(lower=-50.0, upper=150.0)):
         config = OTISConfig(sensitivity=sensitivity, bounds=bounds, iterations=3)
-        field = _otis_field(rng, np.float32, (24, 24), cluster=cluster)
+        field = otis_field(rng, np.float32, (24, 24), cluster=cluster)
         field[rng.random(field.shape) < 0.03] = cluster
         for value in (np.nan, np.inf, -np.inf, -0.0):
             field[tuple(rng.integers(0, 24, 2))] = value
         _assert_otis_identity(tier, config, field)
+        _assert_otis_identity(tier, config, field, OTIS_SWEEP)
     everything = np.full((6, 7), cluster, dtype=np.float32)
     _assert_otis_identity(tier, OTISConfig(sensitivity=sensitivity), everything)
 
@@ -670,8 +693,9 @@ def test_otis_band_tier_identity_options(tier, dtype):
                         iterations=iterations,
                         sensitivity=float(rng.uniform(0, 100)),
                     )
-                    field = _otis_field(rng, dtype, (24, 24), flip_rate=0.05)
+                    field = otis_field(rng, dtype, (24, 24), flip_rate=0.05)
                     _assert_otis_identity(tier, config, field)
+                    _assert_otis_identity(tier, config, field, OTIS_SWEEP)
 
 
 @pytest.mark.parametrize("tier", TIER_PARAMS)
@@ -680,8 +704,9 @@ def test_otis_band_tier_identity_cube(tier, dtype):
     rng = np.random.default_rng(13)
     for shape in [(1, 16, 16), (3, 24, 24), (6, 5, 9)]:
         cluster = 65000 if dtype == np.uint16 else np.nan
-        field = _otis_field(rng, dtype, shape, cluster=cluster)
+        field = otis_field(rng, dtype, shape, cluster=cluster)
         _assert_otis_identity(tier, OTISConfig(), field)
+        _assert_otis_identity(tier, OTISConfig(), field, OTIS_SWEEP)
 
 
 @pytest.mark.parametrize("tier", TIER_PARAMS)
@@ -694,19 +719,40 @@ def test_otis_band_tier_identity_cube(tier, dtype):
     tile=st.sampled_from(OTIS_TILES),
     upsilon=st.sampled_from([4, 8]),
     sensitivity=st.floats(0, 100),
+    lambdas=st.lists(st.floats(0, 100), min_size=1, max_size=5),
 )
-def test_otis_band_tier_identity_property(tier, field, tile, upsilon, sensitivity):
+def test_otis_band_tier_identity_property(
+    tier, field, tile, upsilon, sensitivity, lambdas
+):
     config = OTISConfig(upsilon=upsilon, tile=tile, sensitivity=sensitivity)
     _assert_otis_identity(tier, config, field)
+    _assert_otis_identity(tier, config, field, lambdas)
+
+
+@pytest.mark.parametrize("tier", TIER_PARAMS)
+@pytest.mark.parametrize("bad", [-0.5, 101.0, float("nan")])
+def test_otis_sweep_refuses_out_of_range_lambda(tier, bad, monkeypatch):
+    # The range check runs before the kernel on any tier, and before
+    # the field is even looked at.
+    ran = []
+    monkeypatch.setattr(dispatch, "call", lambda *a: ran.append(a))
+    sweep = algo_otis.AlgoOTIS(OTISConfig()).sweep
+    field = otis_field(np.random.default_rng(3), np.uint16, (16, 16))
+    for field in (field, np.zeros(3)):
+        with pytest.raises(ConfigurationError, match="sensitivity"):
+            _on_tier(tier, sweep, field, (20.0, bad))
+    assert ran == []
 
 
 @pytest.mark.parametrize("tile", OTIS_TILES[1:])
 def test_tile_thresholds_match_reference(rng, tile):
     for shape in [(4, 24, 24), (8, 32, 32), (4, 9, 20), (4, 3, 3), (8, 17, 5)]:
         voters = _random_unsigned(rng, shape, np.uint16)
-        for fraction in (0.2, 0.5, 0.8):
-            _, rows, cols = shape
-            grid = algo_otis._tile_thresholds(voters, tile, fraction)
+        _, rows, cols = shape
+        fractions = (0.2, 0.5, 0.8, 0.5)
+        grids = algo_otis._tile_thresholds(voters, tile, fractions)
+        assert grids.shape[0] == len(fractions)
+        for fraction, grid in zip(fractions, grids):
             if grid.ndim > 1:
                 grid = algo_otis._expand_tiles(grid, tile, rows, cols)
             want = algo_otis._reference_way_thresholds(voters, tile, fraction)

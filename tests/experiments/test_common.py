@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    averaged,
+    arm_means,
     best_sensitivity,
     seeded_trials,
 )
@@ -89,24 +89,29 @@ class TestSeededTrials:
             seeded_trials(lambda rng: 0.0, 0, seed=1)
 
 
-class TestAveraged:
-    def test_mean_of_runs(self):
-        value = averaged(lambda rng: float(rng.random() < 2), 5, seed=1)
-        assert value == 1.0
+class TestArmMeans:
+    @staticmethod
+    def trial(rng):
+        # Arms read one shared draw, as an experiment's arms do.
+        x = rng.normal(size=3)
+        return [float(x.sum()), float(x.max()), float(rng.random() < 2)]
+
+    def test_each_arm_equals_its_own_averaged_loop(self):
+        means = arm_means(self.trial, 5, seed=2003)
+        for i, mean in enumerate(means):
+            # The one-arm loop this replaces: a fresh draw per arm.
+            alone = seeded_trials(lambda rng: self.trial(rng)[i], 5, 2003)
+            assert mean == float(np.mean(alone))
+        assert means[2] == 1.0
+        assert all(type(m) is float for m in means)
 
     def test_deterministic(self):
-        a = averaged(lambda rng: rng.random(), 4, seed=9)
-        b = averaged(lambda rng: rng.random(), 4, seed=9)
-        assert a == b
+        assert arm_means(self.trial, 4, seed=9) == arm_means(self.trial, 4, seed=9)
+        assert arm_means(self.trial, 4, seed=9) != arm_means(self.trial, 4, seed=10)
 
-    def test_different_seeds_differ(self):
-        a = averaged(lambda rng: rng.random(), 4, seed=9)
-        b = averaged(lambda rng: rng.random(), 4, seed=10)
-        assert a != b
-
-    def test_rejects_zero_repeats(self):
-        with pytest.raises(ConfigurationError):
-            averaged(lambda rng: 0.0, 0, seed=1)
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            arm_means(self.trial, 0, seed=1)
 
 
 class TestBestSensitivity:

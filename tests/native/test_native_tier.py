@@ -204,7 +204,7 @@ def test_kernels_cli_json(capsys):
         "majority_vote_window",
         "weighted_window_smooth",
         "rice_encode",
-        "otis_band",
+        "otis_sweep",
     }
     assert expected <= set(info["kernels"])
     with_native = {
@@ -232,7 +232,7 @@ def test_kernels_cli_require_native_passes_over_numpy_only_kernels(capsys, monke
     out = capsys.readouterr().out
     [line] = [line for line in out.splitlines() if "correlated_flip_grid" in line]
     assert line.endswith("->  native")
-    for name in ("grt", "to_bit_planes", "rice_encode", "otis_band"):
+    for name in ("grt", "to_bit_planes", "rice_encode", "otis_sweep"):
         [line] = [line for line in out.splitlines() if name in line]
         assert line.endswith("->  numpy  (no native impl)")
     assert kernels_main(["--require", "numpy"]) == 1

@@ -1,6 +1,8 @@
 """Frame sources: chunk invariance, exact resume, file replay, downlink."""
 
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -146,9 +148,16 @@ class TestArraySource:
     ):
         path = tmp_path / name
         write(path)
-        with pytest.raises(DataFormatError) as excinfo:
-            ArraySource.from_file(path)
-        message = str(excinfo.value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(DataFormatError) as excinfo:
+                ArraySource.from_file(path)
+            message = str(excinfo.value)
+            # The error's context holds the loader's frames; drop it so
+            # a handle left open is finalised, and warns, right here.
+            del excinfo
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert message.startswith(f"cannot load {path}: ")
         assert reason in message
         assert "\n" not in message
