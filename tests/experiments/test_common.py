@@ -89,6 +89,24 @@ class TestSeededTrials:
             seeded_trials(lambda rng: 0.0, 0, seed=1)
 
 
+class TestAveraged:
+    """A one-arm :func:`arm_means` trial: the plain per-trial average."""
+
+    @staticmethod
+    def averaged(trial, n_trials, seed):
+        return arm_means(lambda rng: [trial(rng)], n_trials, seed)[0]
+
+    def test_deterministic(self):
+        a = self.averaged(lambda rng: rng.random(), 4, seed=9)
+        b = self.averaged(lambda rng: rng.random(), 4, seed=9)
+        assert a == b
+
+    def test_different_seeds_differ(self):
+        a = self.averaged(lambda rng: rng.random(), 4, seed=9)
+        b = self.averaged(lambda rng: rng.random(), 4, seed=10)
+        assert a != b
+
+
 class TestArmMeans:
     @staticmethod
     def trial(rng):
