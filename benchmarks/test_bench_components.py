@@ -81,3 +81,10 @@ def test_bench_cluster_pipeline(benchmark, rng):
     stack = model.generate(rng.uniform(1, 10, size=(64, 64)), rng)
     pipeline = CRRejectionPipeline(model, ClusterConfig(n_slaves=4, tile=32))
     benchmark.pedantic(pipeline.run, args=(stack,), rounds=3, iterations=1)
+
+
+def test_bench_cluster_schedule(benchmark, rng):
+    model = RampModel(n_readouts=16)
+    stack = model.generate(rng.uniform(1, 10, size=(64, 64)), rng)
+    pipeline = CRRejectionPipeline(model, ClusterConfig(n_slaves=4, tile=32))
+    benchmark(pipeline.schedule, stack)

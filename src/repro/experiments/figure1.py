@@ -4,8 +4,12 @@ Figure 1 is a diagram, not a measurement: a master node fragments each
 1024×1024 exposure into 128×128 segments for 15 slave workers over a
 Myrinet-class network.  This experiment *runs* that architecture on the
 discrete-event substrate and reports its operating characteristics —
-makespan, slave utilisation and network volume — as the worker count
-scales, with and without slave-side preprocessing.
+makespan and slave utilisation — as the worker count scales, with and
+without slave-side preprocessing, and on heterogeneous nodes under
+static and dynamic scheduling.  No simulated time depends on a pixel
+value, so the experiment runs only the schedule
+(:meth:`CRRejectionPipeline.schedule`): no slave-side preprocessing,
+CR rejection or Rice coding is computed.
 
 Expected shape: makespan falls with workers until the master's fan-out
 serialisation dominates; preprocessing adds a bounded, Λ-dependent
@@ -49,10 +53,10 @@ def run(
     static_het, dynamic_het = [], []
     for n_slaves in n_slaves_grid:
         cluster = ClusterConfig(n_slaves=n_slaves, tile=tile)
-        plain = CRRejectionPipeline(ramp, cluster).run(stack)
+        plain = CRRejectionPipeline(ramp, cluster).schedule(stack)
         pre = CRRejectionPipeline(
             ramp, cluster, NGSTPreprocessor(NGSTConfig(sensitivity=sensitivity))
-        ).run(stack)
+        ).schedule(stack)
         plain_curve.append(plain.makespan_s)
         pre_curve.append(pre.makespan_s)
         util_curve.append(plain.slave_utilisation)
@@ -65,7 +69,7 @@ def run(
                 node_speed_spread=0.5,
                 failure_seed=seed,
             )
-            curve.append(CRRejectionPipeline(ramp, cfg).run(stack).makespan_s)
+            curve.append(CRRejectionPipeline(ramp, cfg).schedule(stack).makespan_s)
     xs = [float(n) for n in n_slaves_grid]
     result.add("no preprocessing", xs, plain_curve)
     result.add(f"with Algo_NGST (L={int(sensitivity)})", xs, pre_curve)

@@ -19,7 +19,12 @@ path end to end:
   application (§9): one FITS decode, no re-encode.
 """
 
-from repro.ngst.cluster import ClusterConfig, CRRejectionPipeline, PipelineReport
+from repro.ngst.cluster import (
+    ClusterConfig,
+    CRRejectionPipeline,
+    PipelineReport,
+    ScheduleReport,
+)
 from repro.ngst.cosmic_rays import (
     CosmicRayModel,
     reject_cosmic_rays,
@@ -39,6 +44,7 @@ __all__ = [
     "DownlinkReport",
     "PipelineReport",
     "RampModel",
+    "ScheduleReport",
     "crc16",
     "fragment_stack",
     "reassemble",

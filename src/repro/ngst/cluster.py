@@ -7,11 +7,17 @@ run in the slaves' slack CPU time), rejects cosmic rays by ramp
 fitting, and returns the integrated segment.  The master reassembles
 the frame and Rice-compresses it for downlink.
 
-The pipeline performs the real computation (so output quality can be
-measured) while the discrete-event simulator accounts for time: service
-times follow calibrated per-byte models and the preprocessing pass adds
-a sensitivity-dependent work factor, reproducing the Figure 3 overhead
-behaviour at cluster scale.
+The pipeline has two halves.  :meth:`CRRejectionPipeline.schedule` is
+the discrete-event simulation alone: fragment dispatch, static or
+dynamic scheduling, node speeds, slave failures, timeouts and retries.
+Its service times follow calibrated per-byte models, and the
+preprocessing pass adds a sensitivity-dependent work factor,
+reproducing the Figure 3 overhead behaviour at cluster scale.  No
+simulated time depends on a pixel value, so the schedule reads only
+the stack's shape and dtype.  :meth:`CRRejectionPipeline.run` adds the
+data reduction, so output quality can be measured: it takes the
+schedule's timings, then preprocesses and CR-rejects each fragment
+once, reassembles the frame and Rice-codes it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from repro.core.preprocessor import NGSTPreprocessor
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.ngst.cosmic_rays import reject_cosmic_rays, reject_cosmic_rays_segmented
-from repro.ngst.fragment import Fragment, fragment_stack, reassemble
+from repro.ngst.fragment import Fragment, fragment_stack, reassemble, tile_grid
 from repro.ngst.ramp import RampModel
 from repro.ngst.rice import rice_encode
 from repro.sim.engine import Simulator
@@ -116,14 +122,13 @@ class ClusterConfig:
         return 1.0 + self.preprocess_base_overhead + self.preprocess_slope * sensitivity
 
 
-@dataclass
-class PipelineReport:
-    """What one baseline's pipeline run produced.
+@dataclass(frozen=True)
+class ScheduleReport:
+    """The simulated timing of one baseline through the cluster.
 
     Attributes:
-        image: the reassembled CR-rejected flux image (counts/second).
-        compressed: the Rice-compressed downlink payload.
-        makespan_s: simulated wall-clock from ingest to compressed frame.
+        makespan_s: simulated wall-clock from ingest to the last
+            fragment's return to the master.
         bytes_moved: total bytes carried by the network.
         slave_utilisation: mean busy fraction of the slaves.
         n_fragments: fragments processed.
@@ -132,15 +137,26 @@ class PipelineReport:
         n_retries: fragment resubmissions the master issued.
     """
 
-    image: np.ndarray
-    compressed: bytes
     makespan_s: float
     bytes_moved: int
     slave_utilisation: float
     n_fragments: int
     preprocessed: bool
-    n_slave_failures: int = 0
-    n_retries: int = 0
+    n_slave_failures: int
+    n_retries: int
+
+
+@dataclass(frozen=True)
+class PipelineReport(ScheduleReport):
+    """What one baseline's pipeline run produced: its timing plus data.
+
+    Attributes:
+        image: the reassembled CR-rejected flux image (counts/second).
+        compressed: the Rice-compressed downlink payload.
+    """
+
+    image: np.ndarray
+    compressed: bytes
 
 
 class CRRejectionPipeline:
@@ -156,16 +172,25 @@ class CRRejectionPipeline:
         self.cluster = cluster or ClusterConfig()
         self.preprocessor = preprocessor
 
-    def run(self, stack: np.ndarray) -> PipelineReport:
-        """Process one baseline's readout stack ``(N, H, W)``.
+    def schedule(self, stack: np.ndarray) -> ScheduleReport:
+        """Simulate one baseline's readout stack ``(N, H, W)`` on the cluster.
 
-        The stack is typically already fault-corrupted by the caller;
-        preprocessing (when configured) runs on each slave before CR
-        rejection.
+        Only the stack's shape and dtype are read.  Every slave returns
+        a float64 flux tile, so the return leg carries ``tile²·8`` bytes.
+
+        Raises:
+            SimulationError: if *stack* is not 3-D, or fragments are
+                still lost once every retry is spent.
+            ConfigurationError, DataFormatError: if the frame cannot be
+                cut into tiles (see :func:`~repro.ngst.fragment.tile_grid`).
         """
         if stack.ndim != 3:
             raise SimulationError(f"expected (N, H, W) stack, got {stack.ndim}-D")
         cfg = self.cluster
+        rows, cols = tile_grid(stack.shape, cfg.tile)
+        n_fragments = rows * cols
+        n_bytes = stack.shape[0] * cfg.tile * cfg.tile * stack.itemsize
+        return_bytes = cfg.tile * cfg.tile * np.dtype(np.float64).itemsize
         sim = Simulator()
         network = Network(sim)
         speed_rng = np.random.default_rng(cfg.failure_seed + 1)
@@ -178,32 +203,26 @@ class CRRejectionPipeline:
             Node(sim, f"slave{i}", cfg.cr_model, speed=float(speeds[i]))
             for i in range(cfg.n_slaves)
         ]
-        fragments = fragment_stack(stack, cfg.tile)
         sensitivity = (
             self.preprocessor.config.sensitivity if self.preprocessor else None
         )
         work_factor = cfg.work_factor(sensitivity)
-        reject = (
-            reject_cosmic_rays
-            if cfg.rejection == "clip"
-            else reject_cosmic_rays_segmented
-        )
         failure_rng = np.random.default_rng(cfg.failure_seed)
 
-        results: list[Fragment] = []
-        completed: set[tuple[int, int]] = set()
-        done_at = {"t": 0.0}
-        stats = {"failures": 0, "retries": 0}
+        completed: set[int] = set()
+        done_at = 0.0
+        failures = retries = 0
+        next_slave = 0
         planned_load = [0.0] * len(slaves)
-        round_robin = {"next": 0}
 
-        def choose_slave(n_bytes: int, exclude: int | None = None) -> int:
+        def choose_slave(exclude: int | None = None) -> int:
+            nonlocal next_slave
             if cfg.scheduling == "static":
-                index = round_robin["next"] % len(slaves)
-                round_robin["next"] += 1
+                index = next_slave % len(slaves)
+                next_slave += 1
                 if exclude is not None and index == exclude and len(slaves) > 1:
-                    index = round_robin["next"] % len(slaves)
-                    round_robin["next"] += 1
+                    index = next_slave % len(slaves)
+                    next_slave += 1
                 return index
             # Dynamic: earliest estimated completion, by the master's
             # bookkeeping of the load it has already assigned.
@@ -217,10 +236,8 @@ class CRRejectionPipeline:
             planned_load[best] = best_eta
             return best
 
-        def dispatch(fragment: Fragment, slave_index: int, retries_left: int) -> None:
-            slave = slaves[slave_index % len(slaves)]
-            key = (fragment.row, fragment.col)
-            n_bytes = fragment.data.nbytes
+        def dispatch(fragment: int, slave_index: int, retries_left: int) -> None:
+            slave = slaves[slave_index]
             job_fails = (
                 cfg.slave_failure_probability > 0.0
                 and failure_rng.random() < cfg.slave_failure_probability
@@ -228,27 +245,23 @@ class CRRejectionPipeline:
 
             def on_arrived() -> None:
                 def on_processed() -> None:
+                    nonlocal failures
                     if job_fails:
                         # The slave died mid-job: its result never comes
                         # back; the master's timeout will resubmit.
-                        stats["failures"] += 1
+                        failures += 1
                         return
-                    if key in completed:
+                    if fragment in completed:
                         return  # a retried duplicate finished elsewhere
-                    data = fragment.data
-                    if self.preprocessor is not None:
-                        data = self.preprocessor.process_stack(data).data
-                    flux, _ = reject(data, self.ramp_model)
-                    result = Fragment(fragment.row, fragment.col, flux)
 
                     def on_returned() -> None:
-                        if key in completed:
+                        nonlocal done_at
+                        if fragment in completed:
                             return
-                        completed.add(key)
-                        results.append(result)
-                        done_at["t"] = sim.now
+                        completed.add(fragment)
+                        done_at = sim.now
 
-                    network.send(slave.name, "master", flux.nbytes, on_returned)
+                    network.send(slave.name, "master", return_bytes, on_returned)
 
                 slave.submit(n_bytes, on_processed, work_factor=work_factor)
 
@@ -257,42 +270,63 @@ class CRRejectionPipeline:
             if cfg.slave_failure_probability > 0.0 and retries_left > 0:
 
                 def on_timeout() -> None:
-                    if key not in completed:
-                        stats["retries"] += 1
-                        replacement = choose_slave(
-                            n_bytes, exclude=slave_index % len(slaves)
-                        )
+                    nonlocal retries
+                    if fragment not in completed:
+                        retries += 1
+                        replacement = choose_slave(exclude=slave_index)
                         dispatch(fragment, replacement, retries_left - 1)
 
                 sim.schedule(cfg.retry_timeout_s, on_timeout)
 
-        for fragment in fragments:
-            dispatch(fragment, choose_slave(fragment.data.nbytes), cfg.max_retries)
+        for fragment in range(n_fragments):
+            dispatch(fragment, choose_slave(), cfg.max_retries)
 
         sim.run()
-        if len(results) != len(fragments):
+        if len(completed) != n_fragments:
             raise SimulationError(
-                f"pipeline lost fragments: {len(results)}/{len(fragments)} "
-                f"({stats['failures']} slave failures, {stats['retries']} retries)"
+                f"pipeline lost fragments: {len(completed)}/{n_fragments} "
+                f"({failures} slave failures, {retries} retries)"
             )
-        image = reassemble(results, cfg.tile)
-        # Quantise the flux image for downlink compression, preserving
-        # two decimal places of counts/second.
-        quantised = np.clip(np.rint(image * 100.0), 0, 2**31 - 1).astype(np.uint32)
-        compressed = rice_encode(quantised)
-        makespan = done_at["t"]
-        horizon = max(makespan, 1e-12)
+        horizon = max(done_at, 1e-12)
         utilisation = float(
             np.mean([s.busy_seconds / horizon for s in slaves])
         )
-        return PipelineReport(
-            image=image,
-            compressed=compressed,
-            makespan_s=makespan,
+        return ScheduleReport(
+            makespan_s=done_at,
             bytes_moved=network.total_bytes,
             slave_utilisation=utilisation,
-            n_fragments=len(fragments),
+            n_fragments=n_fragments,
             preprocessed=self.preprocessor is not None,
-            n_slave_failures=stats["failures"],
-            n_retries=stats["retries"],
+            n_slave_failures=failures,
+            n_retries=retries,
+        )
+
+    def run(self, stack: np.ndarray) -> PipelineReport:
+        """Process one baseline's readout stack ``(N, H, W)``.
+
+        The stack is typically already fault-corrupted by the caller.
+        :meth:`schedule` gives the timings; then each fragment, in grid
+        order, is preprocessed (when configured) and CR-rejected once,
+        however many times the schedule dispatched it.
+        """
+        timing = self.schedule(stack)
+        cfg = self.cluster
+        reject = (
+            reject_cosmic_rays
+            if cfg.rejection == "clip"
+            else reject_cosmic_rays_segmented
+        )
+        reduced = []
+        for fragment in fragment_stack(stack, cfg.tile):
+            data = fragment.data
+            if self.preprocessor is not None:
+                data = self.preprocessor.process_stack(data).data
+            flux, _ = reject(data, self.ramp_model)
+            reduced.append(Fragment(fragment.row, fragment.col, flux))
+        image = reassemble(reduced, cfg.tile)
+        # Quantise the flux image for downlink compression, preserving
+        # two decimal places of counts/second.
+        quantised = np.clip(np.rint(image * 100.0), 0, 2**31 - 1).astype(np.uint32)
+        return PipelineReport(
+            **vars(timing), image=image, compressed=rice_encode(quantised)
         )

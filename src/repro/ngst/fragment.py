@@ -26,25 +26,37 @@ class Fragment:
     data: np.ndarray
 
 
+def tile_grid(shape: tuple[int, ...], tile: int = DEFAULT_TILE) -> tuple[int, int]:
+    """The ``(rows, cols)`` tile grid of a frame ``(H, W)`` or stack ``(N, H, W)``.
+
+    Raises:
+        ConfigurationError: if *tile* is below 1.
+        DataFormatError: if *shape* is not 2-D or 3-D, or its frame is
+            not divisible by *tile*.
+    """
+    if tile < 1:
+        raise ConfigurationError(f"tile must be >= 1, got {tile}")
+    if len(shape) not in (2, 3):
+        raise DataFormatError(f"expected (H, W) or (N, H, W), got {len(shape)}-D")
+    height, width = shape[-2:]
+    if height % tile or width % tile:
+        raise DataFormatError(
+            f"frame {height}x{width} not divisible by tile {tile}"
+        )
+    return height // tile, width // tile
+
+
 def fragment_stack(stack: np.ndarray, tile: int = DEFAULT_TILE) -> list[Fragment]:
     """Split a readout stack ``(N, H, W)`` (or frame ``(H, W)``) into tiles.
 
     Tiles carry the full temporal axis — each slave needs every readout
     of its segment for CR rejection and preprocessing.
     """
-    if tile < 1:
-        raise ConfigurationError(f"tile must be >= 1, got {tile}")
     stack = np.asarray(stack)
-    if stack.ndim not in (2, 3):
-        raise DataFormatError(f"expected (H, W) or (N, H, W), got {stack.ndim}-D")
-    height, width = stack.shape[-2:]
-    if height % tile or width % tile:
-        raise DataFormatError(
-            f"frame {height}x{width} not divisible by tile {tile}"
-        )
+    rows, cols = tile_grid(stack.shape, tile)
     fragments = []
-    for row in range(height // tile):
-        for col in range(width // tile):
+    for row in range(rows):
+        for col in range(cols):
             window = (
                 slice(row * tile, (row + 1) * tile),
                 slice(col * tile, (col + 1) * tile),
